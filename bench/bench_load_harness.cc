@@ -319,14 +319,6 @@ std::string format_us(double ns) { return format_double(ns / 1000.0, 1); }
 
 // --- pipelined writer-threads sweep ---------------------------------------
 
-// Cumulative value of a global-registry counter, for before/after deltas.
-int64_t global_counter(const std::string& name) {
-  for (const auto& m : obs::Registry::global().snapshot().metrics) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
-
 // A fresh mem-backend array for one sweep point. Every device transfer
 // pays a fixed injected service latency so the array behaves like real
 // disks: one writer is bounded by serial device waits, and extra writers
@@ -355,7 +347,6 @@ std::unique_ptr<raid::Raid6Array> make_sweep_array(int latency_us) {
 
 struct SweepResult {
   double iops = 0, p50 = 0, p99 = 0;
-  int64_t merged = 0;
   int64_t errors = 0;
 };
 
@@ -368,7 +359,6 @@ struct SweepResult {
 SweepResult run_writer_sweep_point(const HarnessConfig& cfg, int n) {
   constexpr int kInFlight = 4;
   auto array = make_sweep_array(cfg.writer_disk_latency_us);
-  const int64_t merged_before = global_counter("pipeline.writes_merged");
   const size_t esize = array->element_size();
   const int64_t slots = array->capacity() / static_cast<int64_t>(esize);
   const int per_thread = (cfg.writer_ops + n - 1) / n;
@@ -430,7 +420,6 @@ SweepResult run_writer_sweep_point(const HarnessConfig& cfg, int n) {
                : 0.0;
   r.p50 = hist.percentile(0.50);
   r.p99 = hist.percentile(0.99);
-  r.merged = global_counter("pipeline.writes_merged") - merged_before;
   r.errors = errors.load();
   return r;
 }
@@ -447,8 +436,8 @@ void run_writer_sweep(const HarnessConfig& cfg, Telemetry& telemetry) {
           "beyond 1.0x is concurrency the pipeline created by "
           "overlapping independent stripes.");
 
-  TablePrinter table({"writers", "IOPS", "scaling", "p50(us)", "p99(us)",
-                      "merged", "errs"});
+  TablePrinter table(
+      {"writers", "IOPS", "scaling", "p50(us)", "p99(us)", "errs"});
   double base_iops = 0.0;
   for (int n : cfg.writer_threads) {
     SweepResult r = run_writer_sweep_point(cfg, n);
@@ -456,16 +445,13 @@ void run_writer_sweep(const HarnessConfig& cfg, Telemetry& telemetry) {
     const double scaling = base_iops > 0 ? r.iops / base_iops : 0.0;
     table.add_row({std::to_string(n), format_double(r.iops, 0),
                    format_double(scaling, 2) + "x", format_us(r.p50),
-                   format_us(r.p99), std::to_string(r.merged),
-                   std::to_string(r.errors)});
+                   format_us(r.p99), std::to_string(r.errors)});
 
     obs::Labels cell = {{"writer_threads", std::to_string(n)}};
     telemetry.add("pipeline_mixed_4k_iops", r.iops, cell);
     telemetry.add("pipeline_p50_ns", r.p50, cell);
     telemetry.add("pipeline_p99_ns", r.p99, cell);
     telemetry.add("pipeline_iops_scaling_x", scaling, cell);
-    telemetry.add("pipeline_writes_merged",
-                  static_cast<double>(r.merged), cell);
   }
   table.print(std::cout);
 
@@ -493,7 +479,8 @@ int shard_sweep_prime(int shards) {
 // A seeded mem-backend pool for one sweep point, every device transfer
 // paying the injected service latency. Same conditions as the writer
 // sweep: intra-op fan-out off, so measured concurrency belongs to the
-// per-shard pipelines and the pool's routing — not the host's cores.
+// submitter threads, the per-shard admission order and the pool's
+// routing — not the host's cores.
 std::unique_ptr<volume::StoragePool> make_sweep_pool(int shards, int prime,
                                                      int latency_us) {
   volume::ShardSpec spec;
@@ -527,8 +514,9 @@ std::unique_ptr<volume::StoragePool> make_sweep_pool(int shards, int prime,
 }
 
 // One sweep point: cfg.threads submitters issue 1:1 random 4K-aligned
-// reads and writes synchronously through the pool's routed path; each
-// shard's own pipeline overlaps the ops that land on it.
+// reads and writes synchronously through the pool's routed path; each op
+// runs on its submitter's thread, and each shard's admission range-lock
+// lets disjoint ops that land on it run concurrently.
 SweepResult run_shard_sweep_point(const HarnessConfig& cfg, int shards,
                                   int prime, obs::Histogram& hist) {
   auto pool = make_sweep_pool(shards, prime, cfg.writer_disk_latency_us);

@@ -170,7 +170,9 @@ void Raid6Array::finish_rebuilt_targets(const std::vector<int>& targets) {
 bool Raid6Array::wait_for_rebuild() {
   {
     std::unique_lock<std::mutex> lock(rebuild_mu_);
-    rebuild_cv_.wait(lock, [&] { return !rebuild_running_; });
+    rebuild_cv_.wait(lock, [&] {
+      return !rebuild_running_ && escalations_in_flight_ == 0;
+    });
     if (rebuild_thread_.joinable()) rebuild_thread_.join();
   }
   for (int d = 0; d < layout_->cols(); ++d) {

@@ -1,15 +1,16 @@
 #include "raid/op_queue.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace dcode::raid {
 
 bool OpQueue::push(PendingOp op) {
   std::unique_lock<std::mutex> l(mu_);
-  not_full_.wait(l, [&] { return q_.size() < options_.depth || closed_; });
+  not_full_.wait(l, [&] { return q_.size() < depth_ || closed_; });
   if (closed_) return false;
-  op.seq = next_seq_++;
+  // Admit while the queue mutex is held: no other push can take a later
+  // sequence number and still land ahead of this op in the queue.
+  op.seq = tickets_.admit(op.first_stripe, op.last_stripe, op.is_write);
   if (op.state) op.state->seq = op.seq;
   q_.push_back(std::move(op));
   if (depth_gauge_ != nullptr)
@@ -19,52 +20,16 @@ bool OpQueue::push(PendingOp op) {
   return true;
 }
 
-bool OpQueue::pop_merged(OpBatch* out, const RegisterFn& reg) {
+bool OpQueue::pop(PendingOp* out) {
   std::unique_lock<std::mutex> l(mu_);
   not_empty_.wait(l, [&] { return !q_.empty() || closed_; });
   if (q_.empty()) return false;  // closed and drained
-
-  out->sources.clear();
-  PendingOp head = std::move(q_.front());
+  *out = std::move(q_.front());
   q_.pop_front();
-  out->is_write = head.is_write;
-  out->offset = head.offset;
-  out->end = head.offset + head.len;
-  out->first_stripe = head.first_stripe;
-  out->last_stripe = head.last_stripe;
-  out->seq = head.seq;
-  out->sources.push_back(std::move(head));
-
-  if (out->is_write && options_.merge_writes) {
-    // Absorb the consecutive run of mergeable writes behind the head.
-    // Stopping at the first non-mergeable op is what keeps this
-    // order-preserving: every op left in the queue is behind (in
-    // admission order) everything we merged.
-    while (!q_.empty() && out->sources.size() < options_.merge_limit) {
-      const PendingOp& n = q_.front();
-      const bool mergeable = n.is_write && n.offset <= out->end &&
-                             n.offset + n.len >= out->offset;
-      if (!mergeable) break;
-      out->offset = std::min(out->offset, n.offset);
-      out->end = std::max(out->end, n.offset + n.len);
-      out->first_stripe = std::min(out->first_stripe, n.first_stripe);
-      out->last_stripe = std::max(out->last_stripe, n.last_stripe);
-      out->sources.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    if (merge_width_ != nullptr)
-      merge_width_->observe(static_cast<int64_t>(out->sources.size()));
-  }
-
-  // Register the admission ticket while the pop is still invisible:
-  // with the queue mutex held, no later op can be popped (and thus
-  // registered) before this one, so ticket order == admission order.
-  reg(out->seq, out->first_stripe, out->last_stripe, out->is_write);
-
   if (depth_gauge_ != nullptr)
     depth_gauge_->set(static_cast<int64_t>(q_.size()));
   l.unlock();
-  not_full_.notify_all();
+  not_full_.notify_one();
   return true;
 }
 

@@ -1,35 +1,30 @@
-// Bounded admission queue for the request pipeline, with write merging.
+// Bounded admission queue for the request pipeline's asynchronous path.
 //
-// Submitters push PendingOps (sequence numbers are assigned under the
-// queue mutex, so queue order == sequence order == arrival order);
-// pipeline workers pop OpBatches. A pop takes the head op and, when it
-// is a write and merging is on, absorbs the *consecutive run* of queued
-// writes whose byte ranges overlap or adjoin the accumulated union —
-// stopping at the first non-mergeable op, so nothing is ever reordered
-// past anything it could conflict with. The union stays contiguous by
-// induction (each absorbed op touches it), which is what lets D-Code's
-// consecutive-elements-share-one-horizontal-parity property turn k
-// queued partial writes into one RMW/RCW plan.
+// Submitters push PendingOps; pipeline workers pop them one at a time in
+// FIFO order. push() admits the op — sequence number plus StripeRangeLock
+// ticket, see StripeRangeLock::admit — while holding the queue mutex, so
+// queue order == sequence order among queued ops. Ops a caller runs on
+// its own thread (StripePipeline::run_read/run_write) are admitted
+// through the same range lock without touching the queue, so queued and
+// inline ops share one admission order.
 //
-// Backpressure: push() blocks while the queue is at depth. close()
-// wakes everyone; pops drain the remainder and then return false.
+// Backpressure: push() blocks while the queue is at depth, before
+// admission (a blocked submitter holds no ticket). close() wakes
+// everyone; pops drain the remainder and then return false.
 //
-// The ticket-registration callback passed to pop_merged() runs under
-// the queue mutex, making the FIFO pop atomic with admission-order
-// ticket registration (see StripeRangeLock's protocol). Lock order is
-// queue mutex -> range-lock mutex, nothing else.
+// Lock order: queue mutex -> range-lock mutex, nothing else.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "raid/stripe_lock_table.h"
 
 namespace dcode::raid {
 
@@ -66,66 +61,48 @@ struct OpState {
   }
 };
 
-// One submitted-but-not-yet-executed op. Writes own a copy of their
-// payload (the caller's buffer is free the moment submit returns);
-// reads borrow the destination, which must stay valid until the future
-// completes.
+// One admitted (or about to be admitted) op. A queued write owns a copy
+// of its payload and `write_src` points into it (moving a PendingOp keeps
+// the vector's buffer, so the pointer stays valid; copies are deleted);
+// an inline op borrows the caller's buffer. A read's destination is
+// always caller-owned.
 struct PendingOp {
+  PendingOp() = default;
+  PendingOp(PendingOp&&) = default;
+  PendingOp& operator=(PendingOp&&) = default;
+  PendingOp(const PendingOp&) = delete;
+  PendingOp& operator=(const PendingOp&) = delete;
+
   bool is_write = false;
   int64_t offset = 0;
   int64_t len = 0;
-  std::vector<uint8_t> data;    // write payload (owned)
-  uint8_t* read_dst = nullptr;  // read destination (caller-owned)
-  int64_t first_stripe = 0;     // stripe range covered by [offset, len)
+  const uint8_t* write_src = nullptr;  // write payload
+  uint8_t* read_dst = nullptr;         // read destination (caller-owned)
+  std::vector<uint8_t> owned;          // queued write: the payload copy
+  int64_t first_stripe = 0;            // stripe range covered by the op
   int64_t last_stripe = 0;
-  uint64_t seq = 0;  // assigned by OpQueue::push
-  std::shared_ptr<OpState> state;
-};
-
-// What a worker executes: one read, or one-or-more merged writes whose
-// byte ranges union to the contiguous [offset, end). Sources are in
-// admission order; on overlap the later source wins (applied last when
-// the merged buffer is assembled).
-struct OpBatch {
-  std::vector<PendingOp> sources;
-  bool is_write = false;
-  int64_t offset = 0;  // union begin
-  int64_t end = 0;     // union end (exclusive)
-  int64_t first_stripe = 0;
-  int64_t last_stripe = 0;
-  uint64_t seq = 0;  // the head source's seq — the batch's ticket id
+  uint64_t seq = 0;  // admission order (ticket id), assigned at admission
+  uint64_t op_id = 0;
+  int64_t enqueue_ns = 0;
+  std::shared_ptr<OpState> state;  // queued ops only
 };
 
 class OpQueue {
  public:
-  struct Options {
-    size_t depth = 256;       // backpressure threshold for push()
-    bool merge_writes = true;
-    size_t merge_limit = 16;  // max sources per merged batch
-  };
+  // `tickets` receives the admission ticket of every pushed op;
+  // `depth_gauge` (optional) tracks the live queue length.
+  OpQueue(size_t depth, StripeRangeLock& tickets,
+          obs::Gauge* depth_gauge = nullptr)
+      : depth_(depth), tickets_(tickets), depth_gauge_(depth_gauge) {}
 
-  // `depth_gauge` (optional) tracks the live queue length;
-  // `merge_width` (optional) gets one observation per write batch
-  // (its source count — width 1 means nothing merged).
-  OpQueue(Options options, obs::Gauge* depth_gauge = nullptr,
-          obs::Histogram* merge_width = nullptr)
-      : options_(options),
-        depth_gauge_(depth_gauge),
-        merge_width_(merge_width) {}
-
-  // Assigns the op's sequence number and enqueues it, blocking while the
-  // queue is full. Returns false (op not queued) iff the queue is closed.
+  // Admits the op (sets op.seq and op.state->seq) and enqueues it,
+  // blocking while the queue is full. Returns false (op neither admitted
+  // nor queued) iff the queue is closed.
   bool push(PendingOp op);
 
-  // Called under the queue mutex, once per popped batch, before the pop
-  // is visible to anyone: (seq, first_stripe, last_stripe, is_write).
-  using RegisterFn =
-      std::function<void(uint64_t, int64_t, int64_t, bool)>;
-
-  // Pops the next batch (merging queued writes into it, see above) and
-  // registers its admission ticket via `reg`. Blocks while the queue is
-  // empty; returns false once it is closed *and* drained.
-  bool pop_merged(OpBatch* out, const RegisterFn& reg);
+  // Pops the oldest queued op. Blocks while the queue is empty; returns
+  // false once it is closed *and* drained.
+  bool pop(PendingOp* out);
 
   // Wakes all waiters; subsequent pushes fail, pops drain then stop.
   void close();
@@ -136,15 +113,14 @@ class OpQueue {
   }
 
  private:
-  Options options_;
+  size_t depth_;
+  StripeRangeLock& tickets_;
   obs::Gauge* depth_gauge_;
-  obs::Histogram* merge_width_;
 
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<PendingOp> q_;
-  uint64_t next_seq_ = 1;
   bool closed_ = false;
 };
 

@@ -1,6 +1,5 @@
 #include "raid/pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -18,10 +17,6 @@ int64_t now_ns() {
       .count();
 }
 
-std::vector<int64_t> merge_width_bounds() {
-  return {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
-}
-
 }  // namespace
 
 StripePipeline::Metrics StripePipeline::resolve_metrics(Raid6Array& array) {
@@ -31,21 +26,14 @@ StripePipeline::Metrics StripePipeline::resolve_metrics(Raid6Array& array) {
                              "ops waiting in the pipeline's admission queue");
   m.admission_wait_ns = &reg.histogram(
       "pipeline.admission_wait_ns", obs::latency_fine_bounds_ns(), {},
-      "time a popped batch waited for its stripe-range ticket (0 = no "
+      "time an admitted op waited for its stripe-range ticket (0 = no "
       "conflicting earlier op)");
-  m.merge_width = &reg.histogram(
-      "pipeline.merge_width", merge_width_bounds(), {},
-      "submitted writes coalesced per executed write batch (1 = nothing "
-      "merged)");
-  m.ops_submitted = &reg.counter(
-      "pipeline.ops_submitted", {}, "ops accepted by submit_read/submit_write");
+  m.ops_submitted =
+      &reg.counter("pipeline.ops_submitted", {},
+                   "ops accepted by run_read/run_write/submit_read/"
+                   "submit_write");
   m.ops_completed = &reg.counter("pipeline.ops_completed", {},
-                                 "ops whose futures have completed");
-  m.writes_merged = &reg.counter(
-      "pipeline.writes_merged", {},
-      "writes absorbed into another batch (sources beyond each batch head)");
-  m.batches =
-      &reg.counter("pipeline.batches", {}, "batches executed by workers");
+                                 "accepted ops that have finished");
   return m;
 }
 
@@ -54,12 +42,9 @@ StripePipeline::StripePipeline(Raid6Array& array, PipelineOptions options)
       options_(options),
       metrics_(resolve_metrics(array)),
       range_lock_(metrics_.admission_wait_ns),
-      queue_(OpQueue::Options{options.queue_depth, options.merge_writes,
-                              options.merge_limit},
-             metrics_.queue_depth, metrics_.merge_width) {
+      queue_(options.queue_depth, range_lock_, metrics_.queue_depth) {
   DCODE_CHECK(options_.workers > 0, "pipeline needs at least one worker");
   DCODE_CHECK(options_.queue_depth > 0, "pipeline queue depth must be > 0");
-  DCODE_CHECK(options_.merge_limit > 0, "merge limit must be > 0");
 
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i)
@@ -71,22 +56,55 @@ StripePipeline::~StripePipeline() {
   for (auto& w : workers_) w.join();
 }
 
-void StripePipeline::stripe_range(int64_t offset, int64_t len,
-                                  int64_t* first, int64_t* last) const {
-  const int64_t stripe_bytes =
-      array_.layout().data_count() *
-      static_cast<int64_t>(array_.element_size());
-  *first = offset / stripe_bytes;
-  *last = (len > 0 ? offset + len - 1 : offset) / stripe_bytes;
+PendingOp StripePipeline::make_op(bool is_write, int64_t offset,
+                                  int64_t len) const {
+  DCODE_CHECK(offset >= 0 && offset + len <= array_.capacity(),
+              "pipeline op outside the array's logical space");
+  PendingOp op;
+  op.is_write = is_write;
+  op.offset = offset;
+  op.len = len;
+  op.op_id = obs::next_op_id();
+  op.enqueue_ns = now_ns();
+  const int64_t stripe_bytes = array_.layout().data_count() *
+                               static_cast<int64_t>(array_.element_size());
+  op.first_stripe = offset / stripe_bytes;
+  op.last_stripe = (len > 0 ? offset + len - 1 : offset) / stripe_bytes;
+  return op;
+}
+
+uint64_t StripePipeline::run(PendingOp op) {
+  metrics_.ops_submitted->inc();
+  if (op.len > 0) {
+    op.seq = range_lock_.admit(op.first_stripe, op.last_stripe, op.is_write);
+    try {
+      execute(op);
+    } catch (...) {
+      metrics_.ops_completed->inc();
+      throw;
+    }
+  }
+  metrics_.ops_completed->inc();
+  return op.seq;
+}
+
+uint64_t StripePipeline::run_read(int64_t offset, std::span<uint8_t> out) {
+  PendingOp op = make_op(false, offset, static_cast<int64_t>(out.size()));
+  op.read_dst = out.data();
+  return run(std::move(op));
+}
+
+uint64_t StripePipeline::run_write(int64_t offset,
+                                   std::span<const uint8_t> data) {
+  PendingOp op = make_op(true, offset, static_cast<int64_t>(data.size()));
+  op.write_src = data.data();
+  return run(std::move(op));
 }
 
 OpFuture StripePipeline::submit(PendingOp op) {
-  DCODE_CHECK(op.offset >= 0 && op.offset + op.len <= array_.capacity(),
-              "pipeline op outside the array's logical space");
   op.state = std::make_shared<OpState>();
-  op.state->op_id = obs::next_op_id();
-  op.state->enqueue_ns = now_ns();
-  stripe_range(op.offset, op.len, &op.first_stripe, &op.last_stripe);
+  op.state->op_id = op.op_id;
+  op.state->enqueue_ns = op.enqueue_ns;
   OpFuture fut(op.state);
   metrics_.ops_submitted->inc();
   if (op.len == 0) {  // nothing to do — complete inline
@@ -109,21 +127,16 @@ OpFuture StripePipeline::submit(PendingOp op) {
 }
 
 OpFuture StripePipeline::submit_read(int64_t offset, std::span<uint8_t> out) {
-  PendingOp op;
-  op.is_write = false;
-  op.offset = offset;
-  op.len = static_cast<int64_t>(out.size());
+  PendingOp op = make_op(false, offset, static_cast<int64_t>(out.size()));
   op.read_dst = out.data();
   return submit(std::move(op));
 }
 
 OpFuture StripePipeline::submit_write(int64_t offset,
                                       std::span<const uint8_t> data) {
-  PendingOp op;
-  op.is_write = true;
-  op.offset = offset;
-  op.len = static_cast<int64_t>(data.size());
-  op.data.assign(data.begin(), data.end());
+  PendingOp op = make_op(true, offset, static_cast<int64_t>(data.size()));
+  op.owned.assign(data.begin(), data.end());
+  op.write_src = op.owned.data();
   return submit(std::move(op));
 }
 
@@ -133,64 +146,45 @@ void StripePipeline::drain() {
 }
 
 void StripePipeline::worker_loop() {
-  OpBatch batch;
-  const auto reg = [this](uint64_t seq, int64_t first, int64_t last,
-                          bool is_write) {
-    range_lock_.register_ticket(seq, first, last, is_write);
-  };
-  while (queue_.pop_merged(&batch, reg)) {
-    range_lock_.acquire(batch.seq);
-    execute(batch);
-    range_lock_.release(batch.seq);
-    metrics_.batches->inc();
-    if (batch.is_write && batch.sources.size() > 1)
-      metrics_.writes_merged->inc(
-          static_cast<int64_t>(batch.sources.size()) - 1);
-    metrics_.ops_completed->inc(static_cast<int64_t>(batch.sources.size()));
+  PendingOp op;
+  while (queue_.pop(&op)) {
+    std::exception_ptr err;
+    try {
+      execute(op);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    op.state->complete(err, now_ns());
+    metrics_.ops_completed->inc();
     {
       std::lock_guard<std::mutex> l(drain_mu_);
-      completed_ += batch.sources.size();
+      ++completed_;
     }
     drain_cv_.notify_all();
   }
 }
 
-void StripePipeline::execute(OpBatch& batch) {
-  // The batch runs under its head op's identity: the array's OpGuard
-  // adopts this context, so the root span, flight-recorder events, and
-  // enqueue-anchored latency all attribute to the op that opened the
-  // batch (merged followers keep their own ids on their futures).
-  PendingOp& head = batch.sources.front();
+void StripePipeline::execute(const PendingOp& op) {
+  range_lock_.acquire(op.seq);
+  // The array's OpGuard adopts this context, so the root span,
+  // flight-recorder events, and admission-anchored latency all attribute
+  // to this op.
   obs::OpContext ctx;
-  ctx.op_id = head.state->op_id;
-  ctx.enqueue_ns = head.state->enqueue_ns;
+  ctx.op_id = op.op_id;
+  ctx.enqueue_ns = op.enqueue_ns;
   obs::OpContextScope scope(&ctx);
-
-  std::exception_ptr err;
   try {
-    if (!batch.is_write) {
-      array_.read(head.offset,
-                  std::span<uint8_t>(head.read_dst,
-                                     static_cast<size_t>(head.len)));
-    } else if (batch.sources.size() == 1) {
-      array_.write(head.offset, std::span<const uint8_t>(head.data));
+    const size_t n = static_cast<size_t>(op.len);
+    if (op.is_write) {
+      array_.write(op.offset, std::span<const uint8_t>(op.write_src, n));
     } else {
-      // Assemble the merged image in admission order — later sources
-      // overwrite earlier ones on byte overlap, and the union is
-      // contiguous (each merged op overlapped or adjoined it), so every
-      // byte of [offset, end) is covered by some source.
-      std::vector<uint8_t> buf(static_cast<size_t>(batch.end - batch.offset));
-      for (const PendingOp& s : batch.sources)
-        std::copy(s.data.begin(), s.data.end(),
-                  buf.begin() + static_cast<size_t>(s.offset - batch.offset));
-      array_.write(batch.offset, std::span<const uint8_t>(buf));
+      array_.read(op.offset, std::span<uint8_t>(op.read_dst, n));
     }
   } catch (...) {
-    err = std::current_exception();
+    range_lock_.release(op.seq);
+    throw;
   }
-
-  const int64_t done = now_ns();
-  for (PendingOp& s : batch.sources) s.state->complete(err, done);
+  range_lock_.release(op.seq);
 }
 
 }  // namespace dcode::raid

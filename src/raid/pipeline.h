@@ -1,41 +1,47 @@
-// StripePipeline: asynchronous submission in front of Raid6Array.
+// StripePipeline: admission-ordered concurrency in front of Raid6Array.
 //
 // The array is synchronous policy-per-call and the engine only fans out
-// *within* one stripe op, so a single caller thread serializes the whole
-// array no matter how balanced D-Code's layout is. The pipeline adds the
-// missing inter-op concurrency:
+// *within* one stripe op. The pipeline orders ops from many threads so
+// that disjoint stripes run concurrently and overlapping ones run in
+// admission order. An op reaches the array one of two ways:
 //
-//   submit_read / submit_write            (any thread, returns OpFuture)
-//        │  bounded OpQueue — backpressure, arrival-order seq numbers
-//        ▼
-//   pop + write-merge                     (worker, atomic with…)
-//        ▼
-//   StripeRangeLock admission ticket      (…registration, in pop order)
-//        ▼
-//   Raid6Array::read / write              (N workers concurrently)
-//        ▼
-//   future completion                     (wait()/get() rethrows errors)
+//   run_read / run_write        submit_read / submit_write
+//   (caller's thread, blocks)   (any thread, returns OpFuture)
+//        │                           │ bounded OpQueue — backpressure
+//        ▼                           ▼
+//   StripeRangeLock::admit      push: admit + enqueue (queue mutex held)
+//        │                           │ worker pop, FIFO
+//        ▼                           ▼
+//   execute(): acquire ticket → bind OpContext → Raid6Array::read/write
+//              → release ticket (one path, two callers)
+//        │                           ▼
+//   returns / rethrows          future completion (get() rethrows)
 //
-// Ordering contract: ops whose stripe ranges overlap (with at least one
-// writer) execute in exactly admission order; everything else runs
-// concurrently. Merged writes are applied in admission order inside the
-// batch (later source wins on byte overlap), so the array contents after
-// any run equal a serial array that applied the same ops in admission
-// order — tests/pipeline_test.cc proves this bit-for-bit.
+// Inline ops (run_*) borrow the caller's buffer and never touch a
+// worker: no payload copy, no completion state, no cross-thread wake-up.
+// That is the path StoragePool takes for every segment; the queued path
+// serves callers that keep several ops in flight from one thread.
 //
-// Observability: each submitted op carries its own op id and enqueue
-// timestamp; the worker binds an OpContext before calling the array, so
-// the existing OpGuard adopts it — the causal span tree, flight
-// recorder, and coordinated-omission-free latency accounting all hold
-// per pipelined op (a merged batch executes under its head op's
-// identity). Queue depth, admission wait, and merge width are exported
-// as pipeline.* metrics in the array's registry.
+// Ordering contract: admission assigns each op a sequence number and a
+// range-lock ticket in one step, for both paths, so there is one order.
+// Ops whose stripe ranges overlap (with at least one writer) execute in
+// exactly admission order; everything else runs concurrently. The array
+// contents after any run therefore equal a serial array that applied the
+// same ops in admission order — tests/pipeline_test.cc proves this
+// bit-for-bit with inline and queued ops mixed.
 //
-// Fault interplay: workers call the array's public ops, so the PR 5
-// machinery — mid-op failover replay, rebuild watermark, device
-// generation checks, journal bracketing, power-loss gate — covers
-// in-flight pipelined ops unchanged. A failed op surfaces its exception
-// (DiskFailedError, PowerLossError, …) on every future of its batch.
+// Observability: each op carries its own op id and admission timestamp;
+// execute() binds an OpContext before calling the array, so the array's
+// OpGuard adopts it — the causal span tree, flight recorder, and
+// coordinated-omission-free latency accounting all hold per op. Queue
+// depth and admission wait are exported as pipeline.* metrics in the
+// array's registry.
+//
+// Fault interplay: execute() calls the array's public ops, so the
+// mid-op failover replay, rebuild watermark, device generation checks,
+// journal bracketing and power-loss gate cover every op unchanged. A
+// failed op surfaces its exception (DiskFailedError, PowerLossError, …)
+// from run_* or on its future.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +57,8 @@
 namespace dcode::raid {
 
 struct PipelineOptions {
-  int workers = 4;          // executor threads
-  size_t queue_depth = 256; // push() backpressure threshold
-  bool merge_writes = true;
-  size_t merge_limit = 16;  // max writes coalesced into one batch
+  int workers = 4;           // executor threads for submitted ops
+  size_t queue_depth = 256;  // submit backpressure threshold
 };
 
 // Completion handle for one submitted op. Copyable; all copies observe
@@ -101,6 +105,14 @@ class StripePipeline {
   StripePipeline(const StripePipeline&) = delete;
   StripePipeline& operator=(const StripePipeline&) = delete;
 
+  // Synchronous user I/O on the calling thread, admitted exactly like a
+  // submitted op. Blocks until the op's ticket is granted and the array
+  // op returns; rethrows the array's error. Borrows the caller's buffer.
+  // Returns the op's sequence number (0 for an empty op, which is not
+  // admitted).
+  uint64_t run_read(int64_t offset, std::span<uint8_t> out);
+  uint64_t run_write(int64_t offset, std::span<const uint8_t> data);
+
   // Asynchronous user I/O. Write data is copied before submit returns;
   // a read's destination must stay valid until its future completes.
   // Blocks only on queue backpressure. Throws std::runtime_error if the
@@ -108,7 +120,8 @@ class StripePipeline {
   OpFuture submit_read(int64_t offset, std::span<uint8_t> out);
   OpFuture submit_write(int64_t offset, std::span<const uint8_t> data);
 
-  // Blocks until every op submitted so far has completed.
+  // Blocks until every op submitted so far has completed. (Inline ops
+  // have completed by the time run_* returns.)
   void drain();
 
   Raid6Array& array() { return array_; }
@@ -118,20 +131,20 @@ class StripePipeline {
   struct Metrics {
     obs::Gauge* queue_depth;
     obs::Histogram* admission_wait_ns;
-    obs::Histogram* merge_width;
     obs::Counter* ops_submitted;
     obs::Counter* ops_completed;
-    obs::Counter* writes_merged;
-    obs::Counter* batches;
   };
 
   static Metrics resolve_metrics(Raid6Array& array);
-  void worker_loop();
-  void execute(OpBatch& batch);
+  // Bounds-checks [offset, offset+len) and stamps the op's identity:
+  // op id, admission timestamp, stripe range.
+  PendingOp make_op(bool is_write, int64_t offset, int64_t len) const;
+  uint64_t run(PendingOp op);
   OpFuture submit(PendingOp op);
-  // Stripe range covered by the byte range [offset, offset+len).
-  void stripe_range(int64_t offset, int64_t len, int64_t* first,
-                    int64_t* last) const;
+  void worker_loop();
+  // Runs one admitted op under its ticket; the single execution path
+  // behind both workers and run_*. Releases the ticket on every exit.
+  void execute(const PendingOp& op);
 
   Raid6Array& array_;
   PipelineOptions options_;

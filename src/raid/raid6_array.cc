@@ -246,6 +246,23 @@ void Raid6Array::fail_disk(int disk) {
 }
 
 void Raid6Array::handle_disk_failure(int disk) {
+  // Visible to wait_for_rebuild() from here until the background worker
+  // (if any) is running, on every exit path.
+  {
+    std::lock_guard<std::mutex> lock(rebuild_mu_);
+    ++escalations_in_flight_;
+  }
+  struct EscalationDone {
+    Raid6Array* self;
+    ~EscalationDone() {
+      {
+        std::lock_guard<std::mutex> lock(self->rebuild_mu_);
+        --self->escalations_in_flight_;
+      }
+      self->rebuild_cv_.notify_all();
+    }
+  } done{this};
+
   metrics_.disk_failures[static_cast<size_t>(disk)]->inc();
   metrics_.disks_failed->add(1);
   // The moments before an escalation are exactly what a post-mortem

@@ -208,8 +208,10 @@ class Raid6Array : private WriteGate {
   // (joins any background worker first). Call after replace_disk; throws
   // if more than two disks are unrecovered.
   void rebuild();
-  // Blocks until no background rebuild worker is active. Returns true
-  // when every replaced disk has been fully reconstructed.
+  // Blocks until no background rebuild worker is active and no failure
+  // escalation (spare promotion + rebuild start, run by whichever thread
+  // detected the failure — often a foreground op) is in flight. Returns
+  // true when every replaced disk has been fully reconstructed.
   bool wait_for_rebuild();
   bool rebuild_in_progress() const;
   // Retunes the background rebuild throttle (stripes/second; <= 0 =
@@ -407,6 +409,10 @@ class Raid6Array : private WriteGate {
   mutable std::mutex rebuild_mu_;
   std::condition_variable rebuild_cv_;
   bool rebuild_running_ = false;
+  // handle_disk_failure() calls in progress (guarded by rebuild_mu_):
+  // between a promotion and its worker start, rebuild_running_ alone
+  // would let wait_for_rebuild() return early.
+  int escalations_in_flight_ = 0;
   std::thread rebuild_thread_;
   std::atomic<bool> stop_rebuild_{false};
   TokenBucket rebuild_throttle_;

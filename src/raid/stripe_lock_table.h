@@ -10,19 +10,19 @@
 //    slot count is configurable (ArrayOptions::stripe_lock_slots), and
 //    acquisition records how long the caller blocked.
 //
-//  * StripeRangeLock — the pipeline's admission layer. Each submitted
-//    op covers a stripe range; tickets are registered in admission
-//    (queue-pop) order and granted so that non-overlapping ops proceed
-//    fully concurrently while overlapping ops serialize in exactly
-//    arrival order. Two reads never conflict; read/write and
-//    write/write overlaps do. Wait time is observed into the
+//  * StripeRangeLock — the pipeline's admission layer. Each admitted
+//    op covers a stripe range and gets a sequence number and a ticket
+//    in one step; tickets are granted so that non-overlapping ops
+//    proceed fully concurrently while overlapping ops serialize in
+//    exactly admission order, whether a pipeline worker or the
+//    submitting thread runs them. Two reads never conflict; read/write
+//    and write/write overlaps do. Wait time is observed into the
 //    admission-wait histogram.
 //
-// Lock ordering: StripeRangeLock tickets are registered while the
-// OpQueue's mutex is held (registration must be atomic with the FIFO
-// pop, or a later op could be granted before an earlier overlapping one
-// is even visible); the range lock's own mutex is a leaf below it.
-// StripeLockTable slots are leaves below everything in the array.
+// Lock ordering: OpQueue::push admits while holding the queue's mutex
+// (so FIFO pop order equals sequence order among queued ops); the range
+// lock's own mutex is a leaf below it. StripeLockTable slots are leaves
+// below everything in the array.
 #pragma once
 
 #include <chrono>
@@ -85,24 +85,29 @@ class StripeLockTable {
 
 // FIFO range-lock over stripe ranges: the pipeline's admission layer.
 //
-// Protocol: register_ticket() is called in admission order (atomically
-// with the op-queue pop, under the queue's mutex); acquire() then blocks
-// until no conflicting ticket with a smaller sequence number remains
-// registered; release() retires the ticket and wakes waiters. Because
-// registration order equals admission order and a ticket only ever
-// waits on strictly smaller sequence numbers, grants are acyclic (no
-// deadlock) and overlapping ops execute in exactly arrival order.
+// Protocol: admit() assigns the next sequence number and registers the
+// ticket under one mutex, so sequence order is admission order by
+// construction; acquire() then blocks until no conflicting ticket with a
+// smaller sequence number remains registered; release() retires the
+// ticket and wakes waiters. A ticket only ever waits on strictly smaller
+// sequence numbers, so grants are acyclic: the smallest registered
+// ticket is always grantable. That stays deadlock-free as long as every
+// admitted ticket is acquired and released without its holder waiting
+// on anything admitted later — true for inline ops (admit, acquire, run,
+// release on one thread) and for queued ops (workers pop in sequence
+// order).
 class StripeRangeLock {
  public:
   explicit StripeRangeLock(obs::Histogram* wait_hist = nullptr)
       : wait_hist_(wait_hist) {}
 
-  // Registers a ticket for stripes [first, last]. `seq` values must be
-  // registered in strictly increasing order (the op queue's pop order).
-  void register_ticket(uint64_t seq, int64_t first, int64_t last,
-                       bool is_write) {
+  // Admits an op covering stripes [first, last]: returns its sequence
+  // number (1, 2, ...), which is also its ticket id.
+  uint64_t admit(int64_t first, int64_t last, bool is_write) {
     std::lock_guard<std::mutex> l(mu_);
-    tickets_.emplace(seq, Ticket{first, last, is_write});
+    const uint64_t seq = next_seq_++;
+    tickets_.emplace_hint(tickets_.end(), seq, Ticket{first, last, is_write});
+    return seq;
   }
 
   // Blocks until the ticket is frontmost among the registered tickets it
@@ -165,6 +170,7 @@ class StripeRangeLock {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, Ticket> tickets_;
+  uint64_t next_seq_ = 1;
   obs::Histogram* wait_hist_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <exception>
 #include <vector>
 
 #include "codes/registry.h"
@@ -175,22 +174,20 @@ void StoragePool::run_op(bool is_write, int64_t offset,
 
   // Covered chunks are processed in windows of at most kWindowSlots
   // simultaneously-held slot locks: a chunk's slot lock is held while
-  // its segment is in flight (so the migrator never copies under it),
-  // but a pool-capacity-sized op no longer pins every slot in the table
-  // at once — which would stall the whole pool and overflow TSan's
-  // 64-held-locks deadlock-detector capacity. Within a window the slots
-  // are distinct (window <= slot_count, consecutive chunks map to
-  // consecutive slots) and locked in ascending order; all are released
-  // before the next window is taken, so the lock graph stays acyclic.
+  // its segment runs (so the migrator never copies under it), but a
+  // pool-capacity-sized op never pins every slot in the table at once —
+  // which would stall the whole pool and overflow TSan's 64-held-locks
+  // deadlock-detector capacity. Within a window the slots are distinct
+  // (window <= slot_count, consecutive chunks map to consecutive slots)
+  // and locked in ascending order; all are released before the next
+  // window is taken, so the lock graph stays acyclic.
   const size_t slot_count = chunk_locks_.slot_count();
   const size_t window =
       std::min<size_t>(slot_count, static_cast<size_t>(kWindowSlots));
   uint64_t shard_mask = 0;
-  std::exception_ptr error;
   std::vector<size_t> slots;
   std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<raid::OpFuture> futures;
-  for (int64_t w = first_chunk; w <= last_chunk && !error;
+  for (int64_t w = first_chunk; w <= last_chunk;
        w += static_cast<int64_t>(window)) {
     const int64_t w_last =
         std::min(last_chunk, w + static_cast<int64_t>(window) - 1);
@@ -209,45 +206,24 @@ void StoragePool::run_op(bool is_write, int64_t offset,
 
     // Placement is stable for every chunk of the window while its locks
     // are held: the migrator advances a chunk's routing only under its
-    // lock.
-    futures.clear();
-    futures.reserve(static_cast<size_t>(w_last - w) + 1);
-    try {
-      for (int64_t c = w; c <= w_last; ++c) {
-        const int64_t seg_begin = std::max(offset, c * chunk_bytes_);
-        const int64_t seg_end =
-            std::min(offset + len, (c + 1) * chunk_bytes_);
-        const Placement p = place(c);
-        const int64_t shard_off = p.offset + (seg_begin - c * chunk_bytes_);
-        const size_t buf_off = static_cast<size_t>(seg_begin - offset);
-        const size_t seg_len = static_cast<size_t>(seg_end - seg_begin);
-        Shard& shard = *shards_[static_cast<size_t>(p.shard)];
-        shard_mask |= uint64_t{1} << p.shard;
-        if (is_write) {
-          futures.push_back(shard.pipeline->submit_write(
-              shard_off, wbuf.subspan(buf_off, seg_len)));
-        } else {
-          futures.push_back(shard.pipeline->submit_read(
-              shard_off, rbuf.subspan(buf_off, seg_len)));
-        }
-      }
-    } catch (...) {
-      // submit_read/submit_write can throw (pipeline shutting down).
-      // The window's chunk locks must outlive every segment already in
-      // flight — unwinding past them would let the migrator copy a
-      // chunk under an in-flight op — so settle those futures first.
-      for (raid::OpFuture& f : futures) f.wait();
-      throw;
-    }
-
-    // Wait for every segment of the window before releasing its chunk
-    // locks (a chunk must not migrate under an in-flight segment),
-    // keeping the first error to rethrow; later windows are skipped.
-    for (raid::OpFuture& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!error) error = std::current_exception();
+    // lock. Segments run on this thread, one after another in chunk
+    // order, each under its own admission ticket (so at most one ticket
+    // is held at a time); the first error unwinds out of the op,
+    // releasing the window's locks after the failed segment returned.
+    for (int64_t c = w; c <= w_last; ++c) {
+      const int64_t seg_begin = std::max(offset, c * chunk_bytes_);
+      const int64_t seg_end = std::min(offset + len, (c + 1) * chunk_bytes_);
+      const Placement p = place(c);
+      const int64_t shard_off = p.offset + (seg_begin - c * chunk_bytes_);
+      const size_t buf_off = static_cast<size_t>(seg_begin - offset);
+      const size_t seg_len = static_cast<size_t>(seg_end - seg_begin);
+      raid::StripePipeline& pipe =
+          *shards_[static_cast<size_t>(p.shard)]->pipeline;
+      shard_mask |= uint64_t{1} << p.shard;
+      if (is_write) {
+        pipe.run_write(shard_off, wbuf.subspan(buf_off, seg_len));
+      } else {
+        pipe.run_read(shard_off, rbuf.subspan(buf_off, seg_len));
       }
     }
     locks.clear();
@@ -255,7 +231,6 @@ void StoragePool::run_op(bool is_write, int64_t offset,
 
   metrics_.op_fanout->observe(
       static_cast<int64_t>(std::popcount(shard_mask)));
-  if (error) std::rethrow_exception(error);
   const int64_t dur = now_ns() - t0;
   if (is_write) {
     metrics_.writes->inc();

@@ -6,13 +6,14 @@
 //
 //   chunk c  ->  shard c % N,  byte offset (c / N) * chunk_bytes
 //
-// Each shard is a full PR 1-7 stack — its own Raid6Array (spares,
-// health monitor, background rebuild, journal) fronted by its own
-// StripePipeline (worker threads, admission range-lock, write merging)
-// — so one shard rebuilding or even crashed never blocks I/O routed to
-// the others. Every shard registers its metrics under a namespaced
-// view of the pool's registry (`shard0.raid.reads`, `shard1.pipeline.
-// queue_depth`, ...) and the pool adds pool.* aggregates on top.
+// Each shard is a full array stack — its own Raid6Array (spares, health
+// monitor, background rebuild, journal) fronted by its own
+// StripePipeline (admission range-lock, plus worker threads for callers
+// that submit to it directly) — so one shard rebuilding or even crashed
+// never blocks I/O routed to the others. Every shard registers its
+// metrics under a namespaced view of the pool's registry
+// (`shard0.raid.reads`, `shard1.pipeline.queue_depth`, ...) and the pool
+// adds pool.* aggregates on top.
 //
 // Online capacity add (`add_shard`) attaches shard N and restripes in
 // the background, re-using the token-bucket + watermark protocol of the
@@ -34,15 +35,19 @@
 //     completes — exposing it earlier would hand out addresses whose
 //     new placement still holds un-migrated chunks.
 //
-// Foreground ops take the chunk-lock slots they cover in bounded
-// windows (<= kWindowSlots held at once, ascending within a window,
-// all released before the next window) and hold each window's locks
-// across its shard futures, so a chunk is never migrated while a
-// segment is in flight on it. Pipeline workers and the migrator never
-// take chunk locks they don't already hold, so the lock graph is
-// acyclic. Multi-chunk ops are not atomic as a whole — concurrent
-// overlapping ops may interleave at window granularity, the same
-// torn-read contract as any block device spanning sectors.
+// Foreground ops run on the caller's thread. An op takes the chunk-lock
+// slots it covers in bounded windows (<= kWindowSlots held at once,
+// ascending within a window, all released before the next window) and,
+// holding a window's locks, runs that window's per-chunk segments one
+// after another through the owning shard's StripePipeline::run_read /
+// run_write — admitted in the pipeline's single admission order, one
+// ticket held at a time, no worker involved — so a chunk is never
+// migrated while a segment is in flight on it. A ticket holder never
+// waits on a chunk lock, and the migrator takes chunk locks but no
+// tickets, so the lock graph is acyclic. Concurrency across ops comes
+// from the callers' threads. Multi-chunk ops are not atomic as a whole
+// — concurrent overlapping ops may interleave at window granularity,
+// the same torn-read contract as any block device spanning sectors.
 //
 // read()/write() are safe from many threads. The admin operations —
 // add_shard() and restart_all() — are serialized against each other
@@ -87,6 +92,8 @@ struct ShardSpec {
 
 struct PoolOptions {
   int64_t chunk_bytes = 64 * 1024;  // must divide shard capacity
+  // Per-shard pipeline shape. Its workers serve only ops submitted
+  // through shard_pipeline(); read()/write() run on the caller's thread.
   raid::PipelineOptions pipeline;
   // Background restripe throttle in chunks/second; <= 0 = unthrottled.
   double restripe_rate_chunks_per_sec = 0.0;
@@ -141,9 +148,10 @@ class StoragePool {
   }
 
   // Byte-addressed synchronous I/O over the pooled logical space.
-  // Bounds-checked against capacity(); fans out through the covered
-  // shards' pipelines and waits for completion (the first shard error
-  // is rethrown). Safe to call from many threads.
+  // Bounds-checked against capacity(); runs each covered chunk's
+  // segment on the calling thread through its shard's pipeline, in
+  // chunk order (the first shard error is rethrown and the remaining
+  // segments are skipped). Safe to call from many threads.
   void write(int64_t offset, std::span<const uint8_t> data);
   void read(int64_t offset, std::span<uint8_t> out);
 
@@ -252,9 +260,9 @@ class StoragePool {
   // must hold the chunk's lock slot for the answer to be stable.
   Placement place(int64_t chunk) const;
   static Placement place_with(int64_t chunk, int shards, int64_t chunk_bytes);
-  // Shared fan-out for read/write: splits [offset, offset+len) into
-  // per-chunk segments under the covered chunk locks, submits to the
-  // shard pipelines, waits for every future.
+  // Shared path for read/write: splits [offset, offset+len) into
+  // per-chunk segments and runs each inline through its shard's pipeline
+  // under the covered chunk locks.
   void run_op(bool is_write, int64_t offset, std::span<uint8_t> rbuf,
               std::span<const uint8_t> wbuf);
   void restripe_worker();

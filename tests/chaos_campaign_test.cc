@@ -347,10 +347,7 @@ TEST_P(PipelineChaosCampaign, InvariantsHoldUnderConcurrentSchedules) {
     {
       // Fresh pipeline per round; its destructor drains every queued op
       // before the quiesce block runs.
-      StripePipeline pipe(array, {.workers = 3,
-                                  .queue_depth = 64,
-                                  .merge_writes = true,
-                                  .merge_limit = 8});
+      StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
       std::vector<std::thread> threads;
       threads.reserve(static_cast<size_t>(kSubmitters));
       for (int t = 0; t < kSubmitters; ++t) {
@@ -599,6 +596,56 @@ TEST(ConcurrentFailover, ThrottledRebuildServesReadsAroundTheWatermark) {
   EXPECT_GT(reg.counter("raid.rebuild.stripes_rebuilt").value(), 0);
 }
 
+// A failure discovered by a foreground op is escalated on that op's
+// thread: spare promotion, then the background worker start. A
+// wait_for_rebuild() from another thread in between must wait for both,
+// not report "nothing to rebuild" (or "not rebuilt") from the gap. The
+// spare's device factory stalls to hold the escalation open.
+TEST(ConcurrentFailover, WaitForRebuildCoversAForegroundEscalation) {
+  auto layout = codes::make_layout("dcode", 7);
+  const int disks = layout->cols();
+  std::atomic<int> created{0};
+  std::atomic<bool> promoting{false};
+  DeviceFactory base = default_device_factory();
+  ArrayOptions opts;
+  opts.background_rebuild = true;
+  opts.device_factory = [&](int id, size_t size) {
+    if (created.fetch_add(1) >= disks) {  // the spare, at promotion
+      promoting.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return base(id, size);
+  };
+  obs::Registry reg;
+  Raid6Array array(std::move(layout), kElem, /*stripes=*/8, 1, &reg, opts);
+  array.add_hot_spares(1);
+  Pcg32 rng(17);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  // A transient burst longer than the retry budget: the foreground
+  // read's own retry loop fail-stops the device and escalates.
+  array.disk(2).faults().inject_transient_errors(1'000'000);
+  std::vector<uint8_t> out(blob.size());
+  std::thread foreground([&] { array.read(0, out); });
+  for (int ms = 0; ms < 10'000 && !promoting.load(); ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!promoting.load()) {
+    foreground.join();
+    FAIL() << "the foreground read never escalated disk 2";
+  }
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_EQ(array.failed_disk_count(), 0);  // the spare holds the slot
+  EXPECT_EQ(array.hot_spares(), 0);
+  EXPECT_EQ(array.health().state(2), DiskHealth::kHealthy);
+  EXPECT_EQ(reg.counter("raid.spare_promotions").value(), 1);
+  foreground.join();
+  EXPECT_EQ(out, blob);
+  EXPECT_EQ(array.scrub(), 0);
+}
+
 // --- the pool campaign -----------------------------------------------------
 // Scale-out invariants: every round attaches a shard to a StoragePool
 // and, while the throttled restripe is mid-migration and concurrent
@@ -639,7 +686,6 @@ TEST_P(PoolChaosCampaign, ShardFaultsMidRestripeKeepPoolInvariants) {
   volume::PoolOptions popts;
   popts.chunk_bytes = shard_cap / 16;  // 16 chunks per shard
   popts.pipeline.workers = 2;
-  popts.pipeline.merge_writes = true;
   obs::Registry reg;
   volume::StoragePool pool(spec, 2, popts, &reg);
 

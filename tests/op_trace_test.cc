@@ -25,6 +25,7 @@
 #include "raid/planner.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
+#include "volume/storage_pool.h"
 
 namespace dcode::raid {
 namespace {
@@ -287,57 +288,34 @@ TEST_F(OpTraceTest, PipelinedReadLeavesMatchIoPlan) {
                                 array_->layout().rows(), kElem));
 }
 
-TEST_F(OpTraceTest, MergedPipelinedWritesTraceAsOneOpMatchingTheUnionPlan) {
-  // Slow the devices and park the single worker on a read of stripe 3,
-  // so two adjacent writes to stripe 0 queue behind it and coalesce:
-  // exactly one array.write root span whose leaves equal the planner's
-  // plan for the *union* range — the merged batch really did execute as
-  // one RMW.
-  for (int d = 0; d < array_->layout().cols(); ++d)
-    array_->disk(d).faults().set_latency_ns(5'000'000);
-  const int64_t stripe_bytes =
-      array_->layout().data_count() * static_cast<int64_t>(kElem);
-  auto a = random_bytes(2 * kElem, 8);
-  auto b = random_bytes(2 * kElem, 9);
-  std::vector<uint8_t> park(kElem);
-  std::ostringstream trace;
-  obs::TraceLog::global().attach(&trace);
-  {
-    StripePipeline pipe(*array_, {.workers = 1, .merge_limit = 4});
-    auto busy = pipe.submit_read(3 * stripe_bytes, park);
-    auto f1 = pipe.submit_write(0, a);
-    auto f2 = pipe.submit_write(2 * static_cast<int64_t>(kElem), b);
-    busy.get();
-    f1.get();
-    f2.get();
-  }
-  obs::TraceLog::global().close();
-  for (int d = 0; d < array_->layout().cols(); ++d)
-    array_->disk(d).faults().set_latency_ns(0);
+// A pool op runs its segments on the calling thread, so the pool span
+// is the root of one causal tree: every array, engine and device span of
+// the op hangs under it — here two array.read segments (the range
+// straddles a chunk boundary) whose leaves together equal the planner's
+// plan for the whole range.
+TEST_F(OpTraceTest, InlinePoolReadTracesAsOneRootMatchingIoPlan) {
+  volume::ShardSpec spec;
+  spec.prime = 7;
+  spec.element_size = kElem;
+  spec.stripes = 4;
+  volume::PoolOptions popts;
+  popts.chunk_bytes = array_->layout().data_count() *
+                      static_cast<int64_t>(kElem);  // one stripe per chunk
+  obs::Registry reg;
+  volume::StoragePool pool(spec, 1, popts, &reg);
+  pool.write(0, random_bytes(static_cast<size_t>(pool.capacity()), 3));
 
-  ParsedTrace t;
-  parse_trace_into(trace.str(), &t);
-  // Exactly one write root: the two submitted writes executed as one
-  // merged op (the parked read owns the only other root).
-  uint64_t write_root = 0;
-  int write_roots = 0;
-  for (uint64_t r : t.roots) {
-    if (t.name_of[r] == "array.write") {
-      write_root = r;
-      ++write_roots;
-    }
-  }
-  ASSERT_EQ(write_roots, 1);
-  std::vector<DeviceAccess> accesses;
-  for (const auto& [span, access] : t.leaves)
-    if (under(t, span, write_root)) accesses.push_back(access);
-  std::sort(accesses.begin(), accesses.end());
+  const int64_t start = array_->layout().data_count() - 4;
+  const int len = 9;
+  std::vector<uint8_t> out(static_cast<size_t>(len) * kElem);
+  auto accesses = run_traced("pool.read", [&] {
+    pool.read(start * static_cast<int64_t>(kElem), out);
+  });
 
-  AddressMap map(array_->layout());
+  AddressMap map(pool.shard_array(0).layout());
   IoPlanner planner(map);
-  EXPECT_EQ(accesses,
-            predicted(planner.plan_write(0, 4, WritePolicy::kReadModifyWrite),
-                      array_->layout().rows(), kElem));
+  EXPECT_EQ(accesses, predicted(planner.plan_read(start, len),
+                                pool.shard_array(0).layout().rows(), kElem));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Request-pipeline tests: the OpQueue's merge pass, the StripeRangeLock
-// admission protocol, the StripeLockTable, and the StripePipeline's
-// end-to-end ordering contract — any concurrent schedule of submitted
-// ops leaves the array bit-identical to a serial array that applied the
-// same ops in admission order (the seeded property test at the bottom,
-// also run under TSan via the `pipeline` ctest label).
+// Request-pipeline tests: the OpQueue, the StripeRangeLock admission
+// protocol, the StripeLockTable, and the StripePipeline's end-to-end
+// ordering contract — any concurrent schedule of inline (run_*) and
+// queued (submit_*) ops leaves the array bit-identical to a serial array
+// that applied the same ops in admission order (the seeded property
+// tests at the bottom, also run under TSan via the `pipeline` ctest
+// label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,7 +40,8 @@ PendingOp make_write(int64_t offset, int64_t len, uint8_t fill) {
   op.is_write = true;
   op.offset = offset;
   op.len = len;
-  op.data.assign(static_cast<size_t>(len), fill);
+  op.owned.assign(static_cast<size_t>(len), fill);
+  op.write_src = op.owned.data();
   op.state = std::make_shared<OpState>();
   return op;
 }
@@ -53,10 +55,6 @@ PendingOp make_read(int64_t offset, int64_t len) {
   return op;
 }
 
-OpQueue::RegisterFn no_reg() {
-  return [](uint64_t, int64_t, int64_t, bool) {};
-}
-
 const obs::MetricSnapshot& find_metric(const obs::RegistrySnapshot& snap,
                                        const std::string& name) {
   for (const auto& m : snap.metrics)
@@ -64,91 +62,46 @@ const obs::MetricSnapshot& find_metric(const obs::RegistrySnapshot& snap,
   throw std::logic_error("metric not found: " + name);
 }
 
-// ---------- OpQueue: merge pass ----------
+// ---------- OpQueue ----------
 
-TEST(OpQueue, MergesAdjacentAndOverlappingWrites) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(100, 50, 1)));   // [100,150)
-  ASSERT_TRUE(q.push(make_write(150, 50, 2)));   // adjoins -> [100,200)
-  ASSERT_TRUE(q.push(make_write(120, 100, 3)));  // overlaps -> [100,220)
-  ASSERT_TRUE(q.push(make_write(90, 20, 4)));    // overlaps -> [90,220)
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_TRUE(b.is_write);
-  EXPECT_EQ(b.sources.size(), 4u);
-  EXPECT_EQ(b.offset, 90);
-  EXPECT_EQ(b.end, 220);
-  // Admission order preserved inside the batch.
-  for (size_t i = 1; i < b.sources.size(); ++i)
-    EXPECT_LT(b.sources[i - 1].seq, b.sources[i].seq);
+TEST(OpQueue, PopsOneOpAtATimeInAdmissionOrder) {
+  StripeRangeLock rl;
+  OpQueue q(16, rl);
+  ASSERT_TRUE(q.push(make_write(0, 10, 1)));
+  ASSERT_TRUE(q.push(make_write(10, 10, 2)));  // adjoins: still its own op
+  ASSERT_TRUE(q.push(make_read(5, 10)));
+  uint64_t last_seq = 0;
+  for (int i = 0; i < 3; ++i) {
+    PendingOp op;
+    ASSERT_TRUE(q.pop(&op));
+    EXPECT_GT(op.seq, last_seq);
+    EXPECT_EQ(op.state->seq, op.seq);
+    last_seq = op.seq;
+  }
   EXPECT_EQ(q.depth(), 0u);
 }
 
-TEST(OpQueue, MergeStopsAtGapAndNeverReordersPastIt) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));    // [0,10)
-  ASSERT_TRUE(q.push(make_write(500, 10, 2)));  // gap -> not mergeable
-  ASSERT_TRUE(q.push(make_write(10, 10, 3)));   // would adjoin, but queued
-                                                // behind the gap op
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);  // merge stopped at the first gap
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-  EXPECT_EQ(b.offset, 500);
-}
-
-TEST(OpQueue, MergeStopsAtReads) {
-  OpQueue q(OpQueue::Options{16, true, 8});
+TEST(OpQueue, AdmitsTicketAtPushUnderTheQueueLock) {
+  StripeRangeLock rl;
+  OpQueue q(16, rl);
   ASSERT_TRUE(q.push(make_write(0, 10, 1)));
-  ASSERT_TRUE(q.push(make_read(5, 10)));      // overlapping read: barrier
+  // The ticket exists before any worker pops the op, so an op admitted
+  // later on another path (an inline run_*) orders behind it.
+  EXPECT_EQ(rl.registered(), 1u);
+  const uint64_t inline_seq = rl.admit(0, 0, /*is_write=*/false);
   ASSERT_TRUE(q.push(make_write(10, 10, 2)));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_FALSE(b.is_write);
-}
-
-TEST(OpQueue, MergeRespectsLimit) {
-  OpQueue q(OpQueue::Options{16, true, 3});
-  for (int i = 0; i < 5; ++i)
-    ASSERT_TRUE(q.push(make_write(i * 10, 10, static_cast<uint8_t>(i))));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 3u);
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 2u);
-}
-
-TEST(OpQueue, MergeDisabledPopsSingles) {
-  OpQueue q(OpQueue::Options{16, false, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));
-  ASSERT_TRUE(q.push(make_write(10, 10, 2)));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-}
-
-TEST(OpQueue, RegistersTicketInPopOrderUnderTheQueueLock) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));
-  ASSERT_TRUE(q.push(make_write(10, 10, 2)));
-  std::vector<uint64_t> registered;
-  auto reg = [&](uint64_t seq, int64_t, int64_t, bool is_write) {
-    registered.push_back(seq);
-    EXPECT_TRUE(is_write);
-  };
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, reg));
-  ASSERT_EQ(registered.size(), 1u);
-  EXPECT_EQ(registered[0], b.seq);
-  EXPECT_EQ(b.sources.size(), 2u);  // batch seq is the head's
-  EXPECT_EQ(b.seq, b.sources.front().seq);
+  PendingOp a, b;
+  ASSERT_TRUE(q.pop(&a));
+  ASSERT_TRUE(q.pop(&b));
+  EXPECT_LT(a.seq, inline_seq);
+  EXPECT_LT(inline_seq, b.seq);
+  EXPECT_EQ(rl.registered(), 3u);  // popping does not retire tickets
+  for (uint64_t seq : {a.seq, inline_seq, b.seq}) rl.release(seq);
 }
 
 TEST(OpQueue, BackpressureBlocksPushUntilPop) {
-  OpQueue q(OpQueue::Options{2, true, 8});
+  StripeRangeLock rl;
+  OpQueue q(2, rl);
   ASSERT_TRUE(q.push(make_read(0, 10)));
   ASSERT_TRUE(q.push(make_read(10, 10)));
   std::atomic<bool> pushed{false};
@@ -157,74 +110,78 @@ TEST(OpQueue, BackpressureBlocksPushUntilPop) {
     pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // still at depth 2
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
+  EXPECT_FALSE(pushed.load());       // still at depth 2
+  EXPECT_EQ(rl.registered(), 2u);    // a blocked push holds no ticket
+  PendingOp op;
+  ASSERT_TRUE(q.pop(&op));
   t.join();
   EXPECT_TRUE(pushed.load());
 }
 
 TEST(OpQueue, CloseDrainsThenStops) {
-  OpQueue q(OpQueue::Options{16, true, 8});
+  StripeRangeLock rl;
+  OpQueue q(16, rl);
   ASSERT_TRUE(q.push(make_read(0, 10)));
   q.close();
   EXPECT_FALSE(q.push(make_read(10, 10)));
-  OpBatch b;
-  EXPECT_TRUE(q.pop_merged(&b, no_reg()));   // drains the queued op
-  EXPECT_FALSE(q.pop_merged(&b, no_reg()));  // then reports closed
+  EXPECT_EQ(rl.registered(), 1u);  // the refused push was not admitted
+  PendingOp op;
+  EXPECT_TRUE(q.pop(&op));   // drains the queued op
+  EXPECT_FALSE(q.pop(&op));  // then reports closed
 }
 
 // ---------- StripeRangeLock: admission protocol ----------
 
 TEST(StripeRangeLock, OverlappingWritersSerializeInAdmissionOrder) {
   StripeRangeLock rl;
-  rl.register_ticket(1, 0, 2, /*is_write=*/true);
-  rl.register_ticket(2, 2, 4, /*is_write=*/true);  // overlaps stripe 2
-  rl.acquire(1);
+  const uint64_t t1 = rl.admit(0, 2, /*is_write=*/true);
+  const uint64_t t2 = rl.admit(2, 4, /*is_write=*/true);  // overlaps stripe 2
+  EXPECT_LT(t1, t2);
+  rl.acquire(t1);
   std::atomic<bool> acquired2{false};
   std::thread t([&] {
-    rl.acquire(2);
+    rl.acquire(t2);
     acquired2.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired2.load());
-  rl.release(1);
+  rl.release(t1);
   t.join();
   EXPECT_TRUE(acquired2.load());
-  rl.release(2);
+  rl.release(t2);
   EXPECT_EQ(rl.registered(), 0u);
 }
 
 TEST(StripeRangeLock, DisjointRangesProceedConcurrently) {
   StripeRangeLock rl;
-  rl.register_ticket(1, 0, 1, true);
-  rl.register_ticket(2, 5, 6, true);
-  rl.acquire(1);
-  rl.acquire(2);  // must not block: no overlap
-  rl.release(1);
-  rl.release(2);
+  const uint64_t t1 = rl.admit(0, 1, true);
+  const uint64_t t2 = rl.admit(5, 6, true);
+  rl.acquire(t1);
+  rl.acquire(t2);  // must not block: no overlap
+  rl.release(t1);
+  rl.release(t2);
 }
 
 TEST(StripeRangeLock, ReadersShareReadersButNotWriters) {
   StripeRangeLock rl;
-  rl.register_ticket(1, 0, 3, false);
-  rl.register_ticket(2, 1, 2, false);
-  rl.acquire(1);
-  rl.acquire(2);  // read/read overlap is fine
-  rl.register_ticket(3, 1, 1, true);
+  const uint64_t t1 = rl.admit(0, 3, false);
+  const uint64_t t2 = rl.admit(1, 2, false);
+  rl.acquire(t1);
+  rl.acquire(t2);  // read/read overlap is fine
+  const uint64_t t3 = rl.admit(1, 1, true);
   std::atomic<bool> acquired3{false};
   std::thread t([&] {
-    rl.acquire(3);
+    rl.acquire(t3);
     acquired3.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired3.load());  // writer waits for both readers
-  rl.release(2);
+  rl.release(t2);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired3.load());
-  rl.release(1);
+  rl.release(t1);
   t.join();
-  rl.release(3);
+  rl.release(t3);
 }
 
 // ---------- StripeLockTable ----------
@@ -343,41 +300,65 @@ TEST(StripePipeline, PowerLossSurfacesOnTheFuture) {
   EXPECT_EQ(array.scrub(), 0);
 }
 
-TEST(StripePipeline, MergesQueuedAdjacentWritesBehindABusyWorker) {
+TEST(StripePipeline, InlineOpsRoundTripWithoutTheQueue) {
+  obs::Registry reg;
+  auto array = make_array(reg);
+  Pcg32 rng(5);
+  auto blob = random_blob(rng, 3000);
+  StripePipeline pipe(array, {.workers = 1});
+  const uint64_t w = pipe.run_write(100, blob);
+  std::vector<uint8_t> back(blob.size());
+  const uint64_t r = pipe.run_read(100, back);
+  EXPECT_LT(w, r);  // one admission order for every op
+  EXPECT_EQ(back, blob);
+  std::vector<uint8_t> empty;
+  EXPECT_EQ(pipe.run_write(0, empty), 0u);  // empty ops are not admitted
+  EXPECT_THROW(pipe.run_read(array.capacity(), back), std::logic_error);
+  auto snap = reg.snapshot();
+  EXPECT_EQ(find_metric(snap, "pipeline.ops_submitted").value, 3);
+  EXPECT_EQ(find_metric(snap, "pipeline.ops_completed").value, 3);
+  EXPECT_EQ(find_metric(snap, "pipeline.admission_wait_ns").count, 2);
+  EXPECT_EQ(find_metric(snap, "pipeline.queue_depth").value, 0);
+}
+
+// The correctness hinge of inline execution: a queued op holds its
+// ticket from submit, not from the moment a worker pops it, so an inline
+// op admitted later can never be granted ahead of it.
+TEST(StripePipeline, InlineReadOrdersBehindAQueuedOverlappingWrite) {
   obs::Registry reg;
   auto array = make_array(reg, /*stripes=*/8);
-  for (int d = 0; d < array.layout().cols(); ++d)
-    array.disk(d).faults().set_latency_ns(10'000'000);  // 10 ms per access
   const int64_t stripe_bytes =
       array.layout().data_count() * static_cast<int64_t>(kElem);
-  StripePipeline pipe(array, {.workers = 1, .merge_limit = 8});
-  std::vector<uint8_t> d(64, 0x11);
-  // Occupy the single worker on stripe 4, then queue four adjacent
-  // partial writes on stripe 0: by the time the worker returns they are
-  // all queued and must coalesce into one batch.
-  auto busy = pipe.submit_write(4 * stripe_bytes, d);
-  std::vector<OpFuture> futs;
-  for (int i = 0; i < 4; ++i)
-    futs.push_back(pipe.submit_write(i * 64, d));
-  pipe.drain();
-  busy.get();
-  for (auto& f : futs) f.get();
-  auto snap = reg.snapshot();
-  EXPECT_GE(find_metric(snap, "pipeline.writes_merged").value, 3);
-  for (int dd = 0; dd < array.layout().cols(); ++dd)
-    array.disk(dd).faults().set_latency_ns(0);
-  std::vector<uint8_t> back(256);
-  array.read(0, back);
-  EXPECT_EQ(back, std::vector<uint8_t>(256, 0x11));
+  std::vector<uint8_t> park(kElem);
+  std::vector<uint8_t> fresh(64, 0x3C);
+  std::vector<uint8_t> got(64);
+  {
+    StripePipeline pipe(array, {.workers = 1});
+    for (int d = 0; d < array.layout().cols(); ++d)
+      array.disk(d).faults().set_latency_ns(20'000'000);  // 20 ms per access
+    // The only worker parks on stripe 4; the write to stripe 0 waits in
+    // the queue behind it while the inline read is admitted.
+    auto busy = pipe.submit_read(4 * stripe_bytes, park);
+    auto queued = pipe.submit_write(0, fresh);
+    const uint64_t seq = pipe.run_read(0, got);
+    EXPECT_GT(seq, queued.sequence());
+    EXPECT_TRUE(queued.ready());
+    EXPECT_EQ(got, fresh);
+    busy.get();
+    for (int d = 0; d < array.layout().cols(); ++d)
+      array.disk(d).faults().set_latency_ns(0);
+  }
+  EXPECT_EQ(array.scrub(), 0);
 }
 
 // ---------- the ordering property test ----------
 //
 // Seeded generator over deliberately overlapping byte ranges, several
-// submitter threads, merging on, several workers. After the fact, the
-// array must be bit-identical to a serial array that applied the same
-// writes in admission (sequence) order — and every read must equal the
-// serial prefix state of its range at its admission point.
+// client threads — some running ops inline (run_*), some submitting them
+// to the workers (submit_*) — on one pipeline. After the fact, the array
+// must be bit-identical to a serial array that applied the same writes
+// in admission (sequence) order — and every read must equal the serial
+// prefix state of its range at its admission point.
 
 struct LoggedOp {
   uint64_t seq = 0;
@@ -398,17 +379,15 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
     auto initial = random_blob(seed_rng, static_cast<size_t>(cap));
     array.write(0, initial);
 
-    constexpr int kSubmitters = 3;
+    constexpr int kSubmitters = 4;
     constexpr int kOpsPerSubmitter = 120;
     std::vector<std::vector<LoggedOp>> logs(kSubmitters);
     {
-      StripePipeline pipe(array, {.workers = 3,
-                                  .queue_depth = 64,
-                                  .merge_writes = true,
-                                  .merge_limit = 8});
+      StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
       std::vector<std::thread> subs;
       for (int s = 0; s < kSubmitters; ++s) {
         subs.emplace_back([&, s] {
+          const bool run_inline = s % 2 == 1;
           Pcg32 rng(seed * 1000 + static_cast<uint64_t>(s));
           std::vector<std::pair<OpFuture, size_t>> pending;
           for (int i = 0; i < kOpsPerSubmitter; ++i) {
@@ -424,8 +403,14 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
             op.len = 1 + static_cast<int64_t>(rng.next_u32() % 700);
             op.len = std::min(op.len, cap - op.offset);
             op.data.resize(static_cast<size_t>(op.len));
+            if (op.is_write) rng.fill_bytes(op.data.data(), op.data.size());
+            if (run_inline) {
+              op.seq = op.is_write ? pipe.run_write(op.offset, op.data)
+                                   : pipe.run_read(op.offset, op.data);
+              logs[static_cast<size_t>(s)].push_back(std::move(op));
+              continue;
+            }
             if (op.is_write) {
-              rng.fill_bytes(op.data.data(), op.data.size());
               auto f = pipe.submit_write(op.offset, op.data);
               op.seq = f.sequence();
               logs[static_cast<size_t>(s)].push_back(std::move(op));
@@ -478,10 +463,11 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
   }
 }
 
-// With a single submitter, admission order == program order, so every
-// read must return exactly the bytes produced by the serial prefix of
-// writes before it — the range lock may not let any later overlapping
-// write sneak ahead, and the merge pass may not jump a queued read.
+// With a single client thread, admission order == program order, so
+// every read must return exactly the bytes produced by the serial prefix
+// of writes before it — the range lock may not let any later overlapping
+// write sneak ahead, and an inline op may not overtake a queued one that
+// is still waiting for a worker.
 TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
   for (uint64_t seed : {3u, 11u}) {
     obs::Registry reg;
@@ -496,10 +482,7 @@ TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
     ref.write(0, initial);
     std::vector<uint8_t> shadow = initial;  // serial prefix image
 
-    StripePipeline pipe(array, {.workers = 3,
-                                .queue_depth = 64,
-                                .merge_writes = true,
-                                .merge_limit = 8});
+    StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
     Pcg32 rng(seed * 77);
     struct InFlight {
       OpFuture f;
@@ -527,13 +510,23 @@ TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
           rng.next_u32() % static_cast<uint32_t>(window));
       const int64_t len = std::min(
           1 + static_cast<int64_t>(rng.next_u32() % 600), cap - offset);
+      const bool run_inline = rng.next_u32() % 3 == 0;
       if (is_write) {
         std::vector<uint8_t> d(static_cast<size_t>(len));
         rng.fill_bytes(d.data(), d.size());
         std::copy(d.begin(), d.end(),
                   shadow.begin() + static_cast<size_t>(offset));
-        pending.push_back(
-            {pipe.submit_write(offset, d), true, offset, {}, nullptr});
+        if (run_inline) {
+          pipe.run_write(offset, d);
+        } else {
+          pending.push_back(
+              {pipe.submit_write(offset, d), true, offset, {}, nullptr});
+        }
+      } else if (run_inline) {
+        std::vector<uint8_t> buf(static_cast<size_t>(len));
+        pipe.run_read(offset, buf);
+        EXPECT_TRUE(std::equal(buf.begin(), buf.end(),
+                               shadow.begin() + static_cast<size_t>(offset)));
       } else {
         read_bufs.push_back(std::make_unique<std::vector<uint8_t>>(
             static_cast<size_t>(len)));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "codes/registry.h"
+#include "raid/address_map.h"
 #include "raid/journal.h"
 #include "util/rng.h"
 #include "volume/storage_pool.h"
@@ -428,6 +429,41 @@ TEST(StoragePool, RestartAllQuiescesConcurrentWriters) {
   std::vector<uint8_t> got(static_cast<size_t>(cap));
   pool.read(0, got);
   EXPECT_EQ(got, shadow);
+}
+
+// Pool ops run on the caller's thread: with the shard's only pipeline
+// worker parked on a slow op submitted straight to the shard, a pool op
+// on a disjoint stripe and disk completes without waiting for it.
+TEST(StoragePool, PoolOpsRunInlineNotOnPipelineWorkers) {
+  ShardSpec spec = small_spec();
+  obs::Registry reg;
+  PoolOptions opts = chunked(spec, 16);
+  opts.pipeline.workers = 1;
+  StoragePool pool(spec, 1, opts, &reg);
+  auto blob = random_bytes(static_cast<size_t>(pool.capacity()), 5);
+  pool.write(0, blob);
+
+  raid::Raid6Array& array = pool.shard_array(0);
+  raid::AddressMap map(array.layout());
+  const int64_t esize = static_cast<int64_t>(spec.element_size);
+  const int slow_disk = map.locate(0).disk;
+  // An element of stripe 2 on another disk: disjoint ticket, fast device.
+  int64_t elem = 2 * array.layout().data_count();
+  while (map.locate(elem).disk == slow_disk) ++elem;
+
+  array.disk(slow_disk).faults().set_latency_ns(300'000'000);
+  std::vector<uint8_t> parked(static_cast<size_t>(esize));
+  raid::OpFuture busy = pool.shard_pipeline(0).submit_read(0, parked);
+  std::vector<uint8_t> got(static_cast<size_t>(esize));
+  pool.read(elem * esize, got);
+  EXPECT_FALSE(busy.ready());  // the worker is still asleep on slow_disk
+  EXPECT_EQ(0, std::memcmp(got.data(), blob.data() + elem * esize,
+                           got.size()));
+  busy.get();
+  array.disk(slow_disk).faults().set_latency_ns(0);
+  EXPECT_EQ(0, std::memcmp(parked.data(), blob.data(), parked.size()));
+  EXPECT_EQ(reg.counter("shard0.pipeline.ops_submitted").value(),
+            reg.counter("shard0.pipeline.ops_completed").value());
 }
 
 TEST(StoragePool, AddShardWhileRestripingRejected) {
