@@ -1,7 +1,10 @@
 // XOR kernel microbenchmarks: the fused multi-source kernels vs the
 // single-source loop vs the byte-at-a-time reference. The fused variants
 // matter because a parity of n-3 sources computed pairwise re-reads dst
-// n-4 times; xor_many streams it once per 4 sources.
+// n-4 times; xor_many streams it once per 4 sources. Alongside them, the
+// element checksum (CRC-64/XZ) per backend at one 4 KiB element and at
+// 64 KiB: verify-on-read hashes every element a read returns, so its GB/s
+// bounds the read path the same way the XOR rows bound encode.
 #include <benchmark/benchmark.h>
 
 #include "gbench_telemetry.h"
@@ -12,6 +15,7 @@
 #include "gf/gf.h"
 #include "util/aligned_buffer.h"
 #include "util/rng.h"
+#include "xorops/checksum.h"
 #include "xorops/isa.h"
 #include "xorops/xor_backend.h"
 #include "xorops/xor_region.h"
@@ -123,6 +127,19 @@ void BM_MulRegion16(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kLen);
 }
 
+void BM_Checksum64Isa(benchmark::State& state, xorops::Isa isa) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  Buffers b(1);
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    sink ^= xorops::checksum64_isa(isa, b.ptrs[0], len, sink);
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(len));
+  state.SetLabel(xorops::checksum_kernel_name(isa));
+}
+
 }  // namespace
 
 BENCHMARK(BM_XorIntoNaive);
@@ -142,6 +159,10 @@ int main(int argc, char** argv) {
                                  BM_MulRegion8Isa, isa, false);
     benchmark::RegisterBenchmark(("BM_MulRegion8Acc/isa:" + tag).c_str(),
                                  BM_MulRegion8Isa, isa, true);
+    benchmark::RegisterBenchmark(("BM_Checksum64/isa:" + tag).c_str(),
+                                 BM_Checksum64Isa, isa)
+        ->Arg(4096)
+        ->Arg(kLen);
   }
   return dcode::bench::run_gbench_with_telemetry("bench_xor_kernels", argc, argv);
 }

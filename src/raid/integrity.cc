@@ -15,7 +15,8 @@ namespace dcode::raid {
 namespace {
 
 constexpr uint64_t kSidecarMagic = 0x444353494445434BULL;  // "DCSIDECK"
-constexpr uint32_t kSidecarVersion = 1;
+// v2: sums are CRC-64/XZ (v1 held XXH64, which no longer verifies).
+constexpr uint32_t kSidecarVersion = 2;
 constexpr int64_t kHeaderBytes = 24;
 
 struct SlotImage {

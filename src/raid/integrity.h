@@ -10,7 +10,8 @@
 // (every element old but mutually consistent). The ChecksumStore closes
 // that gap: for every device element it keeps
 //
-//   sum   — XXH64 of the element payload as last acknowledged,
+//   sum   — CRC-64/XZ (xorops::checksum64) of the element payload as
+//           last acknowledged,
 //   prev  — the sum the element held before that write (the stale
 //           candidate: a lost write leaves the device serving exactly
 //           this content),
@@ -24,7 +25,7 @@
 //   tag == 0                     kUntracked    element never written
 //   h == prev                    kStale        lost / stale write
 //   h == some other element's    kMisdirected  write landed on the
-//        sum on this device                    wrong LBA
+//        current sum on this device            wrong LBA
 //   otherwise                    kCorrupt      torn write or bit rot
 //
 // The store is updated strictly *after* the device acknowledges a write
@@ -33,11 +34,14 @@
 // payload, which is precisely how lost writes become detectable.
 //
 // Persistence: MemDisk stores stay in memory; FileDisk stores attach a
-// sidecar file. Each element owns two 40-byte slots written alternately
+// sidecar file (format version 2: CRC-64/XZ sums; a version-1 XXH64 file
+// is refused). Each element owns two 40-byte slots written alternately
 // (sequence-numbered dual slots), each slot self-checksummed with the
 // element index as seed — a torn sidecar write invalidates only the slot
 // being written, the loader falls back to the other, and a sidecar
-// record that ends up at the wrong element offset fails its seed check.
+// record that ends up at the wrong element offset always fails its seed
+// check (the CRC register starts at ~index, and distinct start registers
+// give distinct CRCs of the same 32 bytes).
 // Crash consistency therefore needs no ordering guarantees from the
 // filesystem beyond single-pwrite atomicity *per byte*: any prefix of a
 // slot write leaves a bad self-checksum, never a wrong-but-valid record.
@@ -105,6 +109,11 @@ constexpr int tag_row(uint64_t tag) {
   return static_cast<int>((tag >> 4) & 0xFF);
 }
 constexpr int tag_role(uint64_t tag) { return static_cast<int>(tag & 0xF); }
+
+// make_tag keeps the low 20 bits of the stripe, so an engine with
+// integrity on refuses more stripes than this (StripeIoEngine's
+// constructor): past it, two stripes' write identities would alias.
+inline constexpr int64_t kMaxTaggedStripes = int64_t{1} << 20;
 
 namespace detail {
 // Partial-count-safe positional I/O used by the sidecar (and tested

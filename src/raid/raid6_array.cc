@@ -541,9 +541,17 @@ void Raid6Array::read_healthy(int64_t first, int64_t last, int64_t offset,
                               std::span<uint8_t> out) {
   const int64_t esize = static_cast<int64_t>(element_size_);
   const int64_t end = offset + static_cast<int64_t>(out.size());
+  const bool head_partial = first * esize < offset;
+  const bool tail_partial = (last + 1) * esize > end;
   // Fully covered elements land straight in the caller's buffer; the (at
-  // most two) partially covered edge elements bounce through scratch.
-  AlignedBuffer head(element_size_), tail(element_size_);
+  // most two) partially covered edge elements bounce through scratch,
+  // allocated only for an edge that is partial (an empty AlignedBuffer
+  // allocates nothing). A single element partial at either edge uses
+  // `head`.
+  AlignedBuffer head(head_partial || (tail_partial && last == first)
+                         ? element_size_
+                         : 0);
+  AlignedBuffer tail(tail_partial && last != first ? element_size_ : 0);
   std::vector<ReadOp> rops;
   rops.reserve(static_cast<size_t>(last - first + 1));
   for (int64_t e = first; e <= last; ++e) {
@@ -560,10 +568,8 @@ void Raid6Array::read_healthy(int64_t first, int64_t last, int64_t offset,
                   &sb, &len);
     std::memcpy(out.data() + sb, elem + eb, len);
   };
-  if (first * esize < offset) copy_out(first, head.data());
-  if ((last + 1) * esize > end) {
-    copy_out(last, last == first ? head.data() : tail.data());
-  }
+  if (head_partial) copy_out(first, head.data());
+  if (tail_partial) copy_out(last, last == first ? head.data() : tail.data());
 }
 
 void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {

@@ -52,6 +52,12 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
   DCODE_CHECK(disks > 0, "engine needs at least one disk");
   DCODE_CHECK(element_size_ > 0, "element size must be positive");
   DCODE_CHECK(rows_ > 0, "rows must be positive");
+  const auto stripes = static_cast<int64_t>(
+      disk_size_ / (element_size_ * static_cast<size_t>(rows_)));
+  DCODE_CHECK(!options_.integrity || stripes <= kMaxTaggedStripes,
+              "integrity tags address at most " +
+                  std::to_string(kMaxTaggedStripes) + " stripes, got " +
+                  std::to_string(stripes));
   if (!options_.factory) options_.factory = default_device_factory();
   disks_.reserve(static_cast<size_t>(disks));
   for (int d = 0; d < disks; ++d) {

@@ -13,6 +13,8 @@ CpuFeatures detect() {
   f.avx512 = __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512bw") &&
              __builtin_cpu_supports("avx512vl");
+  f.pclmul = __builtin_cpu_supports("pclmul");
+  f.vpclmulqdq = __builtin_cpu_supports("vpclmulqdq");
 #endif
   return f;
 }

@@ -16,6 +16,10 @@ struct CpuFeatures {
   // F + BW + VL together: 512-bit byte shuffles/XORs on ordinary
   // registers, which is what the kernels actually emit.
   bool avx512 = false;
+  // Carry-less multiply: PCLMULQDQ on 128-bit registers, VPCLMULQDQ on
+  // 256/512-bit ones — the CRC-64 folding kernels behind checksum64().
+  bool pclmul = false;
+  bool vpclmulqdq = false;
 };
 
 // Detected once per process; non-x86 builds report everything false.

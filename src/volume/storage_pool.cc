@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <filesystem>
 #include <vector>
 
 #include "codes/registry.h"
@@ -114,9 +115,17 @@ std::unique_ptr<StoragePool::Shard> StoragePool::make_shard(int index) {
   auto shard = std::make_unique<Shard>();
   shard->registry =
       &registry_->namespaced("shard" + std::to_string(index) + ".");
+  raid::ArrayOptions array_options = spec_.array;
+  if (!array_options.integrity_sidecar_dir.empty()) {
+    // Sidecar files are named by disk index alone, so shards sharing one
+    // directory would write each other's element slots.
+    array_options.integrity_sidecar_dir += "/shard" + std::to_string(index);
+    std::filesystem::create_directories(array_options.integrity_sidecar_dir);
+  }
   shard->array = std::make_unique<raid::Raid6Array>(
       codes::make_layout(spec_.code, spec_.prime), spec_.element_size,
-      spec_.stripes, spec_.threads, shard->registry, spec_.array);
+      spec_.stripes, spec_.threads, shard->registry,
+      std::move(array_options));
   if (spec_.journal_slots > 0) {
     shard->array->enable_journal(spec_.journal_slots);
   }

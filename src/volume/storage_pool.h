@@ -85,6 +85,8 @@ struct ShardSpec {
   size_t element_size = 4096;
   int64_t stripes = 64;
   unsigned threads = 1;  // engine pool threads per shard
+  // Every shard's array options. A non-empty integrity_sidecar_dir is
+  // the pool's sidecar root: shard i keeps its sidecars in <dir>/shard<i>.
   raid::ArrayOptions array;
   int hot_spares = 0;     // added to every shard at attach
   int journal_slots = 0;  // > 0 enables write-intent journaling

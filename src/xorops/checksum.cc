@@ -1,101 +1,53 @@
 #include "xorops/checksum.h"
 
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "util/check.h"
+#include "util/cpu.h"
 #include "xorops/checksum_backend.h"
 
 namespace dcode::xorops {
 namespace {
 
-// XXH64 primes (Collet's reference constants).
-constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
-constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
-constexpr uint64_t kP3 = 0x165667B19E3779F9ULL;
-constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
-constexpr uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+using SliceTable = std::array<std::array<uint64_t, 256>, 8>;
 
-inline uint64_t load64(const uint8_t* p) {
+// Slicing-by-8 tables, derived from the polynomial at compile time:
+// t[0][b] advances the reflected register over the byte b, t[k][b] over b
+// followed by k zero bytes.
+constexpr SliceTable make_slice_table() {
+  constexpr uint64_t kReflected = detail::reflect64(detail::kCrc64Poly);
+  SliceTable t{};
+  for (uint64_t b = 0; b < 256; ++b) {
+    uint64_t c = b;
+    for (int i = 0; i < 8; ++i) c = (c >> 1) ^ ((c & 1) != 0 ? kReflected : 0);
+    t[0][b] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t b = 0; b < 256; ++b) {
+      const uint64_t prev = t[k - 1][b];
+      t[k][b] = (prev >> 8) ^ t[0][prev & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr SliceTable kSlice = make_slice_table();
+
+inline uint64_t load64_le(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
-inline uint32_t load32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline uint64_t rotl64(uint64_t x, int r) {
-  return (x << r) | (x >> (64 - r));
-}
-
-inline uint64_t round64(uint64_t acc, uint64_t input) {
-  return rotl64(acc + input * kP2, 31) * kP1;
-}
-
-inline uint64_t merge_round(uint64_t h, uint64_t acc) {
-  return (h ^ round64(0, acc)) * kP1 + kP4;
-}
-
-void scalar_accumulate(uint64_t lanes[4], const uint8_t* p, size_t nblocks) {
-  uint64_t a0 = lanes[0], a1 = lanes[1], a2 = lanes[2], a3 = lanes[3];
-  for (size_t b = 0; b < nblocks; ++b, p += 32) {
-    a0 = round64(a0, load64(p));
-    a1 = round64(a1, load64(p + 8));
-    a2 = round64(a2, load64(p + 16));
-    a3 = round64(a3, load64(p + 24));
-  }
-  lanes[0] = a0;
-  lanes[1] = a1;
-  lanes[2] = a2;
-  lanes[3] = a3;
-}
-
-// The scalar driver around whichever accumulate() backend is active:
-// lane setup, merge, tail, avalanche — the parts that never vectorize
-// and whose single implementation keeps all backends bit-identical.
-uint64_t xxh64_with(const detail::ChecksumKernels& k, const uint8_t* p,
-                    size_t len, uint64_t seed) {
-  const uint8_t* const end = p + len;
-  uint64_t h;
-  if (len >= 32) {
-    uint64_t lanes[4] = {seed + kP1 + kP2, seed + kP2, seed, seed - kP1};
-    const size_t nblocks = len / 32;
-    k.accumulate(lanes, p, nblocks);
-    p += nblocks * 32;
-    h = rotl64(lanes[0], 1) + rotl64(lanes[1], 7) + rotl64(lanes[2], 12) +
-        rotl64(lanes[3], 18);
-    h = merge_round(h, lanes[0]);
-    h = merge_round(h, lanes[1]);
-    h = merge_round(h, lanes[2]);
-    h = merge_round(h, lanes[3]);
-  } else {
-    h = seed + kP5;
-  }
-  h += static_cast<uint64_t>(len);
-  while (p + 8 <= end) {
-    h ^= round64(0, load64(p));
-    h = rotl64(h, 27) * kP1 + kP4;
-    p += 8;
-  }
-  if (p + 4 <= end) {
-    h ^= static_cast<uint64_t>(load32(p)) * kP1;
-    h = rotl64(h, 23) * kP2 + kP3;
-    p += 4;
-  }
-  while (p < end) {
-    h ^= static_cast<uint64_t>(*p) * kP5;
-    h = rotl64(h, 11) * kP1;
-    ++p;
-  }
-  h ^= h >> 33;
-  h *= kP2;
-  h ^= h >> 29;
-  h *= kP3;
-  h ^= h >> 32;
-  return h;
+const detail::ChecksumKernels& table_kernels() {
+  static constexpr detail::ChecksumKernels k = {"table",
+                                                detail::crc64_table_update};
+  return k;
 }
 
 // The backend the public entry point uses, resolved on first call.
@@ -109,45 +61,53 @@ const detail::ChecksumKernels& active() {
 
 namespace detail {
 
-const ChecksumKernels& scalar_checksum_kernels() {
-  static constexpr ChecksumKernels k = {scalar_accumulate};
-  return k;
+uint64_t crc64_table_update(uint64_t crc, const uint8_t* p, size_t n) {
+  const SliceTable& t = kSlice;
+  for (; n >= 8; p += 8, n -= 8) {
+    crc ^= load64_le(p);
+    crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
+          t[5][(crc >> 16) & 0xFF] ^ t[4][(crc >> 24) & 0xFF] ^
+          t[3][(crc >> 32) & 0xFF] ^ t[2][(crc >> 40) & 0xFF] ^
+          t[1][(crc >> 48) & 0xFF] ^ t[0][crc >> 56];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+  return crc;
 }
 
 const ChecksumKernels& checksum_kernels(Isa isa) {
   DCODE_CHECK(isa_supported(isa), "requested ISA backend is not available");
+  [[maybe_unused]] const util::CpuFeatures& cpu = util::cpu_features();
   switch (isa) {
+    case Isa::kAvx512:
+#ifdef DCODE_HAVE_VPCLMULQDQ
+      if (cpu.vpclmulqdq) return vpclmul_checksum_kernels();
+#endif
+      [[fallthrough]];
+    case Isa::kAvx2:
+    case Isa::kSse2:
+#ifdef DCODE_HAVE_PCLMUL
+      if (cpu.pclmul) return pclmul_checksum_kernels();
+#endif
+      [[fallthrough]];
     case Isa::kScalar:
       break;
-#ifdef DCODE_HAVE_ISA_SSE2
-    case Isa::kSse2:
-      return sse2_checksum_kernels();
-#endif
-#ifdef DCODE_HAVE_ISA_AVX2
-    case Isa::kAvx2:
-      return avx2_checksum_kernels();
-#endif
-#ifdef DCODE_HAVE_ISA_AVX2
-    case Isa::kAvx512:
-      // No dedicated AVX-512 backend: the four lanes already fill one
-      // 256-bit vector, so wider registers buy nothing here.
-      return avx2_checksum_kernels();
-#endif
-    default:
-      break;
   }
-  return scalar_checksum_kernels();
+  return table_kernels();
 }
 
 }  // namespace detail
 
 uint64_t checksum64(const void* data, size_t len, uint64_t seed) {
-  return xxh64_with(active(), static_cast<const uint8_t*>(data), len, seed);
+  return ~active().update(~seed, static_cast<const uint8_t*>(data), len);
 }
 
 uint64_t checksum64_isa(Isa isa, const void* data, size_t len, uint64_t seed) {
-  return xxh64_with(detail::checksum_kernels(isa),
-                    static_cast<const uint8_t*>(data), len, seed);
+  return ~detail::checksum_kernels(isa).update(
+      ~seed, static_cast<const uint8_t*>(data), len);
+}
+
+const char* checksum_kernel_name(Isa isa) {
+  return detail::checksum_kernels(isa).name;
 }
 
 }  // namespace dcode::xorops

@@ -1,11 +1,12 @@
-// The end-to-end integrity channel: XXH64 kernel correctness (pinned
-// spec vectors + cross-ISA differential), ChecksumStore classification
-// and sidecar persistence (dual-slot torn-write recovery), the
-// wrong-path write fault models, verify-on-read serving correct data
-// from parity, and the scrub contracts only the checksum channel can
-// honor — repairing family-disagreement stripes parity-only scrub must
-// refuse, localizing through degraded stripes, and reporting
-// parity-consistent whole-stripe stale writes.
+// The end-to-end integrity channel: CRC-64/XZ kernel correctness (pinned
+// check values + every backend against a bitwise reference), write-
+// identity tags and their stripe limit, ChecksumStore classification and
+// sidecar persistence (dual-slot torn-write recovery, format version,
+// misplaced slots), the wrong-path write fault models, verify-on-read
+// serving correct data from parity, and the scrub contracts only the
+// checksum channel can honor — repairing family-disagreement stripes
+// parity-only scrub must refuse, localizing through degraded stripes, and
+// reporting parity-consistent whole-stripe stale writes.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,7 +27,9 @@
 #include "raid/journal.h"
 #include "raid/mem_disk.h"
 #include "raid/raid6_array.h"
+#include "raid/stripe_io_engine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "xorops/checksum.h"
 
 namespace dcode::raid {
@@ -57,13 +61,79 @@ std::string fresh_dir(const char* tag) {
 
 // --- the checksum kernel ---------------------------------------------------
 
-TEST(Checksum, MatchesPublishedXxh64Vectors) {
-  // Reference vectors from the published xxHash spec: the sidecar format
-  // promises stock-tool auditability, so these are pinned, not golden.
-  EXPECT_EQ(xorops::checksum64("", 0), 0xEF46DB3751D8E999ULL);
-  EXPECT_EQ(xorops::checksum64("abc", 3), 0x44BC2CF5AD770999ULL);
-  // Seed changes the value (the sidecar seeds slots by element index).
+// Bit-at-a-time CRC-64/XZ register update: the definition, with the
+// reflected polynomial written out independently of the library's
+// derivation.
+uint64_t crc64_bitwise(uint64_t crc, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ ((crc & 1) != 0 ? 0xC96C5795D7870F42ULL : 0);
+    }
+  }
+  return crc;
+}
+
+TEST(Checksum, MatchesCrc64XzCheckValues) {
+  // The catalogue check value of CRC-64/XZ, and a 4 KiB vector whose CRC
+  // was computed by `xz --check=crc64` (`xz --robot -lvv` prints it): the
+  // sidecar format promises stock-tool auditability, so these are pinned,
+  // not golden.
+  EXPECT_EQ(xorops::checksum64("123456789", 9), 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(xorops::checksum64("", 0), 0u);
+  std::vector<uint8_t> v(4096);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<uint8_t>(i * 31 + (i >> 5));
+  }
+  for (xorops::Isa isa : xorops::supported_isas()) {
+    EXPECT_EQ(xorops::checksum64_isa(isa, v.data(), v.size()),
+              0xD067C6C71C7D13BCULL)
+        << xorops::checksum_kernel_name(isa);
+  }
+  // The seed chains like zlib's crc argument...
+  EXPECT_EQ(xorops::checksum64(v.data() + 1000, 3096,
+                               xorops::checksum64(v.data(), 1000)),
+            xorops::checksum64(v.data(), v.size()));
+  // ...and changes the value (the sidecar seeds slots by element index).
   EXPECT_NE(xorops::checksum64("abc", 3, 1), xorops::checksum64("abc", 3));
+}
+
+TEST(Checksum, EveryIsaBackendMatchesBitwiseReference) {
+  // Every length 0..9000 (at source offset len % 64) and every offset
+  // 0..63 for each length up to 600 and around 4 KiB and 9000: that
+  // crosses each kernel's 16-, 64- and 256-byte fold steps and table tail
+  // at every alignment. Each offset gets its own copy of the data, so one
+  // incremental reference pass gives the expected value of every prefix.
+  constexpr size_t kMax = 9000;
+  constexpr uint64_t kSeed = 0x5EED;
+  Pcg32 rng(13);
+  const std::vector<uint8_t> data = random_blob(rng, kMax);
+  std::vector<uint64_t> want(kMax + 1);
+  uint64_t reg = ~kSeed;
+  want[0] = ~reg;
+  for (size_t n = 1; n <= kMax; ++n) {
+    reg = crc64_bitwise(reg, &data[n - 1], 1);
+    want[n] = ~reg;
+  }
+  std::vector<std::vector<uint8_t>> at(64);
+  for (size_t off = 0; off < at.size(); ++off) {
+    at[off].assign(off, 0);
+    at[off].insert(at[off].end(), data.begin(), data.end());
+  }
+  for (xorops::Isa isa : xorops::supported_isas()) {
+    const char* kernel = xorops::checksum_kernel_name(isa);
+    auto check = [&](size_t off, size_t n) {
+      ASSERT_EQ(xorops::checksum64_isa(isa, at[off].data() + off, n, kSeed),
+                want[n])
+          << kernel << " len " << n << " offset " << off;
+    };
+    for (size_t n = 0; n <= kMax; ++n) check(n % 64, n);
+    for (size_t off = 0; off < 64; ++off) {
+      for (size_t n = 0; n <= 600; ++n) check(off, n);
+      for (size_t n = 4080; n <= 4112; ++n) check(off, n);
+      for (size_t n = kMax - 16; n <= kMax; ++n) check(off, n);
+    }
+  }
 }
 
 TEST(Checksum, EveryIsaBackendBitIdenticalToScalar) {
@@ -95,6 +165,28 @@ TEST(IdentityTag, PacksAndUnpacksEveryField) {
   EXPECT_EQ(tag_role(tag), 2);
   // Generation starts at 1, so a zero tag always means "untracked".
   EXPECT_NE(make_tag(1, 0, 0, 0), 0u);
+}
+
+// make_tag keeps 20 stripe bits; an integrity engine with more stripes
+// must refuse to exist rather than alias write identities, and must do so
+// before it allocates a single device.
+TEST(IdentityTag, EngineRejectsStripesBeyondTheTagField) {
+  ThreadPool pool(1);
+  int devices = 0;
+  EngineOptions opts;
+  opts.factory = [&devices](int id, size_t size) {
+    ++devices;
+    return std::unique_ptr<BlockDevice>(std::make_unique<MemDisk>(id, size));
+  };
+  // One 1-byte element per stripe: 2^20 + 1 stripes is a 1 MiB device.
+  const size_t disk_size = static_cast<size_t>(kMaxTaggedStripes) + 1;
+  EXPECT_THROW(StripeIoEngine(2, disk_size, 1, 1, pool, nullptr, nullptr, opts),
+               std::logic_error);
+  EXPECT_EQ(devices, 0);
+  // Without integrity there are no tags, and no limit.
+  opts.integrity = false;
+  StripeIoEngine untagged(2, disk_size, 1, 1, pool, nullptr, nullptr, opts);
+  EXPECT_EQ(devices, 2);
 }
 
 // --- ChecksumStore classification ------------------------------------------
@@ -214,6 +306,63 @@ TEST(ChecksumStoreSidecar, TornSlotFallsBackToOtherSlot) {
     reopened.attach_file(path);
     EXPECT_FALSE(reopened.load(1).tracked());
     EXPECT_TRUE(reopened.load(1).sum == 0);
+  }
+}
+
+TEST(ChecksumStoreSidecar, RejectsVersion1Sidecar) {
+  // v1 sidecars hold XXH64 sums: loading one would condemn every element,
+  // so attach refuses the file outright.
+  const std::string dir = fresh_dir("v1");
+  const std::string path = dir + "/disk0.sum";
+  {
+    ChecksumStore store(4);
+    store.attach_file(path);
+    store.record(1, 0x11, 0, 1, 0);
+  }
+  const int fd = open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  const uint32_t v1 = 1;
+  ASSERT_TRUE(detail::pwrite_fully(fd, &v1, sizeof(v1), /*offset=*/8));
+  close(fd);
+  ChecksumStore reopened(4);
+  try {
+    reopened.attach_file(path);
+    ADD_FAILURE() << "a v1 sidecar attached";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("format mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(reopened.persistent());
+}
+
+TEST(ChecksumStoreSidecar, SlotAtTheWrongElementNeverVerifies) {
+  // A slot's self-checksum is seeded with its element index; with a CRC
+  // that seed enters through an invertible map, so a valid slot copied to
+  // any other element's offset must fail there.
+  const std::string dir = fresh_dir("misplaced");
+  const std::string path = dir + "/disk0.sum";
+  constexpr int64_t kElems = 64;
+  {
+    ChecksumStore store(kElems);
+    store.attach_file(path);
+    store.record(0, 0xABCDEF, 0, 0, 0);
+  }
+  const int fd = open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> slot(ChecksumStore::kSlotBytes);
+  ASSERT_TRUE(detail::pread_fully(fd, slot.data(), slot.size(),
+                                  ChecksumStore::slot_offset(0, 1)));
+  for (int64_t e = 1; e < kElems; ++e) {
+    ASSERT_TRUE(detail::pwrite_fully(fd, slot.data(), slot.size(),
+                                     ChecksumStore::slot_offset(e, 1)));
+  }
+  close(fd);
+  ChecksumStore reopened(kElems);
+  reopened.attach_file(path);
+  EXPECT_EQ(reopened.load(0).sum, 0xABCDEFu);
+  for (int64_t e = 1; e < kElems; ++e) {
+    EXPECT_FALSE(reopened.load(e).tracked()) << "element " << e;
   }
 }
 

@@ -10,17 +10,24 @@
 // device backend.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "codes/registry.h"
 #include "raid/address_map.h"
+#include "raid/file_disk.h"
+#include "raid/integrity.h"
 #include "raid/journal.h"
 #include "util/rng.h"
 #include "volume/storage_pool.h"
+#include "xorops/checksum.h"
 
 namespace dcode::volume {
 namespace {
@@ -51,6 +58,49 @@ std::vector<uint8_t> random_bytes(size_t n, uint64_t seed) {
   Pcg32 rng(seed);
   rng.fill_bytes(out.data(), out.size());
   return out;
+}
+
+// Sidecar files are named by disk index, so each shard keeps them in its
+// own directory. Shared files would hold whichever shard last wrote an
+// element slot, and a reload would cross-load the other shard's records.
+TEST(StoragePool, ShardSidecarsReloadIntoTheirOwnShard) {
+  std::string tmpl = ::testing::TempDir() + "dcode_pool_sidecar_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  ShardSpec spec = small_spec();
+  spec.array.integrity_sidecar_dir = dir + "/sidecars";
+  spec.array.device_factory = [dir](int id, size_t size) {
+    static std::atomic<int> serial{0};
+    return std::unique_ptr<raid::BlockDevice>(std::make_unique<raid::FileDisk>(
+        id, size, dir + "/disk" + std::to_string(serial++) + ".img",
+        raid::FileDisk::Options{.reuse = false, .unlink_on_close = true}));
+  };
+  {
+    obs::Registry reg;
+    StoragePool pool(spec, 2, chunked(spec, 8), &reg);
+    pool.write(0, random_bytes(static_cast<size_t>(pool.capacity()), 77));
+    pool.flush();
+
+    for (int s = 0; s < 2; ++s) {
+      raid::Raid6Array& array = pool.shard_array(s);
+      const int64_t elements = array.stripes() * array.layout().rows();
+      std::vector<uint8_t> elem(spec.element_size);
+      for (int d = 0; d < array.layout().cols(); ++d) {
+        raid::ChecksumStore reloaded(elements);
+        reloaded.attach_file(dir + "/sidecars/shard" + std::to_string(s) +
+                             "/disk" + std::to_string(d) + ".sum");
+        for (int64_t e = 0; e < elements; ++e) {
+          array.disk(d).read(static_cast<uint64_t>(e) * spec.element_size,
+                             elem);
+          ASSERT_EQ(reloaded.classify(
+                        e, xorops::checksum64(elem.data(), elem.size())),
+                    raid::IntegrityVerdict::kOk)
+              << "shard " << s << " disk " << d << " element " << e;
+        }
+      }
+    }
+  }  // the pool closes its device files before the directory goes
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StoragePool, CapacityAndRoutingShape) {
