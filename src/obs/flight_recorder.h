@@ -41,7 +41,8 @@ enum class FlightEventKind : uint16_t {
   kFailStop,         // retry budget exhausted       a=status code
   kHealthTransition, // disk health state change     a=old b=new state
   kSlowOp,           // op over slow_op_threshold_ns a=latency_ns b=threshold
-  kRebuildStripe,    // stripe rebuilt onto a spare  a=stripe
+  kRebuildStripe,    // stripe rebuilt onto a spare  a=stripe b=elements
+                     // read (disk = first target)
   kIntegrityMismatch,// verify-on-read condemned an
                      // element                      a=element b=verdict
   kCustom,           // caller-defined               a,b free

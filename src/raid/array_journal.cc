@@ -13,7 +13,6 @@ namespace dcode::raid {
 
 using codes::CodeLayout;
 using codes::Equation;
-using codes::Stripe;
 
 void Raid6Array::ensure_online() const {
   if (crashed_.load(std::memory_order_relaxed)) throw PowerLossError();
@@ -65,6 +64,7 @@ int64_t Raid6Array::journal_recover() {
                  {{"open_intents", static_cast<int64_t>(open.size())}});
   metrics_.journal_recoveries->inc();
   int64_t repaired = 0;
+  StripeScratch w(layout, element_size_);
   for (int64_t stripe : open) {
     // Re-encode parity from whatever data survived the crash: every data
     // element is individually consistent (element writes are atomic), so
@@ -72,35 +72,17 @@ int64_t Raid6Array::journal_recover() {
     // the lost columns are decoded first (a crash can race a disk
     // failure), and only live-for-this-stripe devices are rewritten.
     std::unique_lock<std::mutex> lock = stripe_lock(stripe);
-    bool degraded = false;
-    for (int c = 0; c < layout.cols(); ++c) {
-      degraded = degraded ||
-                 disk_degraded_for_stripe(map_.physical_disk(stripe, c),
-                                          stripe);
-    }
-    Stripe s(layout, element_size_);
     // Raw reads: a crash can strand sidecar records ahead of the platter
     // (the write was admitted but never landed), and replay's whole job
     // is to rebuild consistency from the bytes that DID survive —
     // verify-on-read vetoing them would deadlock recovery.
-    if (degraded) {
-      load_stripe_degraded(stripe, s, /*verify=*/false);
-    } else {
-      std::vector<StripeIoEngine::ReadOp> rops;
-      for (int c = 0; c < layout.cols(); ++c) {
-        const int pd = map_.physical_disk(stripe, c);
-        for (int r = 0; r < layout.rows(); ++r) {
-          rops.push_back({pd, stripe, r, s.at(r, c)});
-        }
-      }
-      engine_.read_batch(rops, /*verify=*/false);
-    }
-    codes::encode_stripe(s);
+    load_stripe_degraded(stripe, w, /*verify=*/false);
+    codes::encode_stripe(w.s);
     std::vector<StripeIoEngine::WriteOp> wops;
     for (const Equation& q : layout.equations()) {
       const int pd = map_.physical_disk(stripe, q.parity.col);
       if (disk_degraded_for_stripe(pd, stripe)) continue;
-      wops.push_back({pd, stripe, q.parity.row, s.at(q.parity)});
+      wops.push_back({pd, stripe, q.parity.row, w.s.at(q.parity)});
     }
     engine_.write_batch(wops);
     // The stripe invariant is restored: re-derive every live element's
@@ -111,7 +93,7 @@ int64_t Raid6Array::journal_recover() {
       const int pd = map_.physical_disk(stripe, c);
       if (disk_degraded_for_stripe(pd, stripe)) continue;
       for (int r = 0; r < layout.rows(); ++r) {
-        engine_.resync_element_integrity(pd, stripe, r, s.at(r, c));
+        engine_.resync_element_integrity(pd, stripe, r, w.s.at(r, c));
       }
     }
     journal_->commit(stripe);

@@ -1,12 +1,12 @@
-// Raid6Array's degraded-mode paths: whole-stripe reconstruction, the
-// stripe-rewrite write policy, and planner-driven degraded reads. Split
-// from raid6_array.cc so the core policy file stays readable.
+// Raid6Array's degraded-mode paths: the stripe-rewrite write policy and
+// planner-driven degraded reads (whole-stripe loads are the shared
+// load_stripe_degraded step in stripe_repair.cc). Split from
+// raid6_array.cc so the core policy file stays readable.
 #include <cstring>
 #include <map>
 #include <set>
 #include <vector>
 
-#include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
@@ -23,33 +23,6 @@ using codes::Stripe;
 using ReadOp = StripeIoEngine::ReadOp;
 using WriteOp = StripeIoEngine::WriteOp;
 
-void Raid6Array::load_stripe_degraded(int64_t stripe, Stripe& out,
-                                      bool verify) {
-  const CodeLayout& layout = *layout_;
-  std::vector<Element> lost;
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    // Per-stripe degradedness: a rebuilding disk is live for stripes
-    // below its watermark, so a partially rebuilt spare contributes the
-    // data it already has instead of forcing a full decode.
-    bool dead = disk_degraded_for_stripe(pd, stripe);
-    for (int r = 0; r < layout.rows(); ++r) {
-      if (dead) {
-        lost.push_back(codes::make_element(r, c));
-      } else {
-        rops.push_back({pd, stripe, r, out.at(r, c)});
-      }
-    }
-  }
-  engine_.read_batch(rops, verify);
-  if (!lost.empty()) {
-    auto res = codes::hybrid_decode(out, lost);
-    DCODE_CHECK(res.success, "stripe unrecoverable (more than two failures)");
-    metrics_.elements_reconstructed->inc(static_cast<int64_t>(lost.size()));
-  }
-}
-
 void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
                                        int64_t stripe_end, int64_t offset,
                                        std::span<const uint8_t> data) {
@@ -57,8 +30,9 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   // back only the touched surviving data elements plus every surviving
   // parity (untouched data is already on disk).
   const CodeLayout& layout = *layout_;
-  Stripe s(layout, element_size_);
-  load_stripe_degraded(stripe, s);
+  StripeScratch w(layout, element_size_);
+  load_stripe_degraded(stripe, w);
+  Stripe& s = w.s;
   std::set<Element> touched;
   for (int64_t e = g; e <= stripe_end; ++e) {
     auto loc = map_.locate(e);
@@ -150,9 +124,9 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
       // Full-stripe chained decode fallback (two failed disks crossing
       // every equation of the target).
       span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-      Stripe s(layout, element_size_);
-      load_stripe_degraded(rec.stripe, s);
-      std::memcpy(buf.data(), s.at(rec.target), element_size_);
+      StripeScratch w(layout, element_size_);
+      load_stripe_degraded(rec.stripe, w);
+      std::memcpy(buf.data(), w.s.at(rec.target), element_size_);
     }
     cache.emplace(Key{rec.stripe, rec.target}, std::move(buf));
   }

@@ -108,8 +108,8 @@ OpFuture StripePipeline::submit(PendingOp op) {
   OpFuture fut(op.state);
   metrics_.ops_submitted->inc();
   if (op.len == 0) {  // nothing to do — complete inline
-    op.state->complete(nullptr, now_ns());
     metrics_.ops_completed->inc();
+    op.state->complete(nullptr, now_ns());
     return fut;
   }
   {
@@ -154,8 +154,10 @@ void StripePipeline::worker_loop() {
     } catch (...) {
       err = std::current_exception();
     }
-    op.state->complete(err, now_ns());
+    // Counted before the future resolves, so a waiter never sees its op
+    // done but uncounted.
     metrics_.ops_completed->inc();
+    op.state->complete(err, now_ns());
     {
       std::lock_guard<std::mutex> l(drain_mu_);
       ++completed_;

@@ -1,14 +1,15 @@
 // Raid6Array core: construction, healthy-path read/write, fault
-// injection and repair orchestration, scrub, and observability. The
-// write-hole machinery lives in array_journal.cc and the degraded-mode
-// paths in degraded_path.cc; batched element I/O is the StripeIoEngine's
-// job and rebuild execution lives in recovery.cc.
+// injection and spare promotion, and observability. The write-hole
+// machinery lives in array_journal.cc, the degraded-mode paths in
+// degraded_path.cc, the rebuild pass in background_rebuild.cc, scrub and
+// the write-path integrity repairs in scrub.cc, and the stripe-repair
+// steps they share in stripe_repair.cc; batched element I/O is the
+// StripeIoEngine's job.
 #include "raid/raid6_array.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,7 +20,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/op_context.h"
 #include "obs/trace.h"
-#include "raid/recovery.h"
 #include "xorops/xor_region.h"
 
 namespace dcode::raid {
@@ -39,20 +39,6 @@ int64_t now_ns() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// Observes wall time into a latency histogram on scope exit (including
-// unwinds — a failed op's latency is still a latency).
-class LatencyTimer {
- public:
-  explicit LatencyTimer(obs::Histogram* h) : h_(h), t0_(now_ns()) {}
-  ~LatencyTimer() { h_->observe(now_ns() - t0_); }
-  LatencyTimer(const LatencyTimer&) = delete;
-  LatencyTimer& operator=(const LatencyTimer&) = delete;
-
- private:
-  obs::Histogram* h_;
-  int64_t t0_;
-};
 
 // Per-op envelope for read()/write(): binds an obs::OpContext to the
 // calling thread (adopting one already bound by the caller — the load
@@ -638,60 +624,6 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
       failed = collect_failed();
     }
   }
-}
-
-void Raid6Array::rebuild() {
-  // Joins any background worker first: the synchronous rebuild is the
-  // catch-all (post-crash recovery, manual repair) and must not race the
-  // worker's watermark advances.
-  wait_for_rebuild();
-  ensure_online();
-  const CodeLayout& layout = *layout_;
-  std::vector<int> targets;
-  for (int d = 0; d < layout.cols(); ++d) {
-    if (needs_rebuild(d)) {
-      DCODE_CHECK(!engine_.disk(d).failed(), "replace_disk before rebuild");
-      targets.push_back(d);
-    }
-  }
-  if (targets.empty()) return;
-  DCODE_CHECK(static_cast<int>(targets.size()) <= layout.fault_tolerance(),
-              "more failed disks than the code tolerates");
-
-  LatencyTimer timer(metrics_.rebuild_latency_ns);
-  metrics_.rebuilds->inc();
-  obs::Span span(obs::TraceLog::global(), "rebuild",
-                 {{"targets", static_cast<int64_t>(targets.size())},
-                  {"stripes", stripes_},
-                  {"code", layout.name()}});
-
-  if (targets.size() == 1) {
-    RecoveryPlan plan = plan_single_disk_recovery(
-        layout, targets[0], RecoveryStrategy::kMinimalReads);
-    span.note("rebuild.plan",
-              {{"mode", "minimal_reads"}, {"disk", targets[0]},
-               {"reads_per_stripe", static_cast<int64_t>(plan.reads.size())}});
-    execute_single_disk_rebuild(layout, plan, engine_, targets[0], stripes_);
-  } else {
-    std::sort(targets.begin(), targets.end());
-    const bool chain = layout.name() == "dcode" && targets.size() == 2;
-    span.note("rebuild.plan",
-              {{"mode", chain ? "dcode_chain" : "hybrid_decode"}});
-    execute_multi_disk_rebuild(layout, engine_, targets, stripes_);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(promote_mu_);
-    for (int d : targets) {
-      engine_.disk(d).set_readable_stripes(
-          std::numeric_limits<int64_t>::max());
-      needs_rebuild_[static_cast<size_t>(d)].store(
-          false, std::memory_order_release);
-    }
-  }
-  for (int d : targets) health_.mark_healthy(d);
-  metrics_.elements_reconstructed->inc(static_cast<int64_t>(targets.size()) *
-                                       layout.rows() * stripes_);
 }
 
 std::vector<int64_t> Raid6Array::per_disk_element_accesses() const {

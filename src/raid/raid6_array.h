@@ -24,11 +24,15 @@
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
-//    Rebuild fans out across stripes on a thread pool; one failed disk
-//    uses the minimal-read recovery plan, two use D-Code's chain decoder
-//    (for dcode) or the generic hybrid decoder.
+//    Rebuild is one watermark pass (background_rebuild.cc), run by the
+//    hot-spare worker or by rebuild(); a stripe whose only lost column is
+//    a target reads just the minimal-read recovery plan (paper §III-D),
+//    and survivors the checksum sidecar condemns are decoded as erasures.
 //  * scrub — verifies every parity equation, returning the number of
 //    inconsistent stripes (silent-corruption detection).
+//  * every repair site (scrub, the write path's clean and salvage,
+//    degraded loads, journal replay, rebuild) shares one set of
+//    stripe-repair steps (stripe_repair.cc).
 //  * write-hole protection — with enable_journal(), every stripe update
 //    is bracketed by write-ahead intent records; inject_power_loss_after()
 //    simulates a crash after N more element writes, restart() brings the
@@ -53,6 +57,7 @@
 #include "raid/health_monitor.h"
 #include "raid/journal.h"
 #include "raid/planner.h"
+#include "raid/recovery.h"
 #include "raid/stripe_io_engine.h"
 #include "raid/stripe_lock_table.h"
 #include "util/thread_pool.h"
@@ -94,6 +99,27 @@ struct ScrubReport {
   // invisible to every parity equation and unrecoverable from redundancy
   // — reported here, never repaired, never counted inconsistent.
   std::vector<int64_t> stale_stripes;
+
+  // Sums every counter and appends both stripe lists: the one way partial
+  // reports (stripe → chunk → array, shard → pool) are combined.
+  void merge(const ScrubReport& o) {
+    stripes_checked += o.stripes_checked;
+    inconsistent_stripes.insert(inconsistent_stripes.end(),
+                                o.inconsistent_stripes.begin(),
+                                o.inconsistent_stripes.end());
+    equations_checked += o.equations_checked;
+    equations_skipped += o.equations_skipped;
+    elements_located += o.elements_located;
+    elements_repaired += o.elements_repaired;
+    stripes_unrepairable += o.stripes_unrepairable;
+    stripes_skipped_degraded += o.stripes_skipped_degraded;
+    stripes_family_disagreement += o.stripes_family_disagreement;
+    checksum_mismatches += o.checksum_mismatches;
+    elements_checksum_located += o.elements_checksum_located;
+    elements_stale += o.elements_stale;
+    stale_stripes.insert(stale_stripes.end(), o.stale_stripes.begin(),
+                         o.stale_stripes.end());
+  }
 };
 
 struct ScrubOptions {
@@ -127,8 +153,9 @@ struct ArrayOptions {
   HealthPolicy health;
   // When true, a failure that promotes a hot spare rebuilds on a
   // background worker thread (rate-limited by rebuild_rate) while
-  // foreground I/O continues; when false, fail_disk() rebuilds
-  // synchronously before returning (the legacy behaviour).
+  // foreground I/O continues; when false, fail_disk() runs the same
+  // rebuild pass on its own thread before returning (the legacy
+  // behaviour).
   bool background_rebuild = false;
   // Background rebuild throttle in stripes/second; <= 0 = unthrottled.
   double rebuild_rate_stripes_per_sec = 0.0;
@@ -204,9 +231,13 @@ class Raid6Array : private WriteGate {
   int hot_spares() const {
     return hot_spares_.load(std::memory_order_relaxed);
   }
-  // Reconstructs the contents of every replaced disk, synchronously
-  // (joins any background worker first). Call after replace_disk; throws
-  // if more than two disks are unrecovered.
+  // Reconstructs the contents of every replaced disk by running the
+  // background worker's watermark pass to completion on the calling
+  // thread (after joining any worker). Unlike the worker it ignores the
+  // rebuild throttle and rebuilds a window of up to 48 locked stripes at
+  // a time on the array pool. Call after replace_disk; throws if more disks
+  // are unrecovered than the code tolerates, PowerLossError when a crash
+  // stops the pass, and std::logic_error when a stripe cannot be decoded.
   void rebuild();
   // Blocks until no background rebuild worker is active and no failure
   // escalation (spare promotion + rebuild start, run by whichever thread
@@ -331,27 +362,73 @@ class Raid6Array : private WriteGate {
   // watermark protocol (needs_rebuild -> watermark 0 -> replace). Returns
   // true when a spare was promoted.
   bool try_promote_spare(int disk);
-  // Spawns the background worker if idle (no-op when one is running —
-  // the worker rescans for new targets between passes).
+  // --- shared stripe-repair steps (stripe_repair.cc) ---------------------
+  // One stripe's buffers and erasure bookkeeping, reused across stripes.
+  struct StripeScratch {
+    StripeScratch(const codes::CodeLayout& layout, size_t element_size);
+    char& distrusted(codes::Element e) {
+      return distrust[static_cast<size_t>(e.row) * dead.size() +
+                      static_cast<size_t>(e.col)];
+    }
+    codes::Stripe s;
+    std::vector<char> dead;      // per column: degraded for this stripe
+    bool any_dead = false;
+    std::vector<char> distrust;  // per element: condemned by the sidecar
+    std::vector<codes::Element> lost;      // last decode's erasures
+    std::vector<codes::Element> repaired;  // ...of which survivors
+    std::vector<StripeIoEngine::ReadOp> rops;
+  };
+  // Recomputes `target` in `s` as the XOR of equation `q`'s other members.
+  static void rederive(const codes::Equation& q, codes::Element target,
+                       codes::Stripe& s);
+  // Marks the columns degraded for `stripe` dead and reads every row of
+  // the live ones (engine-verified or raw); clears w.distrust. Returns
+  // the element reads issued.
+  int64_t read_live_columns(int64_t stripe, StripeScratch& w, bool verify);
+  // Distrusts every corrupt, misdirected or stale live element; returns
+  // how many (`stale` receives that subset).
+  int64_t classify_stripe(int64_t stripe, StripeScratch& w,
+                          int64_t* stale = nullptr) const;
+  // Re-derives each distrusted element through an equation whose other
+  // members are live and trusted, keeping it only if it re-verifies, to a
+  // fixpoint. Returns the repaired elements.
+  std::vector<codes::Element> reconstruct_distrusted(int64_t stripe,
+                                                     StripeScratch& w) const;
+  // Erasure-decodes dead ∪ distrusted in one pass. Every re-derived
+  // survivor must re-verify, else all survivors are rolled back and this
+  // returns false; on success w.repaired lists them.
+  bool decode_erasures(int64_t stripe, StripeScratch& w) const;
+  // read_live_columns + decode of the dead columns: the whole stripe.
+  void load_stripe_degraded(int64_t stripe, StripeScratch& w,
+                            bool verify = true);
+
+  // --- rebuild (background_rebuild.cc) ------------------------------------
+  // Spawns the background worker unless a pass holds the rebuild slot
+  // (that pass rescans for new targets).
   void start_background_rebuild();
   void background_rebuild_worker();
-  // One pass over the stripes for the given targets; returns false when
-  // the pass had to abort (crash / unrecoverable). Targets are re-scanned
-  // by the caller.
-  bool rebuild_pass(const std::vector<int>& targets);
+  // Runs passes until no target is left, then frees the rebuild slot in
+  // the same critical section as that empty rescan; frees it and
+  // rethrows when a pass stands down.
+  void run_rebuild_passes(bool background);
+  // One watermark pass over `targets`; returns early only on shutdown. A
+  // background pass is paced by the rebuild throttle one stripe at a
+  // time; rebuild()'s is unpaced and rebuilds windows of stripes on the
+  // pool.
+  void rebuild_pass(const std::vector<int>& targets, bool background);
+  // Rebuilds one stripe; `plans` holds a minimal-read plan per logical
+  // column (empty = none). Returns the element reads it cost.
+  int64_t rebuild_stripe(int64_t stripe, const std::vector<RecoveryPlan>& plans,
+                         StripeScratch& w);
   // Marks targets whose watermark reached stripes_ fully rebuilt.
   void finish_rebuilt_targets(const std::vector<int>& targets);
-  // Degraded helper: reconstruct one whole stripe into `out` (all
-  // columns). `verify` = false reads surviving elements raw (journal
-  // replay judges the bytes itself).
-  void load_stripe_degraded(int64_t stripe, codes::Stripe& out,
-                            bool verify = true);
-  // Write-path integrity repair: re-reads `stripe` raw, classifies every
-  // live element against the sidecar, reconstructs the condemned ones
-  // from surviving equations and writes them back. Called under the
-  // stripe lock when an RMW pre-read fails verification (folding a bad
-  // old value into a parity delta would corrupt parity). Defined in
-  // scrub.cc beside the scrub-time twin of the same algorithm.
+
+  // --- write-path integrity repair (scrub.cc) -----------------------------
+  // Re-reads `stripe` raw, classifies every live element against the
+  // sidecar, reconstructs the condemned ones from surviving equations and
+  // writes them back. Called under the stripe lock when an RMW pre-read
+  // fails verification (folding a bad old value into a parity delta would
+  // corrupt parity).
   void clean_stripe_integrity(int64_t stripe);
   // Last-resort write path when clean_stripe_integrity cannot converge
   // (e.g. a misdirected data write detected at the RMW parity pre-read:
@@ -359,7 +436,7 @@ class Raid6Array : private WriteGate {
   // reconstruct it is still pre-update, so neither channel can repair
   // it in place). Reconstructs the salvageable old state, overlays the
   // caller's data, re-encodes parity from scratch and rewrites the
-  // stripe so every sidecar record is refreshed. Defined in scrub.cc.
+  // stripe so every sidecar record is refreshed.
   void salvage_stripe_rewrite(int64_t stripe, int64_t g, int64_t stripe_end,
                               int64_t offset, std::span<const uint8_t> data);
   // Healthy-path RMW for the elements [g, stripe_end] of one stripe.
@@ -385,15 +462,18 @@ class Raid6Array : private WriteGate {
   ArrayOptions options_;
   // Disks replaced but not yet rebuilt (their contents are blank above
   // the watermark). Atomic: read on pool workers, flipped by promotion
-  // and the rebuild worker.
+  // and the rebuild pass.
   std::vector<std::atomic<bool>> needs_rebuild_;
 
-  // Stripe-level write serialization: foreground writes, the background
-  // rebuild worker, and journal recovery each lock the stripe they
-  // mutate (sharded — collisions just serialize unrelated stripes; slot
-  // count via ArrayOptions::stripe_lock_slots, each slot on its own
-  // cache line). Engine pool tasks never take these, so there is no
-  // lock/pool cycle.
+  // Stripe-level write serialization: foreground writes, the rebuild
+  // pass, and journal recovery each lock the stripe they mutate
+  // (sharded — collisions just serialize unrelated stripes; slot count
+  // via ArrayOptions::stripe_lock_slots, each slot on its own cache
+  // line). rebuild()'s pass alone holds several at once: a window of at
+  // most slot-count consecutive stripes (distinct slots), locked in
+  // ascending order by the thread running the pass. Pool tasks never
+  // take these — the pass hands its locked stripes to pool workers — so
+  // there is no lock/pool cycle.
   StripeLockTable stripe_locks_;
 
   std::atomic<int> hot_spares_{0};
@@ -403,9 +483,11 @@ class Raid6Array : private WriteGate {
   // under it.
   std::mutex promote_mu_;
 
-  // Background rebuild worker: at most one thread, restarted on demand;
-  // promotions while a pass runs are picked up by the between-pass
-  // rescan under rebuild_mu_.
+  // The rebuild slot: at most one thread runs passes at a time — the
+  // background worker (restarted on demand) or a rebuild() caller.
+  // Promotions while a pass runs are picked up by the between-pass
+  // rescan under rebuild_mu_. One pass at a time also makes the pass the
+  // only holder of more than one stripe lock.
   mutable std::mutex rebuild_mu_;
   std::condition_variable rebuild_cv_;
   bool rebuild_running_ = false;

@@ -1,16 +1,9 @@
 #include "raid/recovery.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
-#include "codes/dcode_decoder.h"
-#include "codes/decoder.h"
-#include "codes/stripe.h"
-#include "raid/stripe_io_engine.h"
-#include "util/aligned_buffer.h"
 #include "util/check.h"
-#include "xorops/xor_region.h"
 
 namespace dcode::raid {
 
@@ -165,97 +158,6 @@ RecoveryPlan plan_single_disk_recovery(const CodeLayout& layout,
   }
   reads.collect(layout, &plan.reads);
   return plan;
-}
-
-void execute_single_disk_rebuild(const CodeLayout& layout,
-                                 const RecoveryPlan& plan,
-                                 StripeIoEngine& engine, int failed_disk,
-                                 int64_t stripes) {
-  const size_t esize = engine.element_size();
-  engine.pool().parallel_for_chunked(
-      static_cast<size_t>(stripes), [&](size_t begin, size_t end) {
-        std::map<Element, AlignedBuffer> cache;
-        std::vector<StripeIoEngine::ReadOp> rops;
-        std::vector<StripeIoEngine::WriteOp> wops;
-        std::vector<AlignedBuffer> rebuilt;
-        for (size_t s = begin; s < end; ++s) {
-          const int64_t stripe = static_cast<int64_t>(s);
-          cache.clear();
-          rops.clear();
-          for (const Element& e : plan.reads) {
-            auto it = cache.emplace(e, AlignedBuffer(esize)).first;
-            rops.push_back({e.col, stripe, e.row, it->second.data()});
-          }
-          engine.read_batch(rops);
-          wops.clear();
-          rebuilt.clear();
-          rebuilt.reserve(plan.reconstructions.size());
-          for (const Reconstruction& rec : plan.reconstructions) {
-            AlignedBuffer buf(esize);
-            const Equation& q =
-                layout.equations()[static_cast<size_t>(rec.equation)];
-            auto fold = [&](const Element& m) {
-              if (m == rec.target) return;
-              auto it = cache.find(m);
-              DCODE_ASSERT(it != cache.end(),
-                           "recovery plan read set incomplete");
-              xorops::xor_into(buf.data(), it->second.data(), esize);
-            };
-            fold(q.parity);
-            for (const Element& m : q.sources) fold(m);
-            rebuilt.push_back(std::move(buf));
-            wops.push_back(
-                {failed_disk, stripe, rec.target.row, rebuilt.back().data()});
-          }
-          engine.write_batch(wops);
-        }
-      });
-}
-
-void execute_multi_disk_rebuild(const CodeLayout& layout,
-                                StripeIoEngine& engine,
-                                const std::vector<int>& targets,
-                                int64_t stripes) {
-  const size_t esize = engine.element_size();
-  const bool use_chain = layout.name() == "dcode" && targets.size() == 2;
-  engine.pool().parallel_for_chunked(
-      static_cast<size_t>(stripes), [&](size_t begin, size_t end) {
-        codes::Stripe s(layout, esize);
-        std::vector<StripeIoEngine::ReadOp> rops;
-        std::vector<StripeIoEngine::WriteOp> wops;
-        auto is_target = [&](int c) {
-          return std::find(targets.begin(), targets.end(), c) !=
-                 targets.end();
-        };
-        for (size_t st = begin; st < end; ++st) {
-          const int64_t stripe = static_cast<int64_t>(st);
-          // Read survivors (one coalesced run per surviving column).
-          rops.clear();
-          for (int c = 0; c < layout.cols(); ++c) {
-            if (is_target(c)) continue;
-            for (int r = 0; r < layout.rows(); ++r) {
-              rops.push_back({c, stripe, r, s.at(r, c)});
-            }
-          }
-          engine.read_batch(rops);
-          if (use_chain) {
-            auto res = codes::dcode_decode_two_disks(s, targets[0],
-                                                     targets[1]);
-            DCODE_CHECK(res.success, "D-Code chain decode failed");
-          } else {
-            auto lost = codes::elements_of_disks(layout, targets);
-            auto res = codes::hybrid_decode(s, lost);
-            DCODE_CHECK(res.success, "stripe unrecoverable");
-          }
-          wops.clear();
-          for (int c : targets) {
-            for (int r = 0; r < layout.rows(); ++r) {
-              wops.push_back({c, stripe, r, s.at(r, c)});
-            }
-          }
-          engine.write_batch(wops);
-        }
-      });
 }
 
 }  // namespace dcode::raid

@@ -13,10 +13,14 @@
 //   * an optimized plan: exhaustive search over the 2^(lost data elements)
 //     family choices when that is tractable (the RAID-scale primes the
 //     paper uses give at most 2^15 states), greedy refinement otherwise.
+//
+// This file is only the planner. Raid6Array's rebuild pass
+// (background_rebuild.cc) executes the minimal-read plan on every stripe
+// whose only lost column is a rebuild target, and erasure-decodes every
+// other stripe; the simulator and benches price plans without I/O.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "codes/code_layout.h"
@@ -39,26 +43,5 @@ enum class RecoveryStrategy {
 RecoveryPlan plan_single_disk_recovery(const codes::CodeLayout& layout,
                                        int failed_disk,
                                        RecoveryStrategy strategy);
-
-class StripeIoEngine;
-
-// Rebuild executors (moved here from the Raid6Array monolith): fan the
-// stripes across the engine's thread pool and run each stripe's reads and
-// reconstruction writes as coalesced batches.
-//
-// Applies `plan` to every stripe, writing the reconstructed elements onto
-// `failed_disk` (already replaced with a blank device).
-void execute_single_disk_rebuild(const codes::CodeLayout& layout,
-                                 const RecoveryPlan& plan,
-                                 StripeIoEngine& engine, int failed_disk,
-                                 int64_t stripes);
-
-// Whole-stripe decode for two (or, for higher-tolerance codes like STAR,
-// three) replaced disks: D-Code's chain decoder on its fast path, the
-// generic hybrid decoder otherwise. `targets` must be sorted.
-void execute_multi_disk_rebuild(const codes::CodeLayout& layout,
-                                StripeIoEngine& engine,
-                                const std::vector<int>& targets,
-                                int64_t stripes);
 
 }  // namespace dcode::raid

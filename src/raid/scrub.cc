@@ -28,13 +28,17 @@
 // writes fan out over, so blocking a pool worker on a stripe lock held
 // by a writer that is itself waiting for pool workers would deadlock.
 // Callers quiesce writes and rebuild first (see scrub_report() docs).
+//
+// The write path's two integrity repairs live here too. Both, like
+// scrub, are policy over the shared steps in stripe_repair.cc (read the
+// live columns, classify them, decode the condemned): clean re-encodes
+// parity left behind by a mid-update stripe, salvage overlays the
+// caller's data and re-encodes the whole stripe.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <mutex>
 
-#include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
@@ -66,68 +70,6 @@ bool all_zero(const uint8_t* p, size_t n) {
   return true;
 }
 
-size_t elem_index(const CodeLayout& layout, const Element& e) {
-  return static_cast<size_t>(e.row) * static_cast<size_t>(layout.cols()) +
-         static_cast<size_t>(e.col);
-}
-
-// Fixpoint reconstruction of checksum-condemned elements: an equation
-// whose members are all live and exactly one of them distrusted rewrites
-// that member as the XOR of the others. Each candidate is re-verified
-// through `acceptable` (the sidecar knows the expected checksum) before
-// being accepted — a reconstruction through an equation that itself
-// holds an undetected wrong value would manufacture garbage, so a
-// rejected candidate is rolled back and the element stays distrusted.
-// Accepted elements become trusted members for later equations, so
-// multi-element damage (e.g. a misdirected write's victim AND its
-// intended target) repairs iteratively. Returns the repaired elements;
-// `distrust` is cleared for exactly those.
-std::vector<Element> reconstruct_distrusted(
-    const CodeLayout& layout, Stripe& s, const std::vector<char>& dead,
-    std::vector<char>& distrust, size_t element_size,
-    const std::function<bool(const Element&, const uint8_t*)>& acceptable) {
-  std::vector<Element> repaired;
-  std::vector<uint8_t> saved(element_size);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (const Equation& q : layout.equations()) {
-      Element target{};
-      int distrusted_members = 0;
-      bool usable = true;
-      auto consider = [&](const Element& m) {
-        if (dead[static_cast<size_t>(m.col)] != 0) {
-          usable = false;
-          return;
-        }
-        if (distrust[elem_index(layout, m)] != 0) {
-          target = m;
-          ++distrusted_members;
-        }
-      };
-      consider(q.parity);
-      for (const Element& src : q.sources) consider(src);
-      if (!usable || distrusted_members != 1) continue;
-      std::memcpy(saved.data(), s.at(target), element_size);
-      std::memset(s.at(target), 0, element_size);
-      auto fold = [&](const Element& m) {
-        if (m.row == target.row && m.col == target.col) return;
-        xorops::xor_into(s.at(target), s.at(m), element_size);
-      };
-      fold(q.parity);
-      for (const Element& src : q.sources) fold(src);
-      if (!acceptable(target, s.at(target))) {
-        std::memcpy(s.at(target), saved.data(), element_size);
-        continue;
-      }
-      distrust[elem_index(layout, target)] = 0;
-      repaired.push_back(target);
-      progress = true;
-    }
-  }
-  return repaired;
-}
-
 }  // namespace
 
 int64_t Raid6Array::scrub() {
@@ -150,13 +92,11 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
   std::mutex agg_mu;
   pool_.parallel_for_chunked(
       static_cast<size_t>(stripes_), [&](size_t begin, size_t end) {
-        Stripe s(layout, element_size_);
+        StripeScratch w(layout, element_size_);
+        Stripe& s = w.s;
+        const std::vector<char>& dead = w.dead;
         std::vector<uint8_t> syndrome(element_size_);
         std::vector<uint8_t> delta(element_size_);
-        std::vector<ReadOp> rops;
-        std::vector<char> dead(static_cast<size_t>(layout.cols()));
-        std::vector<char> distrust(
-            static_cast<size_t>(layout.rows() * layout.cols()));
         std::vector<int> bad;
         ScrubReport local;
         for (size_t st = begin; st < end; ++st) {
@@ -170,107 +110,36 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
           for (int attempt = 0;; ++attempt) {
             ScrubReport tally;
             try {
-              bool any_dead = false;
-              rops.clear();
-              for (int c = 0; c < layout.cols(); ++c) {
-                const int pd = map_.physical_disk(stripe, c);
-                dead[static_cast<size_t>(c)] =
-                    disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-                if (dead[static_cast<size_t>(c)] != 0) {
-                  any_dead = true;
-                  continue;
-                }
-                for (int r = 0; r < layout.rows(); ++r) {
-                  rops.push_back({pd, stripe, r, s.at(r, c)});
-                }
-              }
               // Raw reads: scrub judges the bytes itself, so
               // verify-on-read must not veto them first.
-              engine_.read_batch(rops, /*verify=*/false);
+              read_live_columns(stripe, w, /*verify=*/false);
+              const bool any_dead = w.any_dead;
 
               // Checksum channel: classify every live element against
               // the sidecar before any parity math.
-              int64_t distrusted = 0;
-              int64_t corrupt_distrusted = 0;
-              if (use_ck) {
-                std::fill(distrust.begin(), distrust.end(), 0);
-                for (int c = 0; c < layout.cols(); ++c) {
-                  if (dead[static_cast<size_t>(c)] != 0) continue;
-                  const int pd = map_.physical_disk(stripe, c);
-                  for (int r = 0; r < layout.rows(); ++r) {
-                    const IntegrityVerdict v =
-                        engine_.classify_element(pd, stripe, r, s.at(r, c));
-                    if (v == IntegrityVerdict::kCorrupt ||
-                        v == IntegrityVerdict::kMisdirected ||
-                        v == IntegrityVerdict::kStale) {
-                      distrust[elem_index(layout,
-                                          codes::make_element(r, c))] = 1;
-                      ++distrusted;
-                      ++tally.checksum_mismatches;
-                      if (v == IntegrityVerdict::kStale) {
-                        ++tally.elements_stale;
-                      } else {
-                        ++corrupt_distrusted;
-                      }
-                    }
-                  }
-                }
-              }
+              const int64_t distrusted =
+                  use_ck ? classify_stripe(stripe, w, &tally.elements_stale)
+                         : 0;
+              const int64_t corrupt_distrusted =
+                  distrusted - tally.elements_stale;
+              tally.checksum_mismatches = distrusted;
 
               // Erasure-decode fallback for degraded stripes: when the
               // sidecar condemns elements whose covering equations are
               // all dead-skipped (or single-equation reconstruction
               // stalls), treat dead columns AND distrusted elements as
-              // one erasure set and chain-decode across both families.
-              // Candidates are re-verified against the sidecar before
-              // anything is written; on any rejection every buffer is
-              // rolled back and the stripe stays reported instead of
-              // silently wrong.
+              // one erasure set. The decode re-verifies candidates
+              // against the sidecar and rolls back on any rejection, so
+              // the stripe stays reported instead of silently wrong.
               auto decode_through_degraded = [&](ScrubReport& t) {
-                std::vector<Element> lostv;
-                std::vector<Element> suspects;
-                for (int c = 0; c < layout.cols(); ++c) {
-                  for (int r = 0; r < layout.rows(); ++r) {
-                    const Element e = codes::make_element(r, c);
-                    if (dead[static_cast<size_t>(c)] != 0) {
-                      lostv.push_back(e);
-                    } else if (distrust[elem_index(layout, e)] != 0) {
-                      lostv.push_back(e);
-                      suspects.push_back(e);
-                    }
-                  }
-                }
-                if (suspects.empty()) return false;
-                std::vector<std::vector<uint8_t>> saved;
-                saved.reserve(suspects.size());
-                for (const Element& e : suspects) {
-                  saved.emplace_back(s.at(e), s.at(e) + element_size_);
-                }
-                auto restore = [&] {
-                  for (size_t i = 0; i < suspects.size(); ++i) {
-                    std::memcpy(s.at(suspects[i]), saved[i].data(),
-                                element_size_);
-                  }
-                };
-                const auto res = codes::hybrid_decode(s, lostv);
-                if (!res.success) {
-                  restore();
+                if (std::find(w.distrust.begin(), w.distrust.end(), 1) ==
+                        w.distrust.end() ||
+                    !decode_erasures(stripe, w)) {
                   return false;
                 }
-                for (const Element& e : suspects) {
-                  const IntegrityVerdict v = engine_.classify_element(
-                      map_.physical_disk(stripe, e.col), stripe, e.row,
-                      s.at(e));
-                  if (v != IntegrityVerdict::kOk &&
-                      v != IntegrityVerdict::kUntracked) {
-                    restore();
-                    return false;
-                  }
-                }
-                for (const Element& e : suspects) {
+                for (const Element& e : w.repaired) {
                   engine_.write_element(map_.physical_disk(stripe, e.col),
                                         stripe, e.row, s.at(e));
-                  distrust[elem_index(layout, e)] = 0;
                   ++t.elements_located;
                   ++t.elements_checksum_located;
                   ++t.elements_repaired;
@@ -360,15 +229,8 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
                     // names the condemned elements directly, so repair
                     // works even where the two families' syndromes
                     // disagree (several corrupt elements).
-                    const std::vector<Element> found = reconstruct_distrusted(
-                        layout, s, dead, distrust, element_size_,
-                        [&](const Element& e, const uint8_t* p) {
-                          const IntegrityVerdict v = engine_.classify_element(
-                              map_.physical_disk(stripe, e.col), stripe,
-                              e.row, p);
-                          return v == IntegrityVerdict::kOk ||
-                                 v == IntegrityVerdict::kUntracked;
-                        });
+                    const std::vector<Element> found =
+                        reconstruct_distrusted(stripe, w);
                     for (const Element& e : found) {
                       engine_.write_element(
                           map_.physical_disk(stripe, e.col), stripe, e.row,
@@ -427,46 +289,12 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
               if (attempt >= 4) throw;
               continue;
             }
-            local.equations_checked += tally.equations_checked;
-            local.equations_skipped += tally.equations_skipped;
-            local.elements_located += tally.elements_located;
-            local.elements_repaired += tally.elements_repaired;
-            local.stripes_unrepairable += tally.stripes_unrepairable;
-            local.stripes_skipped_degraded += tally.stripes_skipped_degraded;
-            local.stripes_family_disagreement +=
-                tally.stripes_family_disagreement;
-            local.checksum_mismatches += tally.checksum_mismatches;
-            local.elements_checksum_located +=
-                tally.elements_checksum_located;
-            local.elements_stale += tally.elements_stale;
-            local.inconsistent_stripes.insert(
-                local.inconsistent_stripes.end(),
-                tally.inconsistent_stripes.begin(),
-                tally.inconsistent_stripes.end());
-            local.stale_stripes.insert(local.stale_stripes.end(),
-                                       tally.stale_stripes.begin(),
-                                       tally.stale_stripes.end());
+            local.merge(tally);
             break;
           }
         }
         std::lock_guard<std::mutex> lock(agg_mu);
-        report.inconsistent_stripes.insert(report.inconsistent_stripes.end(),
-                                           local.inconsistent_stripes.begin(),
-                                           local.inconsistent_stripes.end());
-        report.stale_stripes.insert(report.stale_stripes.end(),
-                                    local.stale_stripes.begin(),
-                                    local.stale_stripes.end());
-        report.equations_checked += local.equations_checked;
-        report.equations_skipped += local.equations_skipped;
-        report.elements_located += local.elements_located;
-        report.elements_repaired += local.elements_repaired;
-        report.stripes_unrepairable += local.stripes_unrepairable;
-        report.stripes_skipped_degraded += local.stripes_skipped_degraded;
-        report.stripes_family_disagreement +=
-            local.stripes_family_disagreement;
-        report.checksum_mismatches += local.checksum_mismatches;
-        report.elements_checksum_located += local.elements_checksum_located;
-        report.elements_stale += local.elements_stale;
+        report.merge(local);
       });
   std::sort(report.inconsistent_stripes.begin(),
             report.inconsistent_stripes.end());
@@ -508,73 +336,36 @@ void Raid6Array::clean_stripe_integrity(int64_t stripe) {
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.clean_stripe",
                  {{"stripe", stripe}});
-  Stripe s(layout, element_size_);
-  std::vector<char> dead(static_cast<size_t>(layout.cols()), 0);
-  std::vector<char> distrust(
-      static_cast<size_t>(layout.rows() * layout.cols()), 0);
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    dead[static_cast<size_t>(c)] =
-        disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-    if (dead[static_cast<size_t>(c)] != 0) continue;
-    for (int r = 0; r < layout.rows(); ++r) {
-      rops.push_back({pd, stripe, r, s.at(r, c)});
-    }
-  }
-  engine_.read_batch(rops, /*verify=*/false);
-  int64_t condemned = 0;
-  for (int c = 0; c < layout.cols(); ++c) {
-    if (dead[static_cast<size_t>(c)] != 0) continue;
-    const int pd = map_.physical_disk(stripe, c);
-    for (int r = 0; r < layout.rows(); ++r) {
-      const IntegrityVerdict v =
-          engine_.classify_element(pd, stripe, r, s.at(r, c));
-      if (v == IntegrityVerdict::kCorrupt ||
-          v == IntegrityVerdict::kMisdirected ||
-          v == IntegrityVerdict::kStale) {
-        distrust[elem_index(layout, codes::make_element(r, c))] = 1;
-        ++condemned;
-      }
-    }
-  }
-  std::vector<Element> repaired = reconstruct_distrusted(
-      layout, s, dead, distrust, element_size_,
-      [&](const Element& e, const uint8_t* p) {
-        const IntegrityVerdict v = engine_.classify_element(
-            map_.physical_disk(stripe, e.col), stripe, e.row, p);
-        return v == IntegrityVerdict::kOk ||
-               v == IntegrityVerdict::kUntracked;
-      });
+  StripeScratch w(layout, element_size_);
+  read_live_columns(stripe, w, /*verify=*/false);
+  const int64_t condemned = classify_stripe(stripe, w);
+  std::vector<Element> repaired = reconstruct_distrusted(stripe, w);
   // Data is authoritative for derived parity: an equation whose members
   // are all live and trusted but which still fails can only be the
   // mid-update window (the data writes landed, the parity catch-up write
   // never did because verify condemned its pre-read) — re-encode that
   // parity from its sources so the retried RMW starts from a consistent
   // stripe.
+  auto trusted = [&](const Element& m) {
+    return w.dead[static_cast<size_t>(m.col)] == 0 && w.distrusted(m) == 0;
+  };
   std::vector<uint8_t> syndrome(element_size_);
   for (const Equation& q : layout.equations()) {
-    if (dead[static_cast<size_t>(q.parity.col)] != 0 ||
-        distrust[elem_index(layout, q.parity)] != 0) {
+    if (!trusted(q.parity) ||
+        !std::all_of(q.sources.begin(), q.sources.end(), trusted)) {
       continue;
     }
-    bool usable = true;
+    std::memcpy(syndrome.data(), w.s.at(q.parity), element_size_);
     for (const Element& src : q.sources) {
-      usable = usable && dead[static_cast<size_t>(src.col)] == 0 &&
-               distrust[elem_index(layout, src)] == 0;
-    }
-    if (!usable) continue;
-    std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
-    for (const Element& src : q.sources) {
-      xorops::xor_into(syndrome.data(), s.at(src), element_size_);
+      xorops::xor_into(syndrome.data(), w.s.at(src), element_size_);
     }
     if (all_zero(syndrome.data(), element_size_)) continue;
-    xorops::xor_into(s.at(q.parity), syndrome.data(), element_size_);
+    xorops::xor_into(w.s.at(q.parity), syndrome.data(), element_size_);
     repaired.push_back(q.parity);
   }
   for (const Element& e : repaired) {
     engine_.write_element(map_.physical_disk(stripe, e.col), stripe, e.row,
-                          s.at(e));
+                          w.s.at(e));
   }
   if (!repaired.empty()) metrics_.integrity_write_repairs->inc();
   span.note("integrity.clean_stripe.done",
@@ -598,80 +389,37 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.salvage_rewrite",
                  {{"stripe", stripe}});
-  Stripe s(layout, element_size_);
-  std::vector<char> dead(static_cast<size_t>(layout.cols()), 0);
-  std::vector<char> distrust(
-      static_cast<size_t>(layout.rows() * layout.cols()), 0);
-  std::vector<Element> lost;
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    dead[static_cast<size_t>(c)] =
-        disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-    for (int r = 0; r < layout.rows(); ++r) {
-      if (dead[static_cast<size_t>(c)] != 0) {
-        lost.push_back(codes::make_element(r, c));
-      } else {
-        rops.push_back({pd, stripe, r, s.at(r, c)});
-      }
-    }
-  }
-  engine_.read_batch(rops, /*verify=*/false);
-  if (engine_.integrity_enabled()) {
-    for (int c = 0; c < layout.cols(); ++c) {
-      if (dead[static_cast<size_t>(c)] != 0) continue;
-      const int pd = map_.physical_disk(stripe, c);
-      for (int r = 0; r < layout.rows(); ++r) {
-        const IntegrityVerdict v =
-            engine_.classify_element(pd, stripe, r, s.at(r, c));
-        if (v == IntegrityVerdict::kCorrupt ||
-            v == IntegrityVerdict::kMisdirected ||
-            v == IntegrityVerdict::kStale) {
-          distrust[elem_index(layout, codes::make_element(r, c))] = 1;
-        }
-      }
-    }
-  }
+  StripeScratch w(layout, element_size_);
+  Stripe& s = w.s;
+  read_live_columns(stripe, w, /*verify=*/false);
+  classify_stripe(stripe, w);
   // Condemned elements whose pre-update payload is still derivable come
   // back through equations with trusted members; each candidate is
   // re-verified against the sidecar, so mid-update parity cannot fake a
   // salvage.
-  std::vector<Element> salvaged = reconstruct_distrusted(
-      layout, s, dead, distrust, element_size_,
-      [&](const Element& e, const uint8_t* p) {
-        const IntegrityVerdict v = engine_.classify_element(
-            map_.physical_disk(stripe, e.col), stripe, e.row, p);
-        return v == IntegrityVerdict::kOk ||
-               v == IntegrityVerdict::kUntracked;
-      });
+  const std::vector<Element> salvaged = reconstruct_distrusted(stripe, w);
   // Parity is recomputed from the data below, so condemned parity needs
   // no old bytes; neither does a data element the incoming write covers
   // wholesale. Anything else still distrusted is genuinely gone —
   // refuse rather than hand the caller silent garbage.
-  for (const Equation& q : layout.equations()) {
-    distrust[elem_index(layout, q.parity)] = 0;
-  }
-  std::vector<char> covered(distrust.size(), 0);
+  for (const Equation& q : layout.equations()) w.distrusted(q.parity) = 0;
+  const bool garbage_left =
+      std::find(w.distrust.begin(), w.distrust.end(), 1) != w.distrust.end();
   for (int64_t e = g; e <= stripe_end; ++e) {
-    const auto loc = map_.locate(e);
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(data.size()),
                   static_cast<int64_t>(element_size_), &eb, &sb, &len);
-    if (len == element_size_) covered[elem_index(layout, loc.element)] = 1;
+    if (len == element_size_) w.distrusted(map_.locate(e).element) = 0;
   }
-  bool garbage_left = false;
   for (int c = 0; c < layout.cols(); ++c) {
     for (int r = 0; r < layout.rows(); ++r) {
-      const size_t idx = elem_index(layout, codes::make_element(r, c));
-      if (distrust[idx] == 0) continue;
-      garbage_left = true;
-      if (covered[idx] == 0) {
+      if (w.distrusted(codes::make_element(r, c)) != 0) {
         throw ElementIntegrityError(map_.physical_disk(stripe, c), stripe, r,
                                     IntegrityVerdict::kCorrupt);
       }
     }
   }
-  if (!lost.empty()) {
+  if (w.any_dead) {
     // Decoding a dead column folds parity, which is only sound when the
     // surviving stripe is internally consistent (pre-update). Mid-update
     // or residual-garbage state cannot be decoded through — refuse
@@ -680,13 +428,15 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
       throw ElementIntegrityError(map_.physical_disk(stripe, 0), stripe, 0,
                                   IntegrityVerdict::kCorrupt);
     }
+    auto live = [&](const Element& m) {
+      return w.dead[static_cast<size_t>(m.col)] == 0;
+    };
     std::vector<uint8_t> syndrome(element_size_);
     for (const Equation& q : layout.equations()) {
-      bool usable = dead[static_cast<size_t>(q.parity.col)] == 0;
-      for (const Element& src : q.sources) {
-        usable = usable && dead[static_cast<size_t>(src.col)] == 0;
+      if (!live(q.parity) ||
+          !std::all_of(q.sources.begin(), q.sources.end(), live)) {
+        continue;
       }
-      if (!usable) continue;
       std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
       for (const Element& src : q.sources) {
         xorops::xor_into(syndrome.data(), s.at(src), element_size_);
@@ -697,9 +447,9 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
                                     IntegrityVerdict::kCorrupt);
       }
     }
-    auto res = codes::hybrid_decode(s, lost);
-    DCODE_CHECK(res.success, "stripe unrecoverable (more than two failures)");
-    metrics_.elements_reconstructed->inc(static_cast<int64_t>(lost.size()));
+    DCODE_CHECK(decode_erasures(stripe, w),
+                "stripe unrecoverable (more than two failures)");
+    metrics_.elements_reconstructed->inc(static_cast<int64_t>(w.lost.size()));
   }
   for (int64_t e = g; e <= stripe_end; ++e) {
     const auto loc = map_.locate(e);
@@ -709,13 +459,10 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
     std::memcpy(s.at(loc.element) + eb, data.data() + sb, len);
   }
   codes::encode_stripe(s);
+  // Rewrite every live element: exactly the set read_live_columns read.
   std::vector<WriteOp> wops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    if (dead[static_cast<size_t>(c)] != 0) continue;
-    const int pd = map_.physical_disk(stripe, c);
-    for (int r = 0; r < layout.rows(); ++r) {
-      wops.push_back({pd, stripe, r, s.at(r, c)});
-    }
+  for (const ReadOp& op : w.rops) {
+    wops.push_back({op.disk, op.stripe, op.row, op.dst});
   }
   engine_.write_batch(wops);
   metrics_.integrity_write_repairs->inc();

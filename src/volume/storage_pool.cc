@@ -530,21 +530,7 @@ raid::ScrubReport StoragePool::scrub_repair_all() {
   for (int i = 0; i < n; ++i) {
     raid::ScrubReport r = shards_[static_cast<size_t>(i)]->array->scrub_report(
         {.repair = true});
-    total.stripes_checked += r.stripes_checked;
-    for (int64_t s : r.inconsistent_stripes) {
-      total.inconsistent_stripes.push_back(s);
-    }
-    for (int64_t s : r.stale_stripes) total.stale_stripes.push_back(s);
-    total.equations_checked += r.equations_checked;
-    total.equations_skipped += r.equations_skipped;
-    total.elements_located += r.elements_located;
-    total.elements_repaired += r.elements_repaired;
-    total.stripes_unrepairable += r.stripes_unrepairable;
-    total.stripes_skipped_degraded += r.stripes_skipped_degraded;
-    total.stripes_family_disagreement += r.stripes_family_disagreement;
-    total.checksum_mismatches += r.checksum_mismatches;
-    total.elements_checksum_located += r.elements_checksum_located;
-    total.elements_stale += r.elements_stale;
+    total.merge(r);
     metrics_.integrity_checksum_mismatches->inc(r.checksum_mismatches);
     metrics_.integrity_checksum_located->inc(r.elements_checksum_located);
     metrics_.integrity_stale_stripes->inc(

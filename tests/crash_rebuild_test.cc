@@ -1,12 +1,16 @@
-// Crash interactions with repair: power loss during rebuild and during
-// journal recovery must leave the array repairable after restart.
+// Crash and corruption interactions with repair: power loss during
+// rebuild and during journal recovery must leave the array repairable
+// after restart, and a silently corrupted survivor must not stop a
+// rebuild. Also pins which rebuilds the rebuild throttle paces.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "codes/registry.h"
+#include "obs/metrics.h"
 #include "raid/journal.h"
 #include "raid/raid6_array.h"
+#include "raid/recovery.h"
 #include "util/rng.h"
 
 namespace dcode::raid {
@@ -84,6 +88,102 @@ TEST(CrashDuringJournalRecovery, SecondRecoveryPassFinishes) {
   EXPECT_TRUE(array.journal_open_stripes().empty());
   EXPECT_EQ(array.scrub(), 0);
 }
+
+// A silently corrupted survivor that the rebuild reads must not stall or
+// abort it: the pass decodes the condemned element as one more erasure,
+// re-verifies it against the sidecar, and writes it back beside the
+// rebuilt column. Runs with the hot spare rebuilt on the background
+// worker and synchronously inside fail_disk().
+class ChecksumAwareRebuild : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ChecksumAwareRebuild, CondemnedSurvivorIsRepairedNotFatal) {
+  constexpr size_t kElem = 512;
+  constexpr int64_t kStripes = 32;
+  constexpr int64_t kVictimStripe = 5;
+  constexpr int kFailed = 3;
+  ArrayOptions opts;
+  opts.background_rebuild = GetParam();
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, kStripes,
+                   /*threads=*/2, nullptr, opts);
+  array.add_hot_spares(1);
+  Pcg32 rng(16);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  // Overwrite the first survivor the minimal-read plan reads, behind the
+  // array's back: the platter changes, the sidecar does not.
+  const RecoveryPlan plan = plan_single_disk_recovery(
+      array.layout(), kFailed, RecoveryStrategy::kMinimalReads);
+  ASSERT_FALSE(plan.reads.empty());
+  const codes::Element victim = plan.reads.front();
+  const uint64_t offset =
+      static_cast<uint64_t>(kVictimStripe * array.layout().rows() +
+                            victim.row) *
+      kElem;
+  std::vector<uint8_t> garbage(kElem);
+  rng.fill_bytes(garbage.data(), garbage.size());
+  array.disk(victim.col).write(offset, garbage);
+
+  ASSERT_NO_THROW(array.fail_disk(kFailed));
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_EQ(array.failed_disk_count(), 0);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+  EXPECT_EQ(array.scrub(), 0);
+
+  std::vector<uint8_t> on_disk(kElem);
+  array.disk(victim.col).read(offset, on_disk);
+  EXPECT_EQ(array.io_engine().classify_element(victim.col, kVictimStripe,
+                                               victim.row, on_disk.data()),
+            IntegrityVerdict::kOk);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ChecksumAwareRebuild, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "background" : "synchronous";
+                         });
+
+// The rebuild throttle paces the background worker only: the same pass
+// run by rebuild() (here inside fail_disk() without background_rebuild)
+// never takes a token, so it never records a throttle wait.
+class RebuildThrottle : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RebuildThrottle, PacesOnlyTheBackgroundWorker) {
+  const bool background = GetParam();
+  ArrayOptions opts;
+  opts.background_rebuild = background;
+  opts.rebuild_rate_stripes_per_sec = 100.0;  // ~150 ms for 16 stripes
+  opts.rebuild_burst_stripes = 1.0;
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 7), 256, /*stripes=*/16,
+                   /*threads=*/2, &reg, opts);
+  array.add_hot_spares(1);
+  Pcg32 rng(17);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.fail_disk(2);
+  ASSERT_TRUE(array.wait_for_rebuild());
+  const obs::Histogram& waits = reg.histogram(
+      "raid.rebuild.throttle_wait_ns", obs::latency_bounds_ns());
+  if (background) {
+    EXPECT_GT(waits.count(), 0);
+  } else {
+    EXPECT_EQ(waits.count(), 0);
+  }
+  EXPECT_EQ(reg.counter("raid.rebuild.stripes_rebuilt").value(), 16);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RebuildThrottle, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "background" : "synchronous";
+                         });
 
 TEST(CrashBudget, ZeroBudgetCrashesImmediately) {
   Raid6Array array(codes::make_layout("dcode", 5), 128, 2, 1);

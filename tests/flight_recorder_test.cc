@@ -191,5 +191,44 @@ TEST(FlightRecorder, SlowOpWatchdogDumpsThroughTheArray) {
   std::remove(path.c_str());
 }
 
+// The p999 workflow in docs/observability.md reads rebuild_stripe events
+// between an op's disk reads: the rebuild pass records exactly one per
+// rebuilt stripe, naming the target, the stripe, and the element reads it
+// cost (the minimal-read plan's 26 for D-Code p=7).
+TEST(FlightRecorder, RebuildRecordsOneEventPerRebuiltStripe) {
+  constexpr int64_t kStripes = 10;
+  constexpr int kFailed = 4;
+  auto rebuild_events = [] {
+    std::vector<FlightEvent> out;
+    for (const FlightEvent& e : FlightRecorder::global().snapshot()) {
+      if (e.kind == FlightEventKind::kRebuildStripe) out.push_back(e);
+    }
+    return out;
+  };
+  obs::Registry reg;
+  raid::Raid6Array array(codes::make_layout("dcode", 7), 64, kStripes, 2,
+                         &reg);
+  std::vector<uint8_t> data(static_cast<size_t>(array.capacity()));
+  Pcg32 rng(11);
+  rng.fill_bytes(data.data(), data.size());
+  array.write(0, data);
+  array.fail_disk(kFailed);
+  array.replace_disk(kFailed);
+
+  const size_t before = rebuild_events().size();
+  array.rebuild();
+  const std::vector<FlightEvent> events = rebuild_events();
+  ASSERT_EQ(events.size() - before, static_cast<size_t>(kStripes));
+  std::vector<int> seen(static_cast<size_t>(kStripes), 0);
+  for (size_t i = before; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].disk, kFailed);
+    EXPECT_EQ(events[i].b, 26);
+    ASSERT_GE(events[i].a, 0);
+    ASSERT_LT(events[i].a, kStripes);
+    ++seen[static_cast<size_t>(events[i].a)];
+  }
+  EXPECT_EQ(seen, std::vector<int>(static_cast<size_t>(kStripes), 1));
+}
+
 }  // namespace
 }  // namespace dcode::obs

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "raid/planner.h"
 #include "raid/raid6_array.h"
+#include "raid/recovery.h"
 #include "sim/io_stats.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -129,6 +130,90 @@ TEST(RuntimeVsPlanner, HealthyWriteMatchesRmwIoPlan) {
       array->per_disk_element_accesses(),
       predicted(planner.plan_write(start, len, WritePolicy::kReadModifyWrite),
                 array->layout().cols()));
+}
+
+// A quiesced single-disk rebuild of `failed` reads exactly what the
+// minimal-read recovery plan names on every stripe, and writes one
+// element per row per stripe onto the replacement — nothing else.
+void expect_rebuild_follows_minimal_plan(const Raid6Array& array,
+                                         int failed) {
+  const codes::CodeLayout& layout = array.layout();
+  const RecoveryPlan plan = plan_single_disk_recovery(
+      layout, failed, RecoveryStrategy::kMinimalReads);
+  std::vector<int64_t> reads(static_cast<size_t>(layout.cols()), 0);
+  for (const codes::Element& e : plan.reads) {
+    reads[static_cast<size_t>(e.col)] += array.stripes();
+  }
+  for (int d = 0; d < layout.cols(); ++d) {
+    EXPECT_EQ(array.disk(d).reads(), reads[static_cast<size_t>(d)])
+        << "disk " << d;
+    EXPECT_EQ(array.disk(d).writes(),
+              d == failed ? layout.rows() * array.stripes() : 0)
+        << "disk " << d;
+  }
+}
+
+TEST(RuntimeVsPlanner, SingleDiskRebuildReadsTheMinimalPlan) {
+  constexpr int64_t kStripes = 6;
+  constexpr int kFailed = 2;
+  // D-Code p=7 (paper §III-D): 26 of the 42 survivor elements per stripe,
+  // 4-5 on each surviving column.
+  const RecoveryPlan plan = plan_single_disk_recovery(
+      *codes::make_layout("dcode", 7), kFailed,
+      RecoveryStrategy::kMinimalReads);
+  EXPECT_EQ(plan.reads.size(), 26u);
+  std::vector<int> per_column(7, 0);
+  for (const codes::Element& e : plan.reads) ++per_column[e.col];
+  for (int c = 0; c < 7; ++c) {
+    if (c == kFailed) continue;
+    EXPECT_GE(per_column[c], 4) << "column " << c;
+    EXPECT_LE(per_column[c], 5) << "column " << c;
+  }
+  std::vector<uint8_t> data;
+
+  {  // replace_disk + rebuild() on the caller's thread
+    obs::Registry reg;
+    Raid6Array array(codes::make_layout("dcode", 7), kElem, kStripes,
+                     /*threads=*/2, &reg);
+    data = random_bytes(static_cast<size_t>(array.capacity()), 41);
+    array.write(0, data);
+    array.fail_disk(kFailed);
+    array.replace_disk(kFailed);
+    array.reset_stats();
+    array.rebuild();
+    expect_rebuild_follows_minimal_plan(array, kFailed);
+  }
+  {  // hot-spare promotion rebuilt on the background worker
+    obs::Registry reg;
+    ArrayOptions opts;
+    opts.background_rebuild = true;
+    Raid6Array array(codes::make_layout("dcode", 7), kElem, kStripes,
+                     /*threads=*/2, &reg, opts);
+    array.add_hot_spares(1);
+    array.write(0, data);
+    array.reset_stats();
+    array.fail_disk(kFailed);
+    ASSERT_TRUE(array.wait_for_rebuild());
+    expect_rebuild_follows_minimal_plan(array, kFailed);
+  }
+}
+
+TEST(RuntimeVsPlanner, TwoDiskRebuildReadsEachSurvivorOnce) {
+  obs::Registry reg;
+  auto array = make_array(reg, /*p=*/7, /*stripes=*/5);
+  array->write(0, random_bytes(static_cast<size_t>(array->capacity()), 42));
+  array->fail_disk(1);
+  array->fail_disk(4);
+  array->replace_disk(1);
+  array->replace_disk(4);
+  array->reset_stats();
+  array->rebuild();
+  const int64_t per_disk = array->layout().rows() * array->stripes();
+  for (int d = 0; d < array->layout().cols(); ++d) {
+    const bool target = d == 1 || d == 4;
+    EXPECT_EQ(array->disk(d).reads(), target ? 0 : per_disk) << "disk " << d;
+    EXPECT_EQ(array->disk(d).writes(), target ? per_disk : 0) << "disk " << d;
+  }
 }
 
 TEST(RuntimeVsPlanner, PerDiskCountersMirrorObsCountersAndMemDisks) {
