@@ -12,7 +12,7 @@
 // The matrix swept: offered rates x workloads {uniform, zipfian, mixed
 // (paper §IV-A 1:1)} x array states {healthy, degraded, rebuilding} x
 // device backends. Each cell reports interpolated p50/p90/p99/p999/max
-// from the fine log-linear histogram ladder plus the achieved rate (a
+// from the log-linear latency ladder plus the achieved rate (a
 // saturated cell achieves less than it offers — read its percentiles as
 // "overloaded", not as service latency).
 // A second section sweeps writer-thread counts through the async
@@ -204,10 +204,10 @@ struct CellResult {
 // each at its intended time. Latency = finish - intended arrival, so an
 // op delayed behind a stalled predecessor is charged the queueing it
 // actually suffered (the OpContext hands the same intended-arrival
-// timestamp to the array, so raid.*_latency_fine_ns agrees).
+// timestamp to the array, so raid.*_latency_ns agrees).
 CellResult run_cell(raid::Raid6Array& array, const std::vector<LoadOp>& ops,
                     int threads) {
-  obs::Histogram hist(obs::latency_fine_bounds_ns());
+  obs::Histogram hist(obs::latency_bounds_ns());
   std::atomic<size_t> next{0};
   std::atomic<int64_t> errors{0};
   std::atomic<int64_t> last_finish_ns{0};
@@ -363,7 +363,7 @@ SweepResult run_writer_sweep_point(const HarnessConfig& cfg, int n) {
   const int64_t slots = array->capacity() / static_cast<int64_t>(esize);
   const int per_thread = (cfg.writer_ops + n - 1) / n;
 
-  obs::Histogram hist(obs::latency_fine_bounds_ns());
+  obs::Histogram hist(obs::latency_bounds_ns());
   std::atomic<int64_t> errors{0};
   const int64_t t0 = now_ns();
   {
@@ -487,9 +487,9 @@ std::unique_ptr<volume::StoragePool> make_sweep_pool(int shards, int prime,
   spec.prime = prime;
   spec.element_size = 4 * 1024;
   spec.stripes = 32;
-  spec.threads = 0;  // no intra-op engine fan-out
+  spec.threads = 0;  // engine pool sized to the hardware concurrency
   spec.array.device_factory = backend_device_factory("mem");
-  spec.array.parallel_user_io = false;
+  spec.array.parallel_user_io = false;  // no intra-op engine fan-out
   spec.array.stripe_lock_slots = 128;
 
   volume::PoolOptions popts;
@@ -588,7 +588,7 @@ void run_shard_sweep(const HarnessConfig& cfg, Telemetry& telemetry) {
   for (int shards : cfg.shards) {
     const int prime = shard_sweep_prime(shards);
     const int devices = shards * prime;
-    obs::Histogram hist(obs::latency_fine_bounds_ns());
+    obs::Histogram hist(obs::latency_bounds_ns());
     SweepResult r = run_shard_sweep_point(cfg, shards, prime, hist);
     if (base_iops <= 0.0) base_iops = r.iops;
     const double scaling = base_iops > 0 ? r.iops / base_iops : 0.0;
@@ -650,7 +650,7 @@ int main(int argc, char** argv) {
       "Open-loop tail-latency harness (dcode p=7, 64 stripes, 4KiB elements)",
       "Poisson arrivals at fixed offered rates; latency measured from the "
       "intended arrival (coordinated-omission-free). Percentiles are "
-      "interpolated from the fine log-linear ladder.");
+      "interpolated from the log-linear latency ladder.");
 
   TablePrinter table({"backend", "workload", "state", "offered/s", "achieved/s",
                       "p50(us)", "p90(us)", "p99(us)", "p999(us)", "max(us)",

@@ -22,7 +22,7 @@
 // Histogram  — fixed upper-bound buckets (inclusive, ascending) plus an
 //              overflow bucket, a running sum, and an exact maximum;
 //              latencies and sizes. percentile(q) interpolates within
-//              the owning bucket, so a fine (log-linear) ladder reads
+//              the owning bucket, so the log-linear latency ladder reads
 //              out p50/p99/p999 with sub-bucket resolution.
 // Registry   — names -> metrics, with optional key=value labels; hands
 //              out stable references and serializes the whole set as a
@@ -138,9 +138,10 @@ class Histogram {
 
  private:
   size_t bucket_for(int64_t v) const {
-    // Coarse ladders are short (tens): a branch-predictable linear scan
-    // beats binary search for the typical low buckets. Fine log-linear
-    // ladders (hundreds) go through the search.
+    // Short ladders (sizes, fan-out: tens of bounds) take a
+    // branch-predictable linear scan, which beats binary search for the
+    // typical low buckets; the latency ladder (192 bounds) goes through
+    // the search.
     if (bounds_.size() > 32) {
       return static_cast<size_t>(
           std::lower_bound(bounds_.begin(), bounds_.end(), v) -
@@ -164,15 +165,13 @@ std::vector<int64_t> exponential_bounds(int64_t start, double factor,
                                         int count);
 // Log-linear ladder: `sub` equal-width buckets per power-of-two octave
 // from `min` (inclusive) up past `max`. Relative quantile error is
-// bounded by ~1/sub anywhere in the range — the resolution the coarse
-// x4 ladder lacks at the tail.
+// bounded by ~1/sub anywhere in the range.
 std::vector<int64_t> log_linear_bounds(int64_t min, int64_t max, int sub);
-// 1us .. ~17s in x4 steps — the default latency ladder (nanoseconds).
+// The latency ladder (nanoseconds), shared by every latency and wait
+// histogram: 8 sub-buckets per octave, 192 bounds from ~1.15 us to
+// 2^34 ns (~17.2 s), so p50/p99/p999 read out to within ~1/8.
 const std::vector<int64_t>& latency_bounds_ns();
-// 1us .. ~4.3s, 8 sub-buckets per octave (~180 buckets) — the fine
-// latency ladder behind p50/p90/p99/p999 extraction (nanoseconds).
-const std::vector<int64_t>& latency_fine_bounds_ns();
-// 512B .. 16MiB in x4 steps — the default size ladder (bytes).
+// 512B .. 16MiB in x4 steps — the size ladder (bytes).
 const std::vector<int64_t>& size_bounds_bytes();
 
 // Quantile from a (bounds, bucket_counts) pair as found in a

@@ -133,12 +133,6 @@ struct ArrayMetrics {
     write_latency_ns = &registry.histogram(
         "raid.write_latency_ns", obs::latency_bounds_ns(), {},
         "wall time per write op");
-    read_latency_fine_ns = &registry.histogram(
-        "raid.read_latency_fine_ns", obs::latency_fine_bounds_ns(), {},
-        "wall time per read op, log-linear buckets for p99/p999");
-    write_latency_fine_ns = &registry.histogram(
-        "raid.write_latency_fine_ns", obs::latency_fine_bounds_ns(), {},
-        "wall time per write op, log-linear buckets for p99/p999");
     slow_ops = &registry.counter(
         "raid.slow_ops", {},
         "ops over ArrayOptions::slow_op_threshold_ns (each triggers a "
@@ -221,8 +215,6 @@ struct ArrayMetrics {
   obs::Counter* journal_recoveries;
   obs::Histogram* read_latency_ns;
   obs::Histogram* write_latency_ns;
-  obs::Histogram* read_latency_fine_ns;
-  obs::Histogram* write_latency_fine_ns;
   obs::Counter* slow_ops;
   obs::Histogram* rebuild_latency_ns;
   obs::Histogram* scrub_latency_ns;

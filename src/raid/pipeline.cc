@@ -25,7 +25,7 @@ StripePipeline::Metrics StripePipeline::resolve_metrics(Raid6Array& array) {
   m.queue_depth = &reg.gauge("pipeline.queue_depth", {},
                              "ops waiting in the pipeline's admission queue");
   m.admission_wait_ns = &reg.histogram(
-      "pipeline.admission_wait_ns", obs::latency_fine_bounds_ns(), {},
+      "pipeline.admission_wait_ns", obs::latency_bounds_ns(), {},
       "time an admitted op waited for its stripe-range ticket (0 = no "
       "conflicting earlier op)");
   m.ops_submitted =

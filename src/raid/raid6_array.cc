@@ -45,8 +45,7 @@ int64_t now_ns() {
 // harness binds its own with enqueue_ns set to the op's intended
 // arrival), opens the op's root trace span, stamps begin/end events into
 // the flight recorder, and on scope exit (including unwinds) observes
-// latency into both the coarse and the fine histograms and runs the
-// slow-op watchdog.
+// the op's latency histogram and runs the slow-op watchdog.
 class OpGuard {
  public:
   OpGuard(bool is_write, int64_t offset, int64_t bytes, bool degraded,
@@ -85,9 +84,6 @@ class OpGuard {
     const int64_t lat =
         end - (ctx_->enqueue_ns > 0 ? ctx_->enqueue_ns : ctx_->start_ns);
     (is_write_ ? metrics_.write_latency_ns : metrics_.read_latency_ns)
-        ->observe(lat);
-    (is_write_ ? metrics_.write_latency_fine_ns
-               : metrics_.read_latency_fine_ns)
         ->observe(lat);
     obs::FlightRecorder::global().record(
         is_write_ ? obs::FlightEventKind::kWriteEnd
@@ -148,6 +144,7 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
     : layout_(std::move(layout)),
       element_size_(element_size),
       stripes_(stripes),
+      options_(std::move(options)),
       map_(*layout_),
       planner_(map_),
       pool_(threads),
@@ -155,45 +152,28 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                layout_->cols()),
       engine_(layout_->cols(),
               checked_disk_size(*layout_, element_size, stripes),
-              element_size, layout_->rows(), pool_, &metrics_, this,
-              StripeIoEngine::Options{
-                  std::move(options.device_factory),
-                  options.coalesce,
-                  options.parallel_user_io,
-                  options.transient_retry_limit,
-                  options.retry_backoff_base_ns,
-                  /*retry_backoff_max_ns=*/5'000'000,
-                  options.retry_deadline_ns,
-                  /*backoff_seed=*/0x5EEDBACCu,
-                  options.integrity_checksums,
-                  options.verify_reads,
-                  options.integrity_sidecar_dir,
-                  // Write-identity role for the sidecar tags: invert the
-                  // stripe rotation to the logical column, then ask the
-                  // layout. map_/layout_ are constructed above; the
-                  // engine only calls this from write paths, never
-                  // during construction.
-                  [this](int d, int64_t stripe, int row) {
-                    for (int c = 0; c < layout_->cols(); ++c) {
-                      if (map_.physical_disk(stripe, c) == d) {
-                        return layout_->is_parity(row, c) ? 1 : 0;
-                      }
-                    }
-                    return 0;
-                  },
+              element_size, layout_->rows(), pool_, &metrics_, this, options_,
+              // Write-identity role for the sidecar tags: invert the
+              // stripe rotation to the logical column, then ask the
+              // layout. map_/layout_ are constructed above; the engine
+              // only calls this from write paths, never during
+              // construction.
+              [this](int d, int64_t stripe, int row) {
+                for (int c = 0; c < layout_->cols(); ++c) {
+                  if (map_.physical_disk(stripe, c) == d) {
+                    return layout_->is_parity(row, c) ? 1 : 0;
+                  }
+                }
+                return 0;
               }),
-      health_(layout_->cols(), options.health,
+      health_(layout_->cols(), options_.health,
               registry != nullptr ? *registry : obs::Registry::global()),
-      options_(std::move(options)),
       needs_rebuild_(static_cast<size_t>(layout_->cols())),
       stripe_locks_(options_.stripe_lock_slots, metrics_.stripe_lock_wait_ns),
       rebuild_throttle_(options_.rebuild_rate_stripes_per_sec,
                         options_.rebuild_burst_stripes) {
   engine_.set_health_monitor(&health_);
   health_.set_escalation_callback([this](int d) { handle_disk_failure(d); });
-  if (!options_.flight_dump_path.empty()) {
-    obs::FlightRecorder::global().set_dump_path(options_.flight_dump_path);
-  }
 }
 
 Raid6Array::~Raid6Array() {

@@ -54,6 +54,7 @@
 #include "obs/metrics.h"
 #include "raid/address_map.h"
 #include "raid/array_metrics.h"
+#include "raid/array_options.h"
 #include "raid/health_monitor.h"
 #include "raid/journal.h"
 #include "raid/planner.h"
@@ -138,58 +139,6 @@ struct ScrubOptions {
   bool use_checksums = true;
 };
 
-// Array-level configuration: which device backend to run on and how the
-// StripeIoEngine executes user I/O. The defaults reproduce the fast path
-// (coalesced + parallel over the process-default backend); benches flip
-// the flags off to measure what each layer buys.
-struct ArrayOptions {
-  DeviceFactory device_factory;   // null => default_device_factory()
-  bool coalesce = true;           // merge adjacent same-disk accesses
-  bool parallel_user_io = true;   // fan per-disk runs across the pool
-  int transient_retry_limit = 3;  // engine retries per transfer
-  int64_t retry_backoff_base_ns = 20'000;  // engine retry backoff base
-  int64_t retry_deadline_ns = 0;  // per-transfer retry deadline (0 = off)
-  // Health-monitor escalation thresholds (see raid/health_monitor.h).
-  HealthPolicy health;
-  // When true, a failure that promotes a hot spare rebuilds on a
-  // background worker thread (rate-limited by rebuild_rate) while
-  // foreground I/O continues; when false, fail_disk() runs the same
-  // rebuild pass on its own thread before returning (the legacy
-  // behaviour).
-  bool background_rebuild = false;
-  // Background rebuild throttle in stripes/second; <= 0 = unthrottled.
-  double rebuild_rate_stripes_per_sec = 0.0;
-  double rebuild_burst_stripes = 8.0;
-  // Slots in the sharded stripe lock table (each slot is one
-  // cache-line-padded mutex; stripes hash to slots by modulo). More
-  // slots = fewer false conflicts between unrelated stripes under high
-  // pipeline concurrency.
-  int stripe_lock_slots = 64;
-  // Slow-op watchdog: a read/write whose wall time reaches this threshold
-  // bumps raid.slow_ops, emits a trace event, and asks the global
-  // FlightRecorder for a dump (rate-limited; written only when a dump
-  // path is configured). 0 disables the watchdog.
-  int64_t slow_op_threshold_ns = 0;
-  // Convenience: non-empty sets the global FlightRecorder's auto-dump
-  // path at construction (same effect as DCODE_FLIGHT_DUMP; the recorder
-  // is process-wide, so the last array to set this wins).
-  std::string flight_dump_path;
-  // --- end-to-end integrity (see raid/integrity.h) ------------------------
-  // Maintain a per-element checksum + write-identity sidecar on every
-  // disk. This is the only channel that catches the write-failure
-  // families parity is structurally blind to (misdirected, torn within
-  // an acknowledged element, lost/stale writes).
-  bool integrity_checksums = true;
-  // Verify every element payload against the sidecar on read; condemned
-  // elements are transparently re-served from parity. Off = sidecar
-  // still maintained (scrub can use it) but reads skip the hash.
-  bool verify_reads = true;
-  // Non-empty: persist each disk's sidecar at <dir>/disk<N>.sum with
-  // torn-write-safe dual slots (FileDisk deployments survive restart);
-  // empty keeps sidecars in memory only (MemDisk).
-  std::string integrity_sidecar_dir;
-};
-
 class Raid6Array : private WriteGate {
  public:
   // `registry` receives the array's metrics (counters, histograms,
@@ -269,7 +218,7 @@ class Raid6Array : private WriteGate {
   int failed_disk_count() const;
   const DiskHandle& disk(int d) const { return engine_.disk(d); }
   DiskHandle& disk(int d) { return engine_.disk(d); }
-  // The batched I/O layer under this array (device op counts, options).
+  // The batched I/O layer under this array (device op counts).
   StripeIoEngine& io_engine() { return engine_; }
   const StripeIoEngine& io_engine() const { return engine_; }
   void reset_stats();
@@ -453,13 +402,15 @@ class Raid6Array : private WriteGate {
   std::unique_ptr<codes::CodeLayout> layout_;
   size_t element_size_;
   int64_t stripes_;
+  // The one copy of the configuration; the engine reads it by reference,
+  // so it is constructed before and destroyed after engine_.
+  ArrayOptions options_;
   AddressMap map_;
   IoPlanner planner_;
   ThreadPool pool_;
   ArrayMetrics metrics_;
   StripeIoEngine engine_;
   HealthMonitor health_;
-  ArrayOptions options_;
   // Disks replaced but not yet rebuilt (their contents are blank above
   // the watermark). Atomic: read on pool workers, flipped by promotion
   // and the rebuild pass.

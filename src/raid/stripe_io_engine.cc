@@ -20,6 +20,12 @@ namespace {
 // chunks at the syscall layer (IOV_MAX).
 constexpr size_t kMaxRunElements = 1024;
 
+// Cap on one transient-retry backoff sleep (before jitter).
+constexpr int64_t kRetryBackoffMaxNs = 5'000'000;
+// Seeds the deterministic backoff jitter stream (per disk x attempt x
+// serial).
+constexpr uint64_t kBackoffSeed = 0x5EEDBACCu;
+
 int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -41,24 +47,25 @@ uint64_t mix64(uint64_t x) {
 StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
                                size_t element_size, int rows,
                                ThreadPool& pool, ArrayMetrics* metrics,
-                               WriteGate* gate, Options options)
+                               WriteGate* gate, const ArrayOptions& options,
+                               ElementRole element_role)
     : disk_size_(disk_size),
       element_size_(element_size),
       rows_(rows),
       pool_(&pool),
       metrics_(metrics),
       gate_(gate),
-      options_(std::move(options)) {
+      options_(options),
+      element_role_(std::move(element_role)) {
   DCODE_CHECK(disks > 0, "engine needs at least one disk");
   DCODE_CHECK(element_size_ > 0, "element size must be positive");
   DCODE_CHECK(rows_ > 0, "rows must be positive");
   const auto stripes = static_cast<int64_t>(
       disk_size_ / (element_size_ * static_cast<size_t>(rows_)));
-  DCODE_CHECK(!options_.integrity || stripes <= kMaxTaggedStripes,
+  DCODE_CHECK(!options_.integrity_checksums || stripes <= kMaxTaggedStripes,
               "integrity tags address at most " +
                   std::to_string(kMaxTaggedStripes) + " stripes, got " +
                   std::to_string(stripes));
-  if (!options_.factory) options_.factory = default_device_factory();
   disks_.reserve(static_cast<size_t>(disks));
   for (int d = 0; d < disks; ++d) {
     obs::Counter* er = nullptr;
@@ -68,7 +75,7 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
       ew = metrics_->disk_element_writes[static_cast<size_t>(d)];
     }
     std::unique_ptr<ChecksumStore> store;
-    if (options_.integrity) {
+    if (options_.integrity_checksums) {
       store = std::make_unique<ChecksumStore>(
           static_cast<int64_t>(disk_size_ / element_size_));
       if (!options_.integrity_sidecar_dir.empty()) {
@@ -76,13 +83,18 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
                            std::to_string(d) + ".sum");
       }
     }
-    disks_.push_back(std::make_unique<DiskHandle>(
-        options_.factory(d, disk_size_), er, ew, std::move(store)));
+    disks_.push_back(
+        std::make_unique<DiskHandle>(new_device(d), er, ew, std::move(store)));
   }
 }
 
+std::unique_ptr<BlockDevice> StripeIoEngine::new_device(int d) const {
+  return options_.device_factory ? options_.device_factory(d, disk_size_)
+                                 : default_device_factory()(d, disk_size_);
+}
+
 void StripeIoEngine::replace_disk(int d) {
-  disk(d).faults().replace(options_.factory(d, disk_size_));
+  disk(d).faults().replace(new_device(d));
   // A blank replacement has no history: forget every record so rebuilt
   // elements re-register as they are written rather than reading as
   // corrupt against the dead disk's sums.
@@ -104,14 +116,14 @@ void StripeIoEngine::backoff_sleep(int disk, int attempt) const {
   const int64_t base = options_.retry_backoff_base_ns;
   if (base <= 0) return;
   int64_t delay = base << std::min(attempt, 20);
-  delay = std::min(delay, std::max(base, options_.retry_backoff_max_ns));
+  delay = std::min(delay, std::max(base, kRetryBackoffMaxNs));
   // Jitter into [delay/2, delay) so synchronized retry loops desynchronize
   // but the delay stays deterministic for a given (seed, disk, attempt,
   // serial) tuple.
   const uint64_t serial =
       backoff_serial_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t h =
-      mix64(options_.backoff_seed ^ (static_cast<uint64_t>(disk) << 32) ^
+      mix64(kBackoffSeed ^ (static_cast<uint64_t>(disk) << 32) ^
             (static_cast<uint64_t>(attempt) << 48) ^ serial);
   const int64_t half = delay / 2;
   if (half > 0) delay = half + static_cast<int64_t>(h % static_cast<uint64_t>(half));
@@ -131,10 +143,7 @@ IoResult StripeIoEngine::with_retries(
     obs::FlightRecorder::global().record(obs::FlightEventKind::kRetry, op_id,
                                          d, attempt,
                                          static_cast<int64_t>(r.status));
-    const bool out_of_attempts = attempt >= options_.transient_retry_limit;
-    const bool past_deadline = options_.retry_deadline_ns > 0 &&
-                               now_ns() - t0 >= options_.retry_deadline_ns;
-    if (out_of_attempts || past_deadline) {
+    if (attempt >= options_.transient_retry_limit) {
       // Retry budget exhausted: escalate to fail-stop, the way a
       // controller offlines a drive that keeps erroring — but leave a
       // telemetry trail, a silent fail-stop is indistinguishable from a
@@ -144,9 +153,7 @@ IoResult StripeIoEngine::with_retries(
       obs::FlightRecorder::global().record(obs::FlightEventKind::kFailStop,
                                            op_id, d, attempt, 0);
       obs::Span span(obs::TraceLog::global(), "engine.retry_exhausted",
-                     {{"disk", d},
-                      {"attempts", attempt},
-                      {"reason", out_of_attempts ? "attempts" : "deadline"}});
+                     {{"disk", d}, {"attempts", attempt}});
       if (monitor_ != nullptr) monitor_->report_fail_stop(d);
       return IoResult::failed();
     }
@@ -388,7 +395,7 @@ void StripeIoEngine::read_batch(std::span<const ReadOp> ops, bool verify) {
     run_read(d, ops, by_disk[static_cast<size_t>(d)], span.id(), op_id,
              verify);
   };
-  if (options_.parallel && active.size() > 1) {
+  if (options_.parallel_user_io && active.size() > 1) {
     pool_->parallel_for(active.size(), run_group);
   } else {
     for (size_t i = 0; i < active.size(); ++i) run_group(i);
@@ -436,7 +443,7 @@ void StripeIoEngine::write_batch(std::span<const WriteOp> ops) {
     int d = active[i];
     run_write(d, ops, by_disk[static_cast<size_t>(d)], span.id(), op_id);
   };
-  if (options_.parallel && active.size() > 1) {
+  if (options_.parallel_user_io && active.size() > 1) {
     pool_->parallel_for(active.size(), run_group);
   } else {
     for (size_t i = 0; i < active.size(); ++i) run_group(i);

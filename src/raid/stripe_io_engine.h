@@ -20,7 +20,8 @@
 //    power-loss injection sees the same write stream it always did.
 //
 // The engine owns the disks (each backend wrapped in a
-// FaultInjectingDevice) and the factory that materializes replacements.
+// FaultInjectingDevice) and materializes replacements through the
+// array's ArrayOptions::device_factory.
 #pragma once
 
 #include <atomic>
@@ -29,10 +30,10 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "raid/array_metrics.h"
+#include "raid/array_options.h"
 #include "raid/fault_injection.h"
 #include "raid/health_monitor.h"
 #include "raid/integrity.h"
@@ -168,40 +169,8 @@ class DiskHandle {
   mutable std::atomic<int64_t> bytes_written_{0};
 };
 
-// Engine execution knobs. Namespace-level (not nested) so it can serve
-// as a defaulted constructor argument.
-struct EngineOptions {
-  DeviceFactory factory;     // null => default_device_factory()
-  bool coalesce = true;      // merge adjacent same-disk accesses
-  bool parallel = true;      // fan per-disk runs across the pool
-  int transient_retry_limit = 3;  // kTransient retries per transfer
-  // Exponential backoff between transient retries: sleep roughly
-  // base * 2^attempt (jittered into [delay/2, delay)), capped at max.
-  // base <= 0 disables the sleep (tests that count retries exactly).
-  int64_t retry_backoff_base_ns = 20'000;
-  int64_t retry_backoff_max_ns = 5'000'000;
-  // Per-transfer retry deadline: once this much wall time has been spent
-  // inside one transfer's retry loop, the next transient escalates even
-  // if attempts remain. 0 = attempts-only.
-  int64_t retry_deadline_ns = 0;
-  // Seeds the deterministic jitter stream (per disk x attempt x serial).
-  uint64_t backoff_seed = 0x5EEDBACCu;
-  // --- integrity (per-element checksum sidecar) -------------------------
-  bool integrity = true;      // maintain per-element checksums + tags
-  bool verify_reads = true;   // checksum-verify every element read
-  // Persist sidecars as files in this directory ("" = in-memory only;
-  // FileDisk arrays point this at the disk directory).
-  std::string integrity_sidecar_dir;
-  // Resolves an element's coding role for the write-identity tag:
-  // (disk, stripe, row) -> 0 for data, 1 + family index for parity.
-  // Null = record every element as role 0.
-  std::function<int(int, int64_t, int)> element_role;
-};
-
 class StripeIoEngine {
  public:
-  using Options = EngineOptions;
-
   // One element access. `dst`/`src` must stay valid until the batch call
   // returns; element length is the engine-wide element_size.
   struct ReadOp {
@@ -217,24 +186,32 @@ class StripeIoEngine {
     const uint8_t* src;
   };
 
+  // Resolves an element's coding role for the write-identity tag:
+  // (disk, stripe, row) -> 0 for data, 1 + family index for parity.
+  using ElementRole = std::function<int(int, int64_t, int)>;
+
+  // The engine reads `options` (its owner's; it must outlive the engine)
+  // for the device backend, coalescing, fan-out, retry and integrity
+  // settings. A null `element_role` records every element as role 0.
   StripeIoEngine(int disks, size_t disk_size, size_t element_size, int rows,
                  ThreadPool& pool, ArrayMetrics* metrics, WriteGate* gate,
-                 Options options = {});
+                 const ArrayOptions& options,
+                 ElementRole element_role = nullptr);
 
   int disk_count() const { return static_cast<int>(disks_.size()); }
   size_t element_size() const { return element_size_; }
-  const Options& options() const { return options_; }
 
   DiskHandle& disk(int d) { return *disks_[static_cast<size_t>(d)]; }
   const DiskHandle& disk(int d) const { return *disks_[static_cast<size_t>(d)]; }
 
   // Batched element I/O: coalesced into ranged vectored transfers per
-  // disk and fanned across the pool (per Options). Ops may arrive in any
-  // order; reads of a failed device throw DiskFailedError. With `verify`
-  // (the default, when Options::verify_reads is on) every element
-  // payload is checksum-verified after the transfer; a condemned element
-  // throws ElementIntegrityError. Scrub and journal replay pass verify =
-  // false — they read raw precisely to judge the bytes themselves.
+  // disk and fanned across the pool (per ArrayOptions::coalesce and
+  // parallel_user_io). Ops may arrive in any order; reads of a failed
+  // device throw DiskFailedError. With `verify` (the default, when
+  // ArrayOptions::verify_reads is on) every element payload is
+  // checksum-verified after the transfer; a condemned element throws
+  // ElementIntegrityError. Scrub and journal replay pass verify = false —
+  // they read raw precisely to judge the bytes themselves.
   void read_batch(std::span<const ReadOp> ops) { read_batch(ops, true); }
   void read_batch(std::span<const ReadOp> ops, bool verify);
   // Element writes. When the WriteGate is armed, ops execute serially in
@@ -248,7 +225,7 @@ class StripeIoEngine {
   void write_element(int disk, int64_t stripe, int row, const uint8_t* src);
 
   // --- integrity --------------------------------------------------------
-  bool integrity_enabled() const { return options_.integrity; }
+  bool integrity_enabled() const { return options_.integrity_checksums; }
   // Classifies raw payload bytes against disk `d`'s records (kUntracked
   // when the engine runs without integrity).
   IntegrityVerdict classify_element(int d, int64_t stripe, int row,
@@ -300,8 +277,10 @@ class StripeIoEngine {
                   std::span<const size_t> idx, size_t first, size_t run,
                   uint64_t gen, uint64_t trace_span, uint64_t op_id);
   int element_role(int d, int64_t stripe, int row) const {
-    return options_.element_role ? options_.element_role(d, stripe, row) : 0;
+    return element_role_ ? element_role_(d, stripe, row) : 0;
   }
+  // A fresh backend for disk `d` from the configured factory.
+  std::unique_ptr<BlockDevice> new_device(int d) const;
   void run_write(int d, std::span<const WriteOp> ops,
                  std::span<const size_t> idx, uint64_t trace_span,
                  uint64_t op_id);
@@ -316,7 +295,8 @@ class StripeIoEngine {
   ArrayMetrics* metrics_;
   WriteGate* gate_;
   HealthMonitor* monitor_ = nullptr;
-  Options options_;
+  const ArrayOptions& options_;
+  ElementRole element_role_;
   std::vector<std::unique_ptr<DiskHandle>> disks_;
   // Distinguishes concurrent backoff jitter streams deterministically.
   mutable std::atomic<uint64_t> backoff_serial_{0};

@@ -33,7 +33,7 @@ StoragePool::StoragePool(ShardSpec spec, int shards, PoolOptions options,
       options_(options),
       registry_(registry != nullptr ? registry : &obs::Registry::global()),
       chunk_bytes_(options.chunk_bytes),
-      chunk_locks_(options.chunk_lock_slots, nullptr),
+      chunk_locks_(kChunkLockSlots, nullptr),
       restripe_throttle_(options.restripe_rate_chunks_per_sec,
                          options.restripe_burst_chunks) {
   DCODE_CHECK(shards >= 1 && shards <= kMaxShards,
@@ -45,9 +45,9 @@ StoragePool::StoragePool(ShardSpec spec, int shards, PoolOptions options,
   metrics_.read_bytes = &registry_->counter("pool.read_bytes");
   metrics_.written_bytes = &registry_->counter("pool.written_bytes");
   metrics_.read_latency_ns = &registry_->histogram(
-      "pool.read_latency_ns", obs::latency_fine_bounds_ns());
+      "pool.read_latency_ns", obs::latency_bounds_ns());
   metrics_.write_latency_ns = &registry_->histogram(
-      "pool.write_latency_ns", obs::latency_fine_bounds_ns());
+      "pool.write_latency_ns", obs::latency_bounds_ns());
   metrics_.op_fanout =
       &registry_->histogram("pool.op_fanout", fanout_bounds());
   metrics_.chunk_lock_wait_ns = &registry_->histogram(
@@ -187,22 +187,18 @@ void StoragePool::run_op(bool is_write, int64_t offset,
   // pool-capacity-sized op never pins every slot in the table at once —
   // which would stall the whole pool and overflow TSan's 64-held-locks
   // deadlock-detector capacity. Within a window the slots are distinct
-  // (window <= slot_count, consecutive chunks map to consecutive slots)
-  // and locked in ascending order; all are released before the next
-  // window is taken, so the lock graph stays acyclic.
-  const size_t slot_count = chunk_locks_.slot_count();
-  const size_t window =
-      std::min<size_t>(slot_count, static_cast<size_t>(kWindowSlots));
+  // (kWindowSlots <= kChunkLockSlots, consecutive chunks map to
+  // consecutive slots) and locked in ascending order; all are released
+  // before the next window is taken, so the lock graph stays acyclic.
+  static_assert(kWindowSlots <= kChunkLockSlots);
   uint64_t shard_mask = 0;
   std::vector<size_t> slots;
   std::vector<std::unique_lock<std::mutex>> locks;
-  for (int64_t w = first_chunk; w <= last_chunk;
-       w += static_cast<int64_t>(window)) {
-    const int64_t w_last =
-        std::min(last_chunk, w + static_cast<int64_t>(window) - 1);
+  for (int64_t w = first_chunk; w <= last_chunk; w += kWindowSlots) {
+    const int64_t w_last = std::min(last_chunk, w + kWindowSlots - 1);
     slots.clear();
     for (int64_t c = w; c <= w_last; ++c) {
-      slots.push_back(static_cast<size_t>(c) % slot_count);
+      slots.push_back(static_cast<size_t>(c % kChunkLockSlots));
     }
     std::sort(slots.begin(), slots.end());
     const int64_t lock_t0 = now_ns();
@@ -352,11 +348,14 @@ bool StoragePool::restripe_pass() {
         // Chunks 0..old_shards-1 map to the same (shard, offset) under
         // both placements; skip the self-copy but still advance the
         // watermark so routing flips over in one monotone front.
+        // The copy is admitted through both shards' pipelines like any
+        // foreground segment: a degraded read decodes through stripe
+        // neighbours, so it must order behind their in-flight writes.
         if (from.shard != to.shard || from.offset != to.offset) {
-          Shard& src = *shards_[static_cast<size_t>(from.shard)];
-          Shard& dst = *shards_[static_cast<size_t>(to.shard)];
-          src.array->read(from.offset, buf);
-          dst.array->write(to.offset, buf);
+          shards_[static_cast<size_t>(from.shard)]->pipeline->run_read(
+              from.offset, buf);
+          shards_[static_cast<size_t>(to.shard)]->pipeline->run_write(
+              to.offset, buf);
         }
         // Advance before unlocking: the next op on this chunk must
         // already route to the new placement, which now holds the data.

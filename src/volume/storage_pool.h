@@ -22,9 +22,11 @@
 //   * chunks below the restripe watermark route with N+1 shards (new
 //     placement), chunks at/above it with N (old placement);
 //   * the worker walks chunks in ascending order: under the chunk's
-//     lock it copies old placement -> new placement, then advances the
-//     watermark before unlocking, so every foreground op sees a
-//     bit-identical view mid-migration;
+//     lock it copies old placement -> new placement through the two
+//     shards' pipelines (run_read, then run_write, each under its own
+//     admission ticket, exactly like a foreground segment), then
+//     advances the watermark before unlocking, so every foreground op
+//     sees a bit-identical view mid-migration;
 //   * ascending order makes the in-place migration safe: the old
 //     occupant of chunk c's new location is c' = floor(c/(N+1))*N +
 //     (c mod N+1) <= c, already migrated out (or c itself — a self-copy
@@ -42,12 +44,13 @@
 // after another through the owning shard's StripePipeline::run_read /
 // run_write — admitted in the pipeline's single admission order, one
 // ticket held at a time, no worker involved — so a chunk is never
-// migrated while a segment is in flight on it. A ticket holder never
-// waits on a chunk lock, and the migrator takes chunk locks but no
-// tickets, so the lock graph is acyclic. Concurrency across ops comes
-// from the callers' threads. Multi-chunk ops are not atomic as a whole
-// — concurrent overlapping ops may interleave at window granularity,
-// the same torn-read contract as any block device spanning sectors.
+// migrated while a segment is in flight on it. The migrator follows the
+// same order — chunk lock, then one ticket at a time — and a ticket
+// holder never waits on a chunk lock, so the lock graph is acyclic.
+// Concurrency across ops comes from the callers' threads. Multi-chunk
+// ops are not atomic as a whole — concurrent overlapping ops may
+// interleave at window granularity, the same torn-read contract as any
+// block device spanning sectors.
 //
 // read()/write() are safe from many threads. The admin operations —
 // add_shard() and restart_all() — are serialized against each other
@@ -100,9 +103,6 @@ struct PoolOptions {
   // Background restripe throttle in chunks/second; <= 0 = unthrottled.
   double restripe_rate_chunks_per_sec = 0.0;
   double restripe_burst_chunks = 8.0;
-  // Slots in the sharded chunk lock table (same trade-off as the
-  // array's stripe_lock_slots).
-  int chunk_lock_slots = 256;
 };
 
 // Aggregated point-in-time pool health, one row per shard plus totals.
@@ -123,6 +123,9 @@ struct PoolHealth {
 class StoragePool {
  public:
   static constexpr int kMaxShards = 64;
+  // Slots in the sharded chunk lock table (same trade-off as the
+  // array's stripe_lock_slots).
+  static constexpr int kChunkLockSlots = 256;
   // Max chunk-lock slots a foreground op holds simultaneously: large
   // ops take their covered slots in windows of this size (ascending
   // within a window, fully released between windows), so one op never

@@ -169,10 +169,11 @@ TEST(FlightRecorder, SlowOpWatchdogDumpsThroughTheArray) {
   auto& rec = FlightRecorder::global();
   const std::string old_path = rec.dump_path();
 
+  rec.set_dump_path(path);
+
   obs::Registry reg;
   raid::ArrayOptions opts;
   opts.slow_op_threshold_ns = 1;
-  opts.flight_dump_path = path;
   raid::Raid6Array array(codes::make_layout("dcode", 5), 64, 2, 1, &reg,
                          std::move(opts));
   std::vector<uint8_t> data(static_cast<size_t>(array.capacity()), 0x5A);

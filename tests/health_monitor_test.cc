@@ -1,12 +1,16 @@
 // HealthMonitor unit tests: the deterministic state machine that decides
-// when a noisy disk becomes a dead one, plus the array-level wiring that
-// escalates engine retry exhaustion through it.
+// when a noisy (or lying) disk becomes a dead one, plus the array-level
+// wiring that feeds verify-on-read checksum mismatches into it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "codes/registry.h"
 #include "obs/metrics.h"
+#include "raid/address_map.h"
 #include "raid/health_monitor.h"
+#include "raid/raid6_array.h"
 
 namespace dcode::raid {
 namespace {
@@ -130,6 +134,97 @@ TEST(HealthMonitor, EscalationCallbackMayReenterTheMonitor) {
   mon.set_escalation_callback([&](int d) { mon.mark_rebuilding(d); });
   mon.report_fail_stop(0);
   EXPECT_EQ(mon.state(0), DiskHealth::kRebuilding);
+}
+
+// The checksum channel: a disk that returns wrong bytes while reporting
+// success. The default policy marks it suspect at two mismatches and
+// never fails it (the integrity paths re-serve the data from parity).
+TEST(HealthMonitor, TwoChecksumMismatchesMarkTheDiskSuspect) {
+  obs::Registry reg;
+  HealthMonitor mon(2, {}, reg);
+  ASSERT_EQ(mon.policy().suspect_checksum_mismatches, 2);
+  mon.record_checksum_mismatch(1);
+  EXPECT_EQ(mon.state(1), DiskHealth::kHealthy);
+  mon.record_checksum_mismatch(1);
+  EXPECT_EQ(mon.state(1), DiskHealth::kSuspect);
+  EXPECT_EQ(mon.checksum_mismatches_in_window(1), 2);
+  EXPECT_EQ(reg.counter("raid.health.suspects").value(), 1);
+  EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
+  EXPECT_EQ(mon.checksum_mismatches_in_window(0), 0);
+}
+
+TEST(HealthMonitor, ChecksumMismatchesNeverFailTheDiskByDefault) {
+  obs::Registry reg;
+  HealthMonitor mon(1, {}, reg);
+  ASSERT_EQ(mon.policy().fail_checksum_mismatches, 0);
+  int fired = 0;
+  mon.set_escalation_callback([&](int) { ++fired; });
+  for (int i = 0; i < 1000; ++i) mon.record_checksum_mismatch(0);
+  EXPECT_EQ(mon.state(0), DiskHealth::kSuspect);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 0);
+}
+
+TEST(HealthMonitor, NthChecksumMismatchFiresTheEscalationOnce) {
+  obs::Registry reg;
+  HealthPolicy policy;
+  policy.fail_checksum_mismatches = 5;
+  HealthMonitor mon(1, policy, reg);
+  int fired = 0;
+  mon.set_escalation_callback([&](int) { ++fired; });
+  for (int i = 0; i < 4; ++i) mon.record_checksum_mismatch(0);
+  EXPECT_EQ(mon.state(0), DiskHealth::kSuspect);
+  EXPECT_EQ(fired, 0);
+  mon.record_checksum_mismatch(0);
+  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
+  EXPECT_EQ(fired, 1);
+  // Further mismatches belong to the same episode.
+  for (int i = 0; i < 10; ++i) mon.record_checksum_mismatch(0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 1);
+}
+
+TEST(HealthMonitor, WindowDecayHalvesTheChecksumTally) {
+  obs::Registry reg;
+  HealthPolicy policy;
+  policy.window_ops = 8;
+  HealthMonitor mon(1, policy, reg);
+  for (int i = 0; i < 4; ++i) mon.record_checksum_mismatch(0);
+  EXPECT_EQ(mon.checksum_mismatches_in_window(0), 4);
+  // Four successes fill the eight-outcome window: every tally halves.
+  for (int i = 0; i < 4; ++i) mon.record_success(0, 1'000);
+  EXPECT_EQ(mon.checksum_mismatches_in_window(0), 2);
+}
+
+// Engine -> monitor wiring: an element overwritten behind the array's
+// back fails verify-on-read, the read is re-served from parity, and the
+// disk that served the bad bytes is charged one mismatch.
+TEST(HealthMonitor, VerifyOnReadChargesTheDiskThatServedBadBytes) {
+  constexpr size_t kElem = 64;
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 5), kElem, 2, 1, &reg);
+  std::vector<uint8_t> data(static_cast<size_t>(array.capacity()));
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  array.write(0, data);
+
+  const AddressMap map(array.layout());
+  const AddressMap::Location loc = map.locate(0);
+  const uint64_t offset =
+      (static_cast<uint64_t>(loc.stripe) *
+           static_cast<uint64_t>(array.layout().rows()) +
+       static_cast<uint64_t>(loc.element.row)) *
+      kElem;
+  std::vector<uint8_t> garbage(kElem, 0xEE);
+  array.disk(loc.disk).write(offset, garbage);
+  EXPECT_EQ(array.health().checksum_mismatches_in_window(loc.disk), 0);
+
+  std::vector<uint8_t> got(kElem);
+  array.read(0, got);
+  EXPECT_EQ(got, std::vector<uint8_t>(data.begin(), data.begin() + kElem));
+  EXPECT_EQ(array.health().checksum_mismatches_in_window(loc.disk), 1);
+  EXPECT_EQ(reg.counter("raid.integrity.read_fallbacks").value(), 1);
 }
 
 }  // namespace

@@ -173,8 +173,8 @@ TEST(IdentityTag, PacksAndUnpacksEveryField) {
 TEST(IdentityTag, EngineRejectsStripesBeyondTheTagField) {
   ThreadPool pool(1);
   int devices = 0;
-  EngineOptions opts;
-  opts.factory = [&devices](int id, size_t size) {
+  ArrayOptions opts;
+  opts.device_factory = [&devices](int id, size_t size) {
     ++devices;
     return std::unique_ptr<BlockDevice>(std::make_unique<MemDisk>(id, size));
   };
@@ -184,7 +184,7 @@ TEST(IdentityTag, EngineRejectsStripesBeyondTheTagField) {
                std::logic_error);
   EXPECT_EQ(devices, 0);
   // Without integrity there are no tags, and no limit.
-  opts.integrity = false;
+  opts.integrity_checksums = false;
   StripeIoEngine untagged(2, disk_size, 1, 1, pool, nullptr, nullptr, opts);
   EXPECT_EQ(devices, 2);
 }

@@ -12,6 +12,7 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "volume/storage_pool.h"
 
 namespace dcode::obs {
 namespace {
@@ -126,6 +127,34 @@ TEST(Histogram, StandardBoundsAreStrictlyAscending) {
   EXPECT_EQ(exp[0], 100);
   EXPECT_EQ(exp[1], 400);
   EXPECT_EQ(exp[4], 25600);
+}
+
+// One latency ladder for the whole stack: every latency and wait histogram
+// a pool registers (op latency, lock and admission waits, rebuild, scrub,
+// retry backoff, throttles) shares latency_bounds_ns(), so p99s from
+// different layers read at the same resolution.
+TEST(Histogram, EveryStackLatencyHistogramUsesTheOneLadder) {
+  Registry reg;
+  volume::ShardSpec spec;
+  spec.stripes = 16;
+  volume::StoragePool pool(spec, 1, {}, &reg);
+  std::vector<uint8_t> buf(4096, 0x5A);
+  pool.write(0, buf);
+  pool.read(0, buf);
+
+  int latency_histograms = 0;
+  for (const MetricSnapshot& m : reg.snapshot().metrics) {
+    EXPECT_EQ(m.name.find("_fine"), std::string::npos) << m.name;
+    const bool ns = m.name.size() > 3 &&
+                    m.name.compare(m.name.size() - 3, 3, "_ns") == 0;
+    if (m.kind != MetricSnapshot::Kind::kHistogram || !ns) continue;
+    ++latency_histograms;
+    EXPECT_EQ(m.bounds, latency_bounds_ns()) << m.name;
+  }
+  // At least pool.{read,write}_latency_ns, pool.chunk_lock_wait_ns,
+  // pool.restripe.throttle_wait_ns, shard0.pipeline.admission_wait_ns and
+  // the array's seven.
+  EXPECT_GE(latency_histograms, 12);
 }
 
 // ---------------------------------------------------------------- registry

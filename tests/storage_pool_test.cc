@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +258,141 @@ TEST(StoragePool, MidRestripeReadsAndWritesAreBitIdentical) {
   pool.read(0, got);
   EXPECT_EQ(got, shadow);
   EXPECT_EQ(pool.scrub_all(), 0);
+}
+
+// Parks device writes from a thread that set park_my_writes, until
+// released: a client write can be stopped between the data and parity
+// element writes of one stripe update.
+struct WriteParking {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+};
+thread_local bool park_my_writes = false;
+
+class ParkingDisk : public raid::BlockDevice {
+ public:
+  // A null `parking` forwards every call unchanged.
+  ParkingDisk(std::unique_ptr<raid::BlockDevice> inner, WriteParking* parking)
+      : BlockDevice(inner->id(), inner->size()),
+        inner_(std::move(inner)),
+        parking_(parking) {}
+  std::string_view backend_name() const override {
+    return inner_->backend_name();
+  }
+  uint32_t capabilities() const override { return inner_->capabilities(); }
+
+ protected:
+  raid::IoResult do_read(uint64_t offset, std::span<uint8_t> out) override {
+    return inner_->read(offset, out);
+  }
+  raid::IoResult do_write(uint64_t offset,
+                          std::span<const uint8_t> in) override {
+    park();
+    return inner_->write(offset, in);
+  }
+  raid::IoResult do_readv(uint64_t offset,
+                          std::span<const raid::IoVec> iov) override {
+    return inner_->readv(offset, iov);
+  }
+  raid::IoResult do_writev(uint64_t offset,
+                           std::span<const raid::ConstIoVec> iov) override {
+    park();
+    return inner_->writev(offset, iov);
+  }
+  raid::IoResult do_flush() override { return inner_->flush(); }
+
+ private:
+  void park() {
+    if (parking_ == nullptr || !park_my_writes) return;
+    std::unique_lock<std::mutex> lock(parking_->mu);
+    parking_->parked = true;
+    parking_->cv.notify_all();
+    parking_->cv.wait(lock, [&] { return parking_->released; });
+  }
+
+  std::unique_ptr<raid::BlockDevice> inner_;
+  WriteParking* parking_;
+};
+
+// The array's degraded read takes no stripe lock, so the migrator must
+// order each copy behind in-flight writes to the same stripe. A copy
+// that read a degraded chunk while a write to a *neighbouring* chunk of
+// its stripe was half applied would decode the lost element through the
+// neighbour's new data and its not-yet-updated parity, and land the
+// wrong bytes in the new placement for good. Geometry (D-Code p=5,
+// 512-byte elements, two elements per chunk, disk 1 failed): chunk 15's
+// lost element decodes through chunk 16's data and the parity on disk 3,
+// both in stripe 2; the migrator's writes to shard 0 up to chunk 15 land
+// in stripes 0-1.
+TEST(StoragePool, RestripeCopyOrdersBehindAnInFlightNeighbourWrite) {
+  ShardSpec spec;
+  spec.prime = 5;
+  spec.element_size = 512;
+  spec.stripes = 4;
+  spec.threads = 1;  // engine I/O runs on the calling thread
+  const int disks = codes::make_layout(spec.code, spec.prime)->cols();
+  WriteParking parking;
+  std::atomic<int> devices{0};
+  const raid::DeviceFactory backend = raid::default_device_factory();
+  spec.array.device_factory = [&](int id, size_t size) {
+    // The first `disks` devices are shard 0's; park its disk 3.
+    const bool parked_disk = devices.fetch_add(1) < disks && id == 3;
+    return std::unique_ptr<raid::BlockDevice>(std::make_unique<ParkingDisk>(
+        backend(id, size), parked_disk ? &parking : nullptr));
+  };
+  PoolOptions opts;
+  opts.chunk_bytes = 2 * static_cast<int64_t>(spec.element_size);
+  opts.pipeline.workers = 1;
+  obs::Registry reg;
+  StoragePool pool(spec, 1, opts, &reg);
+  const int64_t chunk = opts.chunk_bytes;
+  std::vector<uint8_t> shadow =
+      random_bytes(static_cast<size_t>(pool.capacity()), 21);
+  pool.write(0, shadow);
+  pool.shard_array(0).fail_disk(1);
+
+  const std::vector<uint8_t> patch =
+      random_bytes(static_cast<size_t>(chunk), 22);
+  std::thread writer([&] {
+    park_my_writes = true;
+    pool.write(16 * chunk, patch);
+  });
+  bool parked = false;
+  {
+    std::unique_lock<std::mutex> lock(parking.mu);
+    parked = parking.cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return parking.parked; });
+  }
+  EXPECT_TRUE(parked) << "the chunk 16 write never reached disk 3";
+  std::memcpy(shadow.data() + 16 * chunk, patch.data(), patch.size());
+
+  pool.add_shard();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (pool.restripe_watermark() <= 15 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Copying chunk 15 needs a read ticket for stripe 2, which the parked
+  // write holds.
+  EXPECT_LE(pool.restripe_watermark(), 15);
+  {
+    std::lock_guard<std::mutex> lock(parking.mu);
+    parking.released = true;
+  }
+  parking.cv.notify_all();
+  writer.join();
+  ASSERT_TRUE(pool.wait_for_restripe());
+
+  std::vector<uint8_t> got(shadow.size());
+  pool.read(0, got);
+  for (int64_t c = 0; c < static_cast<int64_t>(shadow.size()) / chunk; ++c) {
+    EXPECT_EQ(0, std::memcmp(got.data() + c * chunk, shadow.data() + c * chunk,
+                             static_cast<size_t>(chunk)))
+        << "chunk " << c << " differs from what was written";
+  }
 }
 
 TEST(StoragePool, AggregatedHealthCountsShardStates) {
