@@ -3,8 +3,7 @@
 // load_stripe_degraded step in stripe_repair.cc). Split from
 // raid6_array.cc so the core policy file stays readable.
 #include <cstring>
-#include <map>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "codes/encoder.h"
@@ -28,19 +27,22 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
                                        std::span<const uint8_t> data) {
   // Stripe-rewrite policy: reconstruct, modify, re-encode, then write
   // back only the touched surviving data elements plus every surviving
-  // parity (untouched data is already on disk).
+  // parity (untouched data is already on disk). The scratch stripe is
+  // reused as is: load_stripe_degraded assigns every element.
   const CodeLayout& layout = *layout_;
-  StripeScratch w(layout, element_size_);
-  load_stripe_degraded(stripe, w);
-  Stripe& s = w.s;
-  std::set<Element> touched;
+  ScratchLease w(*this);
+  load_stripe_degraded(stripe, *w);
+  Stripe& s = w->s;
+  std::vector<char> touched(static_cast<size_t>(layout.rows() * layout.cols()),
+                            0);
   for (int64_t e = g; e <= stripe_end; ++e) {
     auto loc = map_.locate(e);
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(data.size()),
                   static_cast<int64_t>(element_size_), &eb, &sb, &len);
     std::memcpy(s.at(loc.element) + eb, data.data() + sb, len);
-    touched.insert(loc.element);
+    touched[static_cast<size_t>(loc.element.row * layout.cols() +
+                                loc.element.col)] = 1;
   }
   codes::encode_stripe(s);
   // Write phase with internal failover: once the first write lands the
@@ -49,15 +51,16 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   // would manufacture consistent garbage). Replay the captured target
   // values instead — they are idempotent — skipping disks that have died
   // since; rebuild reconstructs their elements from the survivors.
+  std::vector<WriteOp> wops;
   for (int attempt = 0;; ++attempt) {
     try {
-      std::vector<WriteOp> wops;
+      wops.clear();
       for (int r = 0; r < layout.rows(); ++r) {
         for (int c = 0; c < layout.cols(); ++c) {
           int pdisk = map_.physical_disk(stripe, c);
           if (disk_degraded_for_stripe(pdisk, stripe)) continue;
-          Element e = codes::make_element(r, c);
-          if (layout.is_parity(r, c) || touched.count(e)) {
+          if (layout.is_parity(r, c) ||
+              touched[static_cast<size_t>(r * layout.cols() + c)] != 0) {
             wops.push_back({pdisk, stripe, r, s.at(r, c)});
           }
         }
@@ -76,6 +79,7 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
                                const std::vector<int>& failed) {
   const CodeLayout& layout = *layout_;
   const int64_t esize = static_cast<int64_t>(element_size_);
+  const int64_t end = offset + static_cast<int64_t>(out.size());
   // Follow the planner's per-element equation choices.
   IoPlan plan = planner_.plan_degraded_read(first,
                                             static_cast<int>(last - first + 1),
@@ -86,49 +90,80 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
        {"failed_disks", static_cast<int64_t>(failed.size())},
        {"plan_reads", plan.reads()},
        {"reconstructions", static_cast<int64_t>(plan.reconstructions.size())}});
-  // Scratch cache of element buffers per (stripe, element).
-  struct Key {
-    int64_t stripe;
-    Element e;
-    bool operator<(const Key& o) const {
-      return stripe != o.stripe ? stripe < o.stripe : e < o.e;
-    }
+
+  // Where each (stripe - first stripe, element) of the op lives: a fully
+  // covered requested element in the caller's buffer, as read_healthy
+  // does; anything else the plan touches (extra equation members, chain
+  // intermediates, partial edges) in a per-thread slot. `filled` marks
+  // what a plan read or a reconstruction has produced.
+  struct Cell {
+    uint8_t* p = nullptr;
+    int slot = -1;
+    bool filled = false;
   };
-  std::map<Key, AlignedBuffer> cache;
+  const int64_t s0 = first / layout.data_count();
+  const size_t per_stripe = static_cast<size_t>(layout.rows() * layout.cols());
+  std::vector<Cell> cells(
+      static_cast<size_t>(last / layout.data_count() - s0 + 1) * per_stripe);
+  auto at = [&](int64_t stripe, const Element& e) -> Cell& {
+    return cells[static_cast<size_t>(stripe - s0) * per_stripe +
+                 static_cast<size_t>(e.row * layout.cols() + e.col)];
+  };
+  for (int64_t e = first; e <= last; ++e) {
+    if (e * esize >= offset && (e + 1) * esize <= end) {
+      auto loc = map_.locate(e);
+      at(loc.stripe, loc.element).p = out.data() + (e * esize - offset);
+    }
+  }
+  int slots = 0;
+  auto number = [&](Cell& c) {
+    if (c.p == nullptr && c.slot < 0) c.slot = slots++;
+  };
+  for (const IoAccess& a : plan.accesses) number(at(a.stripe, a.element));
+  for (const Reconstruction& rec : plan.reconstructions) {
+    number(at(rec.stripe, rec.target));
+  }
+  uint8_t* const base = element_slots(static_cast<size_t>(slots));
+  for (Cell& c : cells) {
+    if (c.slot >= 0) c.p = base + static_cast<size_t>(c.slot) * slot_bytes();
+  }
 
   std::vector<ReadOp> rops;
   rops.reserve(plan.accesses.size());
   for (const IoAccess& a : plan.accesses) {
     DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
-    auto [it, fresh] =
-        cache.emplace(Key{a.stripe, a.element}, AlignedBuffer(element_size_));
-    (void)fresh;  // duplicate plan reads share a buffer but still count
-    rops.push_back({a.disk, a.stripe, a.element.row, it->second.data()});
+    // A duplicate plan read lands twice in one place but still counts.
+    Cell& c = at(a.stripe, a.element);
+    c.filled = true;
+    rops.push_back({a.disk, a.stripe, a.element.row, c.p});
   }
   engine_.read_batch(rops);
 
+  std::optional<ScratchLease> whole;  // the full-stripe fallback's stripe
+  std::vector<const uint8_t*> members;
   for (const Reconstruction& rec : plan.reconstructions) {
-    AlignedBuffer buf(element_size_);
+    Cell& dst = at(rec.stripe, rec.target);
     if (rec.equation >= 0) {
       const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
+      members.clear();
       auto fold = [&](const Element& m) {
         if (m == rec.target) return;
-        auto it = cache.find(Key{rec.stripe, m});
-        DCODE_CHECK(it != cache.end(),
-                    "planner promised this member was read");
-        xorops::xor_into(buf.data(), it->second.data(), element_size_);
+        const Cell& c = at(rec.stripe, m);
+        DCODE_CHECK(c.filled, "planner promised this member was read");
+        members.push_back(c.p);
       };
       fold(q.parity);
       for (const Element& m : q.sources) fold(m);
+      xorops::xor_many(dst.p, members, element_size_);
     } else {
       // Full-stripe chained decode fallback (two failed disks crossing
       // every equation of the target).
       span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-      StripeScratch w(layout, element_size_);
-      load_stripe_degraded(rec.stripe, w);
-      std::memcpy(buf.data(), w.s.at(rec.target), element_size_);
+      if (!whole) whole.emplace(*this);
+      load_stripe_degraded(rec.stripe, **whole);
+      std::memcpy(dst.p, (*whole)->s.at(rec.target), element_size_);
     }
-    cache.emplace(Key{rec.stripe, rec.target}, std::move(buf));
+    dst.filled = true;
   }
   // Equation-based reconstructions (the fallback already counted its own
   // rebuilt elements inside load_stripe_degraded).
@@ -140,12 +175,13 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
 
   for (int64_t e = first; e <= last; ++e) {
     auto loc = map_.locate(e);
-    auto it = cache.find(Key{loc.stripe, loc.element});
-    DCODE_CHECK(it != cache.end(), "requested element missing from plan");
+    const Cell& c = at(loc.stripe, loc.element);
+    DCODE_CHECK(c.filled, "requested element missing from plan");
+    if (c.slot < 0) continue;  // already in place in the caller's buffer
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(out.size()), esize, &eb,
                   &sb, &len);
-    std::memcpy(out.data() + sb, it->second.data() + eb, len);
+    std::memcpy(out.data() + sb, c.p + eb, len);
   }
 }
 

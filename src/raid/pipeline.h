@@ -107,9 +107,11 @@ class StripePipeline {
 
   // Synchronous user I/O on the calling thread, admitted exactly like a
   // submitted op. Blocks until the op's ticket is granted and the array
-  // op returns; rethrows the array's error. Borrows the caller's buffer.
-  // Returns the op's sequence number (0 for an empty op, which is not
-  // admitted).
+  // op returns; rethrows the array's error. Borrows the caller's buffer:
+  // a write reads its bytes more than once (delta, then device write and
+  // checksum), so they must not change until run_write returns
+  // (submit_write copies them instead). Returns the op's sequence number
+  // (0 for an empty op, which is not admitted).
   uint64_t run_read(int64_t offset, std::span<uint8_t> out);
   uint64_t run_write(int64_t offset, std::span<const uint8_t> data);
 

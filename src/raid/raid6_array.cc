@@ -10,8 +10,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <memory>
+#include <new>
 #include <mutex>
 #include <optional>
 
@@ -126,6 +126,42 @@ size_t checked_disk_size(const CodeLayout& layout, size_t element_size,
 }
 
 }  // namespace
+
+uint8_t* Raid6Array::element_slots(size_t count) const {
+  struct Slots {
+    uint8_t* data = nullptr;
+    size_t bytes = 0;
+    ~Slots() { ::operator delete(data, std::align_val_t{64}); }
+  };
+  thread_local Slots slots;
+  const size_t bytes = count * slot_bytes();
+  if (bytes > slots.bytes) {
+    ::operator delete(slots.data, std::align_val_t{64});
+    slots.data = nullptr;
+    slots.bytes = 0;
+    slots.data =
+        static_cast<uint8_t*>(::operator new(bytes, std::align_val_t{64}));
+    slots.bytes = bytes;
+  }
+  return slots.data;
+}
+
+Raid6Array::ScratchLease::ScratchLease(Raid6Array& array) : array_(array) {
+  {
+    std::lock_guard<std::mutex> lock(array_.scratch_mu_);
+    if (!array_.scratch_free_.empty()) {
+      w_ = std::move(array_.scratch_free_.back());
+      array_.scratch_free_.pop_back();
+      return;
+    }
+  }
+  w_ = std::make_unique<StripeScratch>(*array_.layout_, array_.element_size_);
+}
+
+Raid6Array::ScratchLease::~ScratchLease() {
+  std::lock_guard<std::mutex> lock(array_.scratch_mu_);
+  array_.scratch_free_.push_back(std::move(w_));
+}
 
 void Raid6Array::overlay_range(int64_t g, int64_t offset, int64_t len,
                                int64_t esize, size_t* elem_begin,
@@ -285,66 +321,79 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
                                   std::span<const uint8_t> data) {
   const CodeLayout& layout = *layout_;
   const int64_t esize = static_cast<int64_t>(element_size_);
+  const int64_t end = offset + static_cast<int64_t>(data.size());
   const size_t n = static_cast<size_t>(stripe_end - g + 1);
-
-  // Phase 1: batch-read the old contents of every touched data element.
   std::vector<AddressMap::Location> locs;
-  std::vector<AlignedBuffer> old_data;
-  std::vector<ReadOp> rops;
+  std::vector<Element> written;
   locs.reserve(n);
-  old_data.reserve(n);
-  rops.reserve(n);
+  written.reserve(n);
   for (int64_t e = g; e <= stripe_end; ++e) {
     locs.push_back(map_.locate(e));
-    old_data.emplace_back(element_size_);
-    rops.push_back({locs.back().disk, stripe, locs.back().element.row,
-                    old_data.back().data()});
+    written.push_back(locs.back().element);
+  }
+  const std::vector<int> closure = dirty_parity_closure(layout, written);
+  const size_t m = closure.size();
+
+  // One scratch region per call: n old-data slots (turned into deltas in
+  // place), two partial-edge overlays, then m parity deltas and m parity
+  // values. Nothing is zero-filled: every slot is read into or assigned
+  // before it is read.
+  uint8_t* const base = element_slots(n + 2 + 2 * m);
+  auto slot = [&](size_t i) { return base + i * slot_bytes(); };
+  auto pdelta = [&](size_t i) { return slot(n + 2 + i); };
+  auto parity = [&](size_t i) { return slot(n + 2 + m + i); };
+
+  // Phase 1: batch-read the old contents of every touched data element.
+  std::vector<ReadOp> rops;
+  rops.reserve(std::max(n, m));
+  for (size_t i = 0; i < n; ++i) {
+    rops.push_back({locs[i].disk, stripe, locs[i].element.row, slot(i)});
   }
   engine_.read_batch(rops);
 
-  // Phase 2 (computation only): overlay the user bytes and compute the
-  // per-element deltas, including the parity deltas of the dirty closure
-  // in topo order. No I/O happens here, so everything below works from
-  // values captured while the stripe was still consistent.
-  std::vector<Element> written;
-  std::map<Element, AlignedBuffer> delta;  // old ^ new per element
-  std::vector<AlignedBuffer> fresh;
-  std::vector<WriteOp> wops;
-  written.reserve(n);
-  fresh.reserve(n);
+  // Phase 2 (computation only): the new payload of each element — a fully
+  // covered one straight from the caller's buffer, a partial edge as the
+  // old element with the user bytes overlaid — and the per-element
+  // deltas, then the parity deltas of the dirty closure in topo order.
+  // No I/O happens here, so everything below works from values captured
+  // while the stripe was still consistent.
+  std::vector<const uint8_t*> fresh(n);
+  std::vector<const uint8_t*> delta(
+      static_cast<size_t>(layout.rows() * layout.cols()), nullptr);
+  auto cell = [&](const Element& e) {
+    return static_cast<size_t>(e.row * layout.cols() + e.col);
+  };
+  uint8_t* overlay = slot(n);
   for (size_t i = 0; i < n; ++i) {
     const int64_t e = g + static_cast<int64_t>(i);
-    size_t eb, sb, len;
-    overlay_range(e, offset, static_cast<int64_t>(data.size()), esize, &eb,
-                  &sb, &len);
-    fresh.emplace_back(element_size_);
-    std::memcpy(fresh.back().data(), old_data[i].data(), element_size_);
-    std::memcpy(fresh.back().data() + eb, data.data() + sb, len);
-
-    AlignedBuffer dbuf(element_size_);
-    xorops::xor_assign(dbuf.data(), old_data[i].data(), fresh.back().data(),
-                       element_size_);
-    written.push_back(locs[i].element);
-    delta.emplace(locs[i].element, std::move(dbuf));
-  }
-  const std::vector<int> closure = dirty_parity_closure(layout, written);
-  std::vector<int> pdisks;
-  std::vector<AlignedBuffer> pdeltas;
-  pdisks.reserve(closure.size());
-  pdeltas.reserve(closure.size());
-  for (int qi : closure) {
-    const Equation& q = layout.equations()[static_cast<size_t>(qi)];
-    pdisks.push_back(map_.physical_disk(stripe, q.parity.col));
-    AlignedBuffer pdelta(element_size_);
-    for (const Element& src : q.sources) {
-      auto it = delta.find(src);
-      if (it != delta.end()) {
-        xorops::xor_into(pdelta.data(), it->second.data(), element_size_);
-      }
+    uint8_t* old = slot(i);
+    if (e * esize >= offset && (e + 1) * esize <= end) {
+      fresh[i] = data.data() + (e * esize - offset);
+    } else {
+      size_t eb, sb, len;
+      overlay_range(e, offset, static_cast<int64_t>(data.size()), esize, &eb,
+                    &sb, &len);
+      std::memcpy(overlay, old, element_size_);
+      std::memcpy(overlay + eb, data.data() + sb, len);
+      fresh[i] = overlay;
+      overlay += slot_bytes();
     }
-    pdeltas.emplace_back(element_size_);
-    std::memcpy(pdeltas.back().data(), pdelta.data(), element_size_);
-    delta.emplace(q.parity, std::move(pdelta));
+    xorops::xor_into(old, fresh[i], element_size_);  // old ^ new
+    delta[cell(locs[i].element)] = old;
+  }
+  std::vector<int> pdisks;
+  std::vector<const uint8_t*> members;
+  pdisks.reserve(m);
+  for (size_t i = 0; i < m; ++i) {
+    const Equation& q = layout.equations()[static_cast<size_t>(closure[i])];
+    pdisks.push_back(map_.physical_disk(stripe, q.parity.col));
+    members.clear();
+    for (const Element& src : q.sources) {
+      if (delta[cell(src)] != nullptr) members.push_back(delta[cell(src)]);
+    }
+    DCODE_ASSERT(!members.empty(), "a dirty equation has a changed source");
+    xorops::xor_many(pdelta(i), members, element_size_);
+    delta[cell(q.parity)] = pdelta(i);
   }
 
   // Phase 3 (writes, with internal failover): once the first device write
@@ -355,50 +404,48 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   // parity old^delta are idempotent), skipping disks that have died; the
   // rebuild later reconstructs their elements from the consistent
   // survivors. Only the pre-write phases above may throw to the caller.
-  std::vector<AlignedBuffer> parity;  // old parity, captured exactly once
-  std::vector<char> parity_live(closure.size(), 0);
+  std::vector<WriteOp> wops;
+  wops.reserve(std::max(n, m));
+  std::vector<char> parity_live(m, 0);  // old parity captured exactly once
   bool parity_read = false;
   for (int attempt = 0;; ++attempt) {
     try {
       wops.clear();
       for (size_t i = 0; i < n; ++i) {
         if (disk_degraded_for_stripe(locs[i].disk, stripe)) continue;
-        wops.push_back(
-            {locs[i].disk, stripe, locs[i].element.row, fresh[i].data()});
+        wops.push_back({locs[i].disk, stripe, locs[i].element.row, fresh[i]});
       }
       engine_.write_batch(wops);
       if (!parity_read) {
         // Parity is still uniformly old (no parity write has happened in
         // any attempt), so reading it now is safe; after this point the
         // captured values are authoritative and are never re-read.
-        parity.clear();
         rops.clear();
-        for (size_t i = 0; i < closure.size(); ++i) {
+        for (size_t i = 0; i < m; ++i) {
           const Equation& q =
               layout.equations()[static_cast<size_t>(closure[i])];
-          parity.emplace_back(element_size_);
           parity_live[i] = disk_degraded_for_stripe(pdisks[i], stripe) ? 0 : 1;
           if (parity_live[i] != 0) {
-            rops.push_back(
-                {pdisks[i], stripe, q.parity.row, parity[i].data()});
+            rops.push_back({pdisks[i], stripe, q.parity.row, parity(i)});
           }
         }
         engine_.read_batch(rops);
-        for (size_t i = 0; i < closure.size(); ++i) {
-          xorops::xor_into(parity[i].data(), pdeltas[i].data(),
-                           element_size_);
+        for (size_t i = 0; i < m; ++i) {
+          if (parity_live[i] != 0) {
+            xorops::xor_into(parity(i), pdelta(i), element_size_);
+          }
         }
         parity_read = true;
       }
       wops.clear();
-      for (size_t i = 0; i < closure.size(); ++i) {
+      for (size_t i = 0; i < m; ++i) {
         if (parity_live[i] == 0 ||
             disk_degraded_for_stripe(pdisks[i], stripe)) {
           continue;
         }
         const Equation& q =
             layout.equations()[static_cast<size_t>(closure[i])];
-        wops.push_back({pdisks[i], stripe, q.parity.row, parity[i].data()});
+        wops.push_back({pdisks[i], stripe, q.parity.row, parity(i)});
       }
       engine_.write_batch(wops);
       return;
@@ -510,21 +557,22 @@ void Raid6Array::read_healthy(int64_t first, int64_t last, int64_t offset,
   const bool head_partial = first * esize < offset;
   const bool tail_partial = (last + 1) * esize > end;
   // Fully covered elements land straight in the caller's buffer; the (at
-  // most two) partially covered edge elements bounce through scratch,
-  // allocated only for an edge that is partial (an empty AlignedBuffer
-  // allocates nothing). A single element partial at either edge uses
+  // most two) partially covered edge elements bounce through this
+  // thread's element slots. A single element partial at either edge uses
   // `head`.
-  AlignedBuffer head(head_partial || (tail_partial && last == first)
-                         ? element_size_
-                         : 0);
-  AlignedBuffer tail(tail_partial && last != first ? element_size_ : 0);
+  uint8_t* head = nullptr;
+  uint8_t* tail = nullptr;
+  if (head_partial || tail_partial) {
+    head = element_slots(2);
+    tail = last == first ? head : head + slot_bytes();
+  }
   std::vector<ReadOp> rops;
   rops.reserve(static_cast<size_t>(last - first + 1));
   for (int64_t e = first; e <= last; ++e) {
     auto loc = map_.locate(e);
     const bool full = e * esize >= offset && (e + 1) * esize <= end;
     uint8_t* dst = full ? out.data() + (e * esize - offset)
-                        : (e == first ? head.data() : tail.data());
+                        : (e == first ? head : tail);
     rops.push_back({loc.disk, loc.stripe, loc.element.row, dst});
   }
   engine_.read_batch(rops);
@@ -534,8 +582,8 @@ void Raid6Array::read_healthy(int64_t first, int64_t last, int64_t offset,
                   &sb, &len);
     std::memcpy(out.data() + sb, elem + eb, len);
   };
-  if (head_partial) copy_out(first, head.data());
-  if (tail_partial) copy_out(last, last == first ? head.data() : tail.data());
+  if (head_partial) copy_out(first, head);
+  if (tail_partial) copy_out(last, tail);
 }
 
 void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {

@@ -4,7 +4,7 @@
 // examples and the read-speed experiments run on. Since the monolith
 // split, the array is pure policy over two lower layers:
 //
-//   Raid6Array            — RMW/RCW choice, degraded paths, journal,
+//   Raid6Array            — delta RMW writes, degraded paths, journal,
 //                           spares, rebuild orchestration (this class)
 //   StripeIoEngine        — batched element I/O: coalescing into ranged
 //                           vectored transfers, per-disk parallelism,
@@ -17,12 +17,22 @@
 // (element granularity inside; byte granularity at the public API).
 //
 // Behaviour:
-//  * write — healthy mode uses the planner's RMW/RCW choice, applying
-//    parity deltas with the XOR kernels; if any disk is failed, the
-//    affected stripes are reconstructed in memory, modified, re-encoded
-//    and written back to the surviving disks (stripe-rewrite policy).
+//  * write — healthy mode always runs delta read-modify-write (read old
+//    data, write new data, read old parity, write parity ^ delta), even
+//    where the planner's auto policy would pick reconstruct-write: only
+//    the parity read lets a write catch a misdirected element write to
+//    its own stripe before it folds into parity. If any disk is failed,
+//    the affected stripes are reconstructed in memory, modified,
+//    re-encoded and written back to the surviving disks (stripe-rewrite
+//    policy).
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
+//  * scratch — the foreground paths allocate no element buffers: fully
+//    covered elements move straight between the devices and the caller's
+//    buffer, everything else (old data, deltas, parity, partial edges,
+//    extra equation members) uses a per-thread slot buffer, and the
+//    degraded rewrite reuses whole-stripe scratch from the array's free
+//    list.
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
 //    Rebuild is one watermark pass (background_rebuild.cc), run by the
 //    hot-spare worker or by rebuild(); a stripe whose only lost column is
@@ -158,7 +168,10 @@ class Raid6Array : private WriteGate {
            static_cast<int64_t>(element_size_);
   }
 
-  // Byte-addressed user I/O over the logical data space.
+  // Byte-addressed user I/O over the logical data space. write() reads
+  // the caller's bytes more than once (for the parity delta, then for the
+  // device write and its checksum), so they must not change until it
+  // returns.
   void write(int64_t offset, std::span<const uint8_t> data);
   void read(int64_t offset, std::span<uint8_t> out);
 
@@ -327,6 +340,31 @@ class Raid6Array : private WriteGate {
     std::vector<codes::Element> repaired;  // ...of which survivors
     std::vector<StripeIoEngine::ReadOp> rops;
   };
+  // Lends one StripeScratch from the array's free list for a scope and
+  // takes it back after. A StripeScratch points at this array's layout,
+  // so the array owns its free list; a per-thread cache could outlive
+  // the layout it points at. Contents are left from the last user:
+  // load_stripe_degraded overwrites every element.
+  class ScratchLease {
+   public:
+    explicit ScratchLease(Raid6Array& array);
+    ~ScratchLease();
+    ScratchLease(const ScratchLease&) = delete;
+    ScratchLease& operator=(const ScratchLease&) = delete;
+    StripeScratch& operator*() { return *w_; }
+    StripeScratch* operator->() { return w_.get(); }
+
+   private:
+    Raid6Array& array_;
+    std::unique_ptr<StripeScratch> w_;
+  };
+  // `count` element slots from this thread's slot buffer, each
+  // slot_bytes() long and 64-byte aligned; uninitialised, and valid until
+  // the thread's next call. Raw bytes hold no layout pointer, so one
+  // buffer, grown on demand and freed when the thread exits, serves
+  // every array the thread touches. Callers never nest.
+  uint8_t* element_slots(size_t count) const;
+  size_t slot_bytes() const { return (element_size_ + 63) & ~size_t{63}; }
   // Recomputes `target` in `s` as the XOR of equation `q`'s other members.
   static void rederive(const codes::Equation& q, codes::Element target,
                        codes::Stripe& s);
@@ -426,6 +464,10 @@ class Raid6Array : private WriteGate {
   // take these — the pass hands its locked stripes to pool workers — so
   // there is no lock/pool cycle.
   StripeLockTable stripe_locks_;
+
+  // Idle StripeScratch for the foreground degraded paths (ScratchLease).
+  std::mutex scratch_mu_;
+  std::vector<std::unique_ptr<StripeScratch>> scratch_free_;
 
   std::atomic<int> hot_spares_{0};
   // Serializes spare promotion against rebuild completion, so a disk

@@ -366,6 +366,58 @@ TEST(ChecksumStoreSidecar, SlotAtTheWrongElementNeverVerifies) {
   }
 }
 
+TEST(ChecksumStoreSidecar, GenerationWrapsToOneAndKeepsHistory) {
+  // The tag's 32-bit generation counts acknowledged writes to one
+  // element, and no code compares generations, so the wrap only has to
+  // keep a tracked element tracked: record() takes 0xFFFFFFFF to 1,
+  // never to the untracked sentinel 0, and keeps the stale history.
+  const std::string dir = fresh_dir("genwrap");
+  const std::string path = dir + "/disk0.sum";
+  constexpr int64_t kElems = 4;
+  constexpr int64_t kElement = 2;
+  constexpr uint64_t kOldSum = 0x0123456789ABCDEFULL;
+  constexpr uint64_t kNewSum = 0xFEDCBA9876543210ULL;
+  {
+    ChecksumStore store(kElems);  // writes the sidecar header
+    store.attach_file(path);
+  }
+  // The slot a store writes after 2^32 - 1 writes to the element: seq,
+  // sum, prev, tag, then a CRC of those 32 bytes seeded with the index.
+  uint64_t slot[5] = {2, kOldSum, 0, make_tag(0xFFFFFFFFu, 0, 2, 0), 0};
+  slot[4] = xorops::checksum64(slot, 32, static_cast<uint64_t>(kElement));
+  static_assert(sizeof(slot) == ChecksumStore::kSlotBytes);
+  const int fd = open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(detail::pwrite_fully(fd, slot, sizeof(slot),
+                                   ChecksumStore::slot_offset(kElement, 1)));
+  close(fd);
+  {
+    ChecksumStore store(kElems);
+    store.attach_file(path);
+    ASSERT_EQ(tag_generation(store.load(kElement).tag), 0xFFFFFFFFu);
+    ASSERT_EQ(store.classify(kElement, kOldSum), IntegrityVerdict::kOk);
+    store.record(kElement, kNewSum, 0, 2, 0);
+    const ChecksumStore::Snapshot s = store.load(kElement);
+    EXPECT_TRUE(s.tracked());
+    EXPECT_EQ(tag_generation(s.tag), 1u);
+    EXPECT_EQ(tag_stripe(s.tag), 0);
+    EXPECT_EQ(tag_row(s.tag), 2);
+    EXPECT_EQ(store.classify(kElement, kOldSum), IntegrityVerdict::kStale);
+    EXPECT_EQ(store.classify(kElement, kNewSum), IntegrityVerdict::kOk);
+    store.flush();
+  }
+  // The post-wrap slot carries the higher sequence number, so a reopen
+  // adopts it over the crafted one.
+  ChecksumStore reopened(kElems);
+  reopened.attach_file(path);
+  const ChecksumStore::Snapshot s = reopened.load(kElement);
+  EXPECT_EQ(s.sum, kNewSum);
+  EXPECT_EQ(s.prev, kOldSum);
+  EXPECT_EQ(tag_generation(s.tag), 1u);
+  EXPECT_EQ(reopened.classify(kElement, kOldSum), IntegrityVerdict::kStale);
+  EXPECT_EQ(reopened.classify(kElement, kNewSum), IntegrityVerdict::kOk);
+}
+
 TEST(ChecksumStoreSidecar, PreadPwriteFullyHandleShortCounts) {
   const std::string dir = fresh_dir("shortio");
   const std::string path = dir + "/f";
