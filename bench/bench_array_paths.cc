@@ -14,11 +14,25 @@
 //
 // Each iteration moves to the next stripe, so successive ops touch
 // different elements. items_per_second counts user elements.
+//
+// The file rows run the same array on FileDisks with integrity sidecars,
+// at the size of one oltp-4k shard (512 stripes, 14 MiB per device),
+// filled one stripe per write as dcode_bench's fill does and then driven
+// with k-element ops at pseudo-random offsets, so what the page cache
+// charges each device call shows in the array op:
+//
+//   BM_FileHealthyWrite/k  — k-element delta RMW write
+//   BM_FileHealthyRead/k   — k-element read
 #include <benchmark/benchmark.h>
+#include <stdlib.h>
 
 #include "gbench_telemetry.h"
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "codes/registry.h"
@@ -101,6 +115,82 @@ void BM_DegradedRead(benchmark::State& state) {
                           static_cast<int64_t>(k * kElement));
 }
 
+constexpr int64_t kFileStripes = 512;
+
+// A filled FileDisk array whose devices unlink themselves on close and
+// whose sidecars live in a temp dir removed with it.
+class FileArray {
+ public:
+  FileArray() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string dir = std::string(tmp != nullptr ? tmp : "/tmp") +
+                      "/dcode-bench-sidecars-XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed: " + dir);
+    }
+    dir_ = dir;
+    raid::ArrayOptions opts;
+    opts.device_factory = bench::backend_device_factory("file");
+    opts.integrity_sidecar_dir = dir_;
+    array_ = std::make_unique<raid::Raid6Array>(
+        codes::make_layout("dcode", 7), kElement, kFileStripes, /*threads=*/1,
+        nullptr, opts);
+    std::vector<uint8_t> stripe(
+        static_cast<size_t>(array_->layout().data_count()) * kElement);
+    Pcg32 rng(13);
+    for (int64_t s = 0; s < kFileStripes; ++s) {
+      rng.fill_bytes(stripe.data(), stripe.size());
+      array_->write(s * static_cast<int64_t>(stripe.size()), stripe);
+    }
+  }
+  ~FileArray() {
+    array_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  FileArray(const FileArray&) = delete;
+  FileArray& operator=(const FileArray&) = delete;
+
+  raid::Raid6Array& array() { return *array_; }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<raid::Raid6Array> array_;
+};
+
+void run_file_ops(benchmark::State& state, bool write) {
+  const int64_t k = state.range(0);
+  FileArray files;
+  raid::Raid6Array& array = files.array();
+  const int64_t elements = array.capacity() / static_cast<int64_t>(kElement);
+  const auto starts = static_cast<uint32_t>(elements - k + 1);
+  std::vector<uint8_t> buf(static_cast<size_t>(k) * kElement);
+  Pcg32 rng(17);
+  rng.fill_bytes(buf.data(), buf.size());
+  for (auto _ : state) {
+    const int64_t start = rng.next_below(starts);
+    const int64_t offset = start * static_cast<int64_t>(kElement);
+    if (write) {
+      array.write(offset, buf);
+    } else {
+      array.read(offset, buf);
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+  state.SetBytesProcessed(state.iterations() * k *
+                          static_cast<int64_t>(kElement));
+}
+
+void BM_FileHealthyWrite(benchmark::State& state) {
+  run_file_ops(state, /*write=*/true);
+}
+
+void BM_FileHealthyRead(benchmark::State& state) {
+  run_file_ops(state, /*write=*/false);
+}
+
 }  // namespace
 
 BENCHMARK(BM_HealthyWrite)->Arg(1)->Arg(16)->Arg(35)
@@ -108,6 +198,10 @@ BENCHMARK(BM_HealthyWrite)->Arg(1)->Arg(16)->Arg(35)
 BENCHMARK(BM_DegradedWrite)->Arg(1)->Arg(20)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_DegradedRead)->Arg(1)->Arg(20)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_FileHealthyWrite)->Arg(1)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_FileHealthyRead)->Arg(1)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 int main(int argc, char** argv) {

@@ -41,6 +41,9 @@ FileDisk::FileDisk(int id, size_t size, std::string path, Options opts)
     errno = saved;
     throw std::runtime_error(errno_message("ftruncate", path_));
   }
+  // No readahead: its large folios tax every later small overwrite (see
+  // the header comment). A hint only, so a failure changes nothing else.
+  (void)::posix_fadvise(fd_, 0, 0, POSIX_FADV_RANDOM);
 }
 
 FileDisk::~FileDisk() {

@@ -4,9 +4,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <vector>
 
 #include "util/check.h"
 #include "xorops/checksum.h"
@@ -195,6 +197,10 @@ void ChecksumStore::attach_file(const std::string& path) {
   if (fd < 0) {
     throw std::runtime_error("integrity sidecar open failed: " + path);
   }
+  // Every sidecar access is a 40-byte slot write or the chunked reload
+  // scan below; readahead's large folios would tax each slot write (see
+  // raid/file_disk.h). A hint only, so a failure changes nothing else.
+  (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_RANDOM);
   const int64_t want_size =
       kHeaderBytes + elements_ * 2 * static_cast<int64_t>(kSlotBytes);
   const off_t cur = ::lseek(fd, 0, SEEK_END);
@@ -232,23 +238,33 @@ void ChecksumStore::attach_file(const std::string& path) {
       throw std::runtime_error("integrity sidecar resize failed: " + path);
     }
     // Adopt the newer valid slot of each element; torn or misplaced
-    // slots fail their seeded self-checksum and are ignored.
-    for (int64_t e = 0; e < elements_; ++e) {
-      SlotImage slots[2];
-      if (!detail::pread_fully(fd, slots, sizeof(slots), slot_offset(e, 0))) {
-        continue;  // short file: remaining elements stay untracked
+    // slots fail their seeded self-checksum and are ignored. Without
+    // readahead the scan must batch its own reads: whole slot pairs,
+    // kScanChunkElements elements per pread.
+    std::vector<SlotImage> chunk(
+        2 * static_cast<size_t>(std::min(elements_, kScanChunkElements)));
+    for (int64_t first = 0; first < elements_; first += kScanChunkElements) {
+      const int64_t count = std::min(kScanChunkElements, elements_ - first);
+      if (!detail::pread_fully(fd, chunk.data(),
+                               2 * static_cast<size_t>(count) * kSlotBytes,
+                               slot_offset(first, 0))) {
+        continue;  // unreadable: this chunk's elements stay untracked
       }
-      const SlotImage* best = nullptr;
-      for (SlotImage& s : slots) {
-        if (s.seq == 0 || slot_self_checksum(s, e) != s.self) continue;
-        if (best == nullptr || s.seq > best->seq) best = &s;
+      for (int64_t i = 0; i < count; ++i) {
+        const int64_t e = first + i;
+        const SlotImage* pair = chunk.data() + 2 * i;
+        const SlotImage* best = nullptr;
+        for (const SlotImage* s : {pair, pair + 1}) {
+          if (s->seq == 0 || slot_self_checksum(*s, e) != s->self) continue;
+          if (best == nullptr || s->seq > best->seq) best = s;
+        }
+        if (best == nullptr) continue;
+        Record& r = recs_[static_cast<size_t>(e)];
+        r.sum.store(best->sum, std::memory_order_relaxed);
+        r.prev.store(best->prev, std::memory_order_relaxed);
+        r.tag.store(best->tag, std::memory_order_relaxed);
+        r.seq.store(best->seq, std::memory_order_release);
       }
-      if (best == nullptr) continue;
-      Record& r = recs_[static_cast<size_t>(e)];
-      r.sum.store(best->sum, std::memory_order_relaxed);
-      r.prev.store(best->prev, std::memory_order_relaxed);
-      r.tag.store(best->tag, std::memory_order_relaxed);
-      r.seq.store(best->seq, std::memory_order_release);
     }
   }
   fd_ = fd;

@@ -177,6 +177,10 @@ class ChecksumStore {
   // slot) in the sidecar file, and the slot payload size.
   static int64_t slot_offset(int64_t element, int slot);
   static constexpr size_t kSlotBytes = 40;
+  // attach_file's reload reads this many elements' slot pairs per pread
+  // (the most whole pairs that fit in 1 MiB).
+  static constexpr int64_t kScanChunkElements =
+      (int64_t{1} << 20) / (2 * static_cast<int64_t>(kSlotBytes));
 
  private:
   struct Record {

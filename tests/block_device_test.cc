@@ -6,9 +6,14 @@
 // Raid6Array instance sees only what the first one's FileDisks persisted.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <linux/magic.h>
+#include <sys/mman.h>
+#include <sys/vfs.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -190,6 +195,64 @@ TEST(FileDiskTest, VectoredTransfersBeyondTheIovecCap) {
   EXPECT_EQ(out, data);
   EXPECT_EQ(disk.read_ops(), 1);
   EXPECT_EQ(disk.write_ops(), 1);
+}
+
+// Pages of `path` resident in the page cache (mincore over a read-only
+// shared mapping; mapping a file faults nothing in).
+size_t resident_pages(const std::string& path, size_t size) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return SIZE_MAX;
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  ::close(fd);
+  if (map == MAP_FAILED) return SIZE_MAX;
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((size + page - 1) / page);
+  size_t resident = SIZE_MAX;
+  if (::mincore(map, size, vec.data()) == 0) {
+    resident = 0;
+    for (unsigned char v : vec) resident += v & 1;
+  }
+  ::munmap(map, size);
+  return resident;
+}
+
+// FileDisk advises the kernel that it reads at random: readahead would
+// build large page-cache folios around the elements it reads, and every
+// later small overwrite into one pays for the folio's size. One read
+// alone triggers no readahead, so the guard reads consecutive elements.
+TEST(FileDiskTest, ReadsFetchOnlyTheRequestedPages) {
+  // Where default_device_factory() puts its files.
+  const char* dir = std::getenv("DCODE_DISK_DIR");
+  if (dir == nullptr) dir = std::getenv("TMPDIR");
+  if (dir == nullptr) dir = "/tmp";
+  struct statfs fs = {};
+  ASSERT_EQ(::statfs(dir, &fs), 0) << dir;
+  if (fs.f_type == TMPFS_MAGIC) {
+    GTEST_SKIP() << "tmpfs has no readahead, so the guard cannot fail there";
+  }
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  constexpr size_t kSize = size_t{2} << 20;
+  constexpr size_t kReads = 8;
+  const std::string path = std::string(dir) + "/dcode-bdtest-fadvise-" +
+                           std::to_string(::getpid()) + ".img";
+  std::vector<uint8_t> out(page);
+  {
+    FileDisk disk(0, kSize, path);  // fresh and sparse: nothing cached
+    ASSERT_EQ(resident_pages(path, kSize), 0u);
+    for (size_t i = 0; i < kReads; ++i) {
+      ASSERT_TRUE(disk.read((size_t{1} << 20) + i * page, out).ok());
+    }
+    EXPECT_EQ(resident_pages(path, kSize), kReads);
+  }
+  // The restart path reopens the file: the advice must hold there too.
+  FileDisk::Options opts;
+  opts.reuse = true;
+  opts.unlink_on_close = true;
+  FileDisk disk(0, kSize, path, opts);
+  for (size_t i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(disk.read((size_t{256} << 10) + i * page, out).ok());
+  }
+  EXPECT_EQ(resident_pages(path, kSize), 2 * kReads);
 }
 
 TEST(FaultInjectionTest, FailStopUntilReplaced) {

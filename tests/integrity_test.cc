@@ -418,6 +418,73 @@ TEST(ChecksumStoreSidecar, GenerationWrapsToOneAndKeepsHistory) {
   EXPECT_EQ(reopened.classify(kElement, kNewSum), IntegrityVerdict::kOk);
 }
 
+TEST(ChecksumStoreSidecar, ReloadAcrossScanChunksAdoptsEveryNewestSlot) {
+  // The reload reads slot pairs kScanChunkElements elements at a time.
+  // Elements are recorded 0, 1 or 2 times by index; the first and last
+  // element of every chunk are recorded twice and their newest slot torn,
+  // so each chunk's edges must fall back to their first record.
+  const std::string dir = fresh_dir("chunks");
+  const std::string path = dir + "/disk0.sum";
+  constexpr int64_t kChunk = ChecksumStore::kScanChunkElements;
+  constexpr int64_t kElems = 30000;
+  static_assert(kElems > 2 * kChunk && kElems < 3 * kChunk,
+                "three scan chunks, the last one partial");
+  auto is_edge = [&](int64_t e) {
+    return e % kChunk == 0 || e % kChunk == kChunk - 1 || e == kElems - 1;
+  };
+  auto records = [&](int64_t e) {
+    return is_edge(e) ? 2 : static_cast<int>(e % 3);
+  };
+  auto sum_of = [](int64_t e, int k) {
+    return (static_cast<uint64_t>(e) << 8) | static_cast<uint64_t>(k);
+  };
+  {
+    ChecksumStore store(kElems);
+    store.attach_file(path);
+    for (int64_t e = 0; e < kElems; ++e) {
+      for (int k = 1; k <= records(e); ++k) {
+        store.record(e, sum_of(e, k), e / 5, static_cast<int>(e % 5), 0);
+      }
+    }
+    store.flush();
+  }
+  const int fd = open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  int torn = 0;
+  for (int64_t e = 0; e < kElems; ++e) {
+    if (!is_edge(e)) continue;
+    uint64_t seq[2] = {};
+    for (int slot = 0; slot < 2; ++slot) {
+      ASSERT_TRUE(detail::pread_fully(fd, &seq[slot], sizeof(uint64_t),
+                                      ChecksumStore::slot_offset(e, slot)));
+    }
+    const int newest = seq[1] > seq[0] ? 1 : 0;
+    // Scribble over the slot's sum, prev and tag: a torn sidecar write.
+    std::vector<uint8_t> junk(ChecksumStore::kSlotBytes / 2, 0x5A);
+    const int64_t at = ChecksumStore::slot_offset(e, newest) + 8;
+    ASSERT_TRUE(detail::pwrite_fully(fd, junk.data(), junk.size(), at));
+    ++torn;
+  }
+  close(fd);
+  EXPECT_EQ(torn, 6);
+
+  ChecksumStore reopened(kElems);
+  reopened.attach_file(path);
+  for (int64_t e = 0; e < kElems; ++e) {
+    const ChecksumStore::Snapshot s = reopened.load(e);
+    const int k = is_edge(e) ? 1 : records(e);
+    if (k == 0) {
+      ASSERT_FALSE(s.tracked()) << "element " << e;
+      continue;
+    }
+    ASSERT_EQ(s.sum, sum_of(e, k)) << "element " << e;
+    ASSERT_EQ(s.prev, k == 2 ? sum_of(e, 1) : 0u) << "element " << e;
+    ASSERT_EQ(tag_generation(s.tag), static_cast<uint32_t>(k))
+        << "element " << e;
+    ASSERT_EQ(tag_stripe(s.tag), e / 5) << "element " << e;
+  }
+}
+
 TEST(ChecksumStoreSidecar, PreadPwriteFullyHandleShortCounts) {
   const std::string dir = fresh_dir("shortio");
   const std::string path = dir + "/f";
