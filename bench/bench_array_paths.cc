@@ -53,7 +53,6 @@ std::unique_ptr<raid::Raid6Array> make_array(bool degraded) {
   opts.device_factory = [](int id, size_t size) {
     return std::make_unique<raid::MemDisk>(id, size);
   };
-  opts.integrity_checksums = true;
   auto array = std::make_unique<raid::Raid6Array>(
       codes::make_layout("dcode", 7), kElement, kStripes, /*threads=*/1,
       nullptr, opts);

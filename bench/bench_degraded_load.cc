@@ -123,11 +123,7 @@ double measure_runtime_scrub_repair_ms() {
 double measure_runtime_transient_burst_read_ms() {
   const size_t esize = 8 * 1024;
   const int64_t stripes = 32;
-  raid::ArrayOptions opts;
-  opts.transient_retry_limit = 3;
-  opts.retry_backoff_base_ns = 20'000;
-  raid::Raid6Array array(codes::make_layout("dcode", 11), esize, stripes, 0,
-                         nullptr, std::move(opts));
+  raid::Raid6Array array(codes::make_layout("dcode", 11), esize, stripes, 0);
   Pcg32 rng(0x7B57);
   std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
   rng.fill_bytes(blob.data(), blob.size());

@@ -331,7 +331,6 @@ std::unique_ptr<raid::Raid6Array> make_sweep_array(int latency_us) {
   raid::ArrayOptions opts;
   opts.device_factory = backend_device_factory("mem");
   opts.parallel_user_io = false;
-  opts.stripe_lock_slots = 128;
   auto array = std::make_unique<raid::Raid6Array>(
       codes::make_layout("dcode", 7), esize, stripes, 0, nullptr,
       std::move(opts));
@@ -479,8 +478,8 @@ int shard_sweep_prime(int shards) {
 // A seeded mem-backend pool for one sweep point, every device transfer
 // paying the injected service latency. Same conditions as the writer
 // sweep: intra-op fan-out off, so measured concurrency belongs to the
-// submitter threads, the per-shard admission order and the pool's
-// routing — not the host's cores.
+// submitter threads, the shards' stripe locks and the pool's routing —
+// not the host's cores.
 std::unique_ptr<volume::StoragePool> make_sweep_pool(int shards, int prime,
                                                      int latency_us) {
   volume::ShardSpec spec;
@@ -490,14 +489,12 @@ std::unique_ptr<volume::StoragePool> make_sweep_pool(int shards, int prime,
   spec.threads = 0;  // engine pool sized to the hardware concurrency
   spec.array.device_factory = backend_device_factory("mem");
   spec.array.parallel_user_io = false;  // no intra-op engine fan-out
-  spec.array.stripe_lock_slots = 128;
 
   volume::PoolOptions popts;
   // One stripe per chunk: always divides the shard capacity, and 4K ops
   // land on a single shard while larger spans still fan out.
   popts.chunk_bytes = static_cast<int64_t>(
       codes::make_layout(spec.code, prime)->data_count() * spec.element_size);
-  popts.pipeline.workers = 4;
 
   auto pool = std::make_unique<volume::StoragePool>(spec, shards, popts);
   Pcg32 rng(0x500113);
@@ -580,7 +577,8 @@ void run_shard_sweep(const HarnessConfig& cfg, Telemetry& telemetry) {
           "transfer pays " +
           std::to_string(cfg.writer_disk_latency_us) +
           "us injected service latency. Gains come from independent "
-          "per-shard pipelines and journals, not extra hardware.");
+          "per-shard arrays (stripe locks, journals), not extra "
+          "hardware.");
 
   TablePrinter table({"shards", "prime", "devices", "IOPS", "scaling",
                       "p50(us)", "p99(us)", "errs"});
@@ -636,8 +634,8 @@ void run_shard_sweep(const HarnessConfig& cfg, Telemetry& telemetry) {
 
   std::cout << "\nReading the table: IOPS should rise with shard count "
                "while injected device waits dominate — the budget is "
-               "flat, but each shard brings its own pipeline, journal, "
-               "and stripe locks, so independent ops stop contending.\n";
+               "flat, but each shard brings its own journal and stripe "
+               "locks, so independent ops stop contending.\n";
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ struct ArrayMetrics {
         "per stripe");
     stripe_lock_wait_ns = &registry.histogram(
         "raid.stripe_lock_wait_ns", obs::latency_bounds_ns(), {},
-        "time a stripe mutator blocked on the sharded stripe lock table "
-        "(contended acquisitions only)");
+        "time a writer, degraded reader, rebuild pass or journal replay "
+        "blocked on a stripe lock (contended acquisitions only)");
     read_bytes = &registry.histogram("raid.read_bytes",
                                      obs::size_bounds_bytes(), {},
                                      "user bytes per read op");

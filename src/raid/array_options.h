@@ -2,16 +2,18 @@
 //
 // The Raid6Array owns the only copy; its StripeIoEngine reads the same
 // object by reference, so the device backend, the engine's execution
-// flags, its retry policy and the integrity sidecar are set in exactly
-// one place. ShardSpec::array hands every shard of a StoragePool one of
-// these.
+// flags and the integrity sidecar are set in exactly one place.
+// ShardSpec::array hands every shard of a StoragePool one of these. It
+// holds only values some caller varies; the rest are constants where
+// they are used (the engine's retry budget and backoff, the health
+// monitor's HealthPolicy{}, the stripe-lock table's size) and the
+// checksum sidecar is always on.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "raid/block_device.h"
-#include "raid/health_monitor.h"
 
 namespace dcode::raid {
 
@@ -23,15 +25,6 @@ struct ArrayOptions {
   DeviceFactory device_factory;   // null => default_device_factory()
   bool coalesce = true;           // merge adjacent same-disk accesses
   bool parallel_user_io = true;   // fan per-disk runs across the pool
-  // kTransient retries per transfer before the engine escalates the
-  // device to fail-stop.
-  int transient_retry_limit = 3;
-  // Exponential backoff between transient retries: sleep roughly
-  // base * 2^attempt, capped at 5 ms and jittered into [delay/2, delay).
-  // <= 0 disables the sleep (tests that count retries exactly).
-  int64_t retry_backoff_base_ns = 20'000;
-  // Health-monitor escalation thresholds (see raid/health_monitor.h).
-  HealthPolicy health;
   // When true, a failure that promotes a hot spare rebuilds on a
   // background worker thread (rate-limited by rebuild_rate) while
   // foreground I/O continues; when false, fail_disk() runs the same
@@ -41,11 +34,6 @@ struct ArrayOptions {
   // Background rebuild throttle in stripes/second; <= 0 = unthrottled.
   double rebuild_rate_stripes_per_sec = 0.0;
   double rebuild_burst_stripes = 8.0;
-  // Slots in the sharded stripe lock table (each slot is one
-  // cache-line-padded mutex; stripes hash to slots by modulo). More
-  // slots = fewer false conflicts between unrelated stripes under high
-  // pipeline concurrency.
-  int stripe_lock_slots = 64;
   // Slow-op watchdog: a read/write whose wall time reaches this threshold
   // bumps raid.slow_ops, emits a trace event, and asks the global
   // FlightRecorder for a dump (rate-limited; written only when a dump
@@ -53,18 +41,20 @@ struct ArrayOptions {
   // 0 disables the watchdog.
   int64_t slow_op_threshold_ns = 0;
   // --- end-to-end integrity (see raid/integrity.h) ------------------------
-  // Maintain a per-element checksum + write-identity sidecar on every
-  // disk. This is the only channel that catches the write-failure
-  // families parity is structurally blind to (misdirected, torn within
-  // an acknowledged element, lost/stale writes).
-  bool integrity_checksums = true;
+  // Every disk keeps a per-element checksum + write-identity sidecar: the
+  // only channel that catches the write-failure families parity is
+  // structurally blind to (misdirected, torn within an acknowledged
+  // element, lost/stale writes).
+  //
   // Verify every element payload against the sidecar on read; condemned
   // elements are transparently re-served from parity. Off = sidecar
   // still maintained (scrub can use it) but reads skip the hash.
   bool verify_reads = true;
   // Non-empty: persist each disk's sidecar at <dir>/disk<N>.sum with
   // torn-write-safe dual slots (FileDisk deployments survive restart);
-  // empty keeps sidecars in memory only (MemDisk).
+  // empty keeps sidecars in memory only (MemDisk). An existing file is
+  // reloaded only over a device that kept its contents
+  // (kDeviceReopened); a blank device starts a blank sidecar.
   std::string integrity_sidecar_dir;
 };
 

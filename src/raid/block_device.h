@@ -67,6 +67,7 @@ enum DeviceCaps : uint32_t {
   kDevicePersistent = 1u << 0,  // contents survive process restart
   kDeviceFlush = 1u << 1,       // flush() is meaningful (not a no-op)
   kDeviceDiscard = 1u << 2,     // discard() actually releases storage
+  kDeviceReopened = 1u << 3,    // holds contents from before this open
 };
 
 // Thrown by the engine when a device is (or becomes) fail-stop.

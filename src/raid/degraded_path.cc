@@ -74,54 +74,53 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   }
 }
 
-void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
-                               std::span<uint8_t> out,
-                               const std::vector<int>& failed) {
+void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
+                                      int64_t stripe_end, int64_t offset,
+                                      std::span<uint8_t> out,
+                                      const std::vector<int>& failed) {
   const CodeLayout& layout = *layout_;
   const int64_t esize = static_cast<int64_t>(element_size_);
   const int64_t end = offset + static_cast<int64_t>(out.size());
   // Follow the planner's per-element equation choices.
-  IoPlan plan = planner_.plan_degraded_read(first,
-                                            static_cast<int>(last - first + 1),
-                                            failed);
+  IoPlan plan = planner_.plan_degraded_read(
+      g, static_cast<int>(stripe_end - g + 1), failed);
   obs::Span span(
       obs::TraceLog::global(), "degraded_read",
-      {{"offset", offset}, {"bytes", static_cast<int64_t>(out.size())},
+      {{"stripe", stripe},
+       {"elements", stripe_end - g + 1},
        {"failed_disks", static_cast<int64_t>(failed.size())},
        {"plan_reads", plan.reads()},
        {"reconstructions", static_cast<int64_t>(plan.reconstructions.size())}});
 
-  // Where each (stripe - first stripe, element) of the op lives: a fully
-  // covered requested element in the caller's buffer, as read_healthy
-  // does; anything else the plan touches (extra equation members, chain
-  // intermediates, partial edges) in a per-thread slot. `filled` marks
-  // what a plan read or a reconstruction has produced.
+  // Where each element of the stripe lives: a fully covered requested
+  // element in the caller's buffer, as read_healthy does; anything else
+  // the plan touches (extra equation members, chain intermediates,
+  // partial edges) in a per-thread slot. `filled` marks what a plan read
+  // or a reconstruction has produced.
   struct Cell {
     uint8_t* p = nullptr;
     int slot = -1;
     bool filled = false;
   };
-  const int64_t s0 = first / layout.data_count();
-  const size_t per_stripe = static_cast<size_t>(layout.rows() * layout.cols());
-  std::vector<Cell> cells(
-      static_cast<size_t>(last / layout.data_count() - s0 + 1) * per_stripe);
-  auto at = [&](int64_t stripe, const Element& e) -> Cell& {
-    return cells[static_cast<size_t>(stripe - s0) * per_stripe +
-                 static_cast<size_t>(e.row * layout.cols() + e.col)];
+  std::vector<Cell> cells(static_cast<size_t>(layout.rows() * layout.cols()));
+  auto at = [&](const Element& e) -> Cell& {
+    return cells[static_cast<size_t>(e.row * layout.cols() + e.col)];
   };
-  for (int64_t e = first; e <= last; ++e) {
+  for (int64_t e = g; e <= stripe_end; ++e) {
     if (e * esize >= offset && (e + 1) * esize <= end) {
-      auto loc = map_.locate(e);
-      at(loc.stripe, loc.element).p = out.data() + (e * esize - offset);
+      at(map_.locate(e).element).p = out.data() + (e * esize - offset);
     }
   }
   int slots = 0;
   auto number = [&](Cell& c) {
     if (c.p == nullptr && c.slot < 0) c.slot = slots++;
   };
-  for (const IoAccess& a : plan.accesses) number(at(a.stripe, a.element));
+  for (const IoAccess& a : plan.accesses) {
+    DCODE_ASSERT(a.stripe == stripe, "a one-stripe plan stays in its stripe");
+    number(at(a.element));
+  }
   for (const Reconstruction& rec : plan.reconstructions) {
-    number(at(rec.stripe, rec.target));
+    number(at(rec.target));
   }
   uint8_t* const base = element_slots(static_cast<size_t>(slots));
   for (Cell& c : cells) {
@@ -133,49 +132,47 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
   for (const IoAccess& a : plan.accesses) {
     DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
     // A duplicate plan read lands twice in one place but still counts.
-    Cell& c = at(a.stripe, a.element);
+    Cell& c = at(a.element);
     c.filled = true;
-    rops.push_back({a.disk, a.stripe, a.element.row, c.p});
+    rops.push_back({a.disk, stripe, a.element.row, c.p});
   }
   engine_.read_batch(rops);
 
   std::optional<ScratchLease> whole;  // the full-stripe fallback's stripe
   std::vector<const uint8_t*> members;
+  int64_t eq_recs = 0;
   for (const Reconstruction& rec : plan.reconstructions) {
-    Cell& dst = at(rec.stripe, rec.target);
+    Cell& dst = at(rec.target);
     if (rec.equation >= 0) {
       const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
       members.clear();
       auto fold = [&](const Element& m) {
         if (m == rec.target) return;
-        const Cell& c = at(rec.stripe, m);
+        const Cell& c = at(m);
         DCODE_CHECK(c.filled, "planner promised this member was read");
         members.push_back(c.p);
       };
       fold(q.parity);
       for (const Element& m : q.sources) fold(m);
       xorops::xor_many(dst.p, members, element_size_);
+      ++eq_recs;
     } else {
       // Full-stripe chained decode fallback (two failed disks crossing
-      // every equation of the target).
-      span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-      if (!whole) whole.emplace(*this);
-      load_stripe_degraded(rec.stripe, **whole);
+      // every equation of the target). It loads the stripe once and
+      // counts its own rebuilt elements.
+      span.note("full_stripe_decode", {{"stripe", stripe}});
+      if (!whole) {
+        whole.emplace(*this);
+        load_stripe_degraded(stripe, **whole);
+      }
       std::memcpy(dst.p, (*whole)->s.at(rec.target), element_size_);
     }
     dst.filled = true;
   }
-  // Equation-based reconstructions (the fallback already counted its own
-  // rebuilt elements inside load_stripe_degraded).
-  int64_t eq_recs = 0;
-  for (const Reconstruction& rec : plan.reconstructions) {
-    if (rec.equation >= 0) ++eq_recs;
-  }
   metrics_.elements_reconstructed->inc(eq_recs);
 
-  for (int64_t e = first; e <= last; ++e) {
-    auto loc = map_.locate(e);
-    const Cell& c = at(loc.stripe, loc.element);
+  for (int64_t e = g; e <= stripe_end; ++e) {
+    const Cell& c = at(map_.locate(e).element);
     DCODE_CHECK(c.filled, "requested element missing from plan");
     if (c.slot < 0) continue;  // already in place in the caller's buffer
     size_t eb, sb, len;

@@ -35,6 +35,8 @@ FileDisk::FileDisk(int id, size_t size, std::string path, Options opts)
   if (!opts.reuse) flags |= O_TRUNC;
   fd_ = ::open(path_.c_str(), flags, 0644);
   if (fd_ < 0) throw std::runtime_error(errno_message("open", path_));
+  struct stat st = {};
+  reopened_ = opts.reuse && ::fstat(fd_, &st) == 0 && st.st_size > 0;
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     int saved = errno;
     ::close(fd_);

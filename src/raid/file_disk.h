@@ -46,8 +46,10 @@ class FileDisk : public BlockDevice {
   const std::string& path() const { return path_; }
 
   std::string_view backend_name() const override { return "file"; }
+  // kDeviceReopened when `reuse` kept a non-empty file.
   uint32_t capabilities() const override {
-    return kDevicePersistent | kDeviceFlush | kDeviceDiscard;
+    return kDevicePersistent | kDeviceFlush | kDeviceDiscard |
+           (reopened_ ? kDeviceReopened : 0u);
   }
 
  protected:
@@ -63,6 +65,7 @@ class FileDisk : public BlockDevice {
   std::string path_;
   int fd_ = -1;
   bool unlink_on_close_ = false;
+  bool reopened_ = false;
 };
 
 }  // namespace dcode::raid

@@ -1,12 +1,9 @@
-// Bounded admission queue for the request pipeline's asynchronous path.
+// Bounded admission queue for the request pipeline.
 //
 // Submitters push PendingOps; pipeline workers pop them one at a time in
 // FIFO order. push() admits the op — sequence number plus StripeRangeLock
 // ticket, see StripeRangeLock::admit — while holding the queue mutex, so
-// queue order == sequence order among queued ops. Ops a caller runs on
-// its own thread (StripePipeline::run_read/run_write) are admitted
-// through the same range lock without touching the queue, so queued and
-// inline ops share one admission order.
+// queue order == sequence order.
 //
 // Backpressure: push() blocks while the queue is at depth, before
 // admission (a blocked submitter holds no ticket). close() wakes
@@ -61,11 +58,10 @@ struct OpState {
   }
 };
 
-// One admitted (or about to be admitted) op. A queued write owns a copy
-// of its payload and `write_src` points into it (moving a PendingOp keeps
-// the vector's buffer, so the pointer stays valid; copies are deleted);
-// an inline op borrows the caller's buffer. A read's destination is
-// always caller-owned.
+// One admitted (or about to be admitted) op. A write owns a copy of its
+// payload and `write_src` points into it (moving a PendingOp keeps the
+// vector's buffer, so the pointer stays valid; copies are deleted). A
+// read's destination is caller-owned.
 struct PendingOp {
   PendingOp() = default;
   PendingOp(PendingOp&&) = default;
@@ -78,13 +74,13 @@ struct PendingOp {
   int64_t len = 0;
   const uint8_t* write_src = nullptr;  // write payload
   uint8_t* read_dst = nullptr;         // read destination (caller-owned)
-  std::vector<uint8_t> owned;          // queued write: the payload copy
+  std::vector<uint8_t> owned;          // write: the payload copy
   int64_t first_stripe = 0;            // stripe range covered by the op
   int64_t last_stripe = 0;
   uint64_t seq = 0;  // admission order (ticket id), assigned at admission
   uint64_t op_id = 0;
   int64_t enqueue_ns = 0;
-  std::shared_ptr<OpState> state;  // queued ops only
+  std::shared_ptr<OpState> state;  // shared with the op's OpFuture
 };
 
 class OpQueue {

@@ -28,10 +28,8 @@ StripePipeline::Metrics StripePipeline::resolve_metrics(Raid6Array& array) {
       "pipeline.admission_wait_ns", obs::latency_bounds_ns(), {},
       "time an admitted op waited for its stripe-range ticket (0 = no "
       "conflicting earlier op)");
-  m.ops_submitted =
-      &reg.counter("pipeline.ops_submitted", {},
-                   "ops accepted by run_read/run_write/submit_read/"
-                   "submit_write");
+  m.ops_submitted = &reg.counter("pipeline.ops_submitted", {},
+                                 "ops accepted by submit_read/submit_write");
   m.ops_completed = &reg.counter("pipeline.ops_completed", {},
                                  "accepted ops that have finished");
   return m;
@@ -71,34 +69,6 @@ PendingOp StripePipeline::make_op(bool is_write, int64_t offset,
   op.first_stripe = offset / stripe_bytes;
   op.last_stripe = (len > 0 ? offset + len - 1 : offset) / stripe_bytes;
   return op;
-}
-
-uint64_t StripePipeline::run(PendingOp op) {
-  metrics_.ops_submitted->inc();
-  if (op.len > 0) {
-    op.seq = range_lock_.admit(op.first_stripe, op.last_stripe, op.is_write);
-    try {
-      execute(op);
-    } catch (...) {
-      metrics_.ops_completed->inc();
-      throw;
-    }
-  }
-  metrics_.ops_completed->inc();
-  return op.seq;
-}
-
-uint64_t StripePipeline::run_read(int64_t offset, std::span<uint8_t> out) {
-  PendingOp op = make_op(false, offset, static_cast<int64_t>(out.size()));
-  op.read_dst = out.data();
-  return run(std::move(op));
-}
-
-uint64_t StripePipeline::run_write(int64_t offset,
-                                   std::span<const uint8_t> data) {
-  PendingOp op = make_op(true, offset, static_cast<int64_t>(data.size()));
-  op.write_src = data.data();
-  return run(std::move(op));
 }
 
 OpFuture StripePipeline::submit(PendingOp op) {

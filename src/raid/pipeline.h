@@ -1,47 +1,46 @@
-// StripePipeline: admission-ordered concurrency in front of Raid6Array.
+// StripePipeline: a queued, admission-ordered front end for Raid6Array,
+// for callers that keep several ops in flight from one thread.
 //
-// The array is synchronous policy-per-call and the engine only fans out
-// *within* one stripe op. The pipeline orders ops from many threads so
-// that disjoint stripes run concurrently and overlapping ones run in
-// admission order. An op reaches the array one of two ways:
+// submit_read / submit_write return an OpFuture at once; the op is
+// admitted and queued, and a worker thread runs it on the array:
 //
-//   run_read / run_write        submit_read / submit_write
-//   (caller's thread, blocks)   (any thread, returns OpFuture)
-//        │                           │ bounded OpQueue — backpressure
-//        ▼                           ▼
-//   StripeRangeLock::admit      push: admit + enqueue (queue mutex held)
-//        │                           │ worker pop, FIFO
-//        ▼                           ▼
+//   submit_read / submit_write   (any thread, returns OpFuture)
+//        │ bounded OpQueue — backpressure
+//        ▼
+//   push: admit + enqueue (queue mutex held)
+//        │ worker pop, FIFO
+//        ▼
 //   execute(): acquire ticket → bind OpContext → Raid6Array::read/write
-//              → release ticket (one path, two callers)
-//        │                           ▼
-//   returns / rethrows          future completion (get() rethrows)
+//              → release ticket
+//        ▼
+//   future completion (get() rethrows)
 //
-// Inline ops (run_*) borrow the caller's buffer and never touch a
-// worker: no payload copy, no completion state, no cross-thread wake-up.
-// That is the path StoragePool takes for every segment; the queued path
-// serves callers that keep several ops in flight from one thread.
+// StoragePool does not use this path: its ops call the array directly on
+// the caller's thread, ordered by the pool's chunk locks and the array's
+// stripe locks. Its shards keep a pipeline for callers that submit to
+// one directly (StoragePool::shard_pipeline).
 //
 // Ordering contract: admission assigns each op a sequence number and a
-// range-lock ticket in one step, for both paths, so there is one order.
-// Ops whose stripe ranges overlap (with at least one writer) execute in
-// exactly admission order; everything else runs concurrently. The array
-// contents after any run therefore equal a serial array that applied the
-// same ops in admission order — tests/pipeline_test.cc proves this
-// bit-for-bit with inline and queued ops mixed.
+// range-lock ticket in one step, so there is one order. Ops whose stripe
+// ranges overlap (with at least one writer) execute in exactly admission
+// order; everything else runs concurrently. The array contents after any
+// run therefore equal a serial array that applied the same ops in
+// admission order — tests/pipeline_test.cc proves this bit-for-bit, with
+// clients that wait for each op mixed with clients that keep several in
+// flight.
 //
 // Observability: each op carries its own op id and admission timestamp;
 // execute() binds an OpContext before calling the array, so the array's
 // OpGuard adopts it — the causal span tree, flight recorder, and
 // coordinated-omission-free latency accounting all hold per op. Queue
 // depth and admission wait are exported as pipeline.* metrics in the
-// array's registry.
+// array's registry; they count only the ops submitted here.
 //
 // Fault interplay: execute() calls the array's public ops, so the
 // mid-op failover replay, rebuild watermark, device generation checks,
 // journal bracketing and power-loss gate cover every op unchanged. A
 // failed op surfaces its exception (DiskFailedError, PowerLossError, …)
-// from run_* or on its future.
+// on its future.
 #pragma once
 
 #include <cstdint>
@@ -105,16 +104,6 @@ class StripePipeline {
   StripePipeline(const StripePipeline&) = delete;
   StripePipeline& operator=(const StripePipeline&) = delete;
 
-  // Synchronous user I/O on the calling thread, admitted exactly like a
-  // submitted op. Blocks until the op's ticket is granted and the array
-  // op returns; rethrows the array's error. Borrows the caller's buffer:
-  // a write reads its bytes more than once (delta, then device write and
-  // checksum), so they must not change until run_write returns
-  // (submit_write copies them instead). Returns the op's sequence number
-  // (0 for an empty op, which is not admitted).
-  uint64_t run_read(int64_t offset, std::span<uint8_t> out);
-  uint64_t run_write(int64_t offset, std::span<const uint8_t> data);
-
   // Asynchronous user I/O. Write data is copied before submit returns;
   // a read's destination must stay valid until its future completes.
   // Blocks only on queue backpressure. Throws std::runtime_error if the
@@ -122,8 +111,7 @@ class StripePipeline {
   OpFuture submit_read(int64_t offset, std::span<uint8_t> out);
   OpFuture submit_write(int64_t offset, std::span<const uint8_t> data);
 
-  // Blocks until every op submitted so far has completed. (Inline ops
-  // have completed by the time run_* returns.)
+  // Blocks until every op submitted so far has completed.
   void drain();
 
   Raid6Array& array() { return array_; }
@@ -141,11 +129,10 @@ class StripePipeline {
   // Bounds-checks [offset, offset+len) and stamps the op's identity:
   // op id, admission timestamp, stripe range.
   PendingOp make_op(bool is_write, int64_t offset, int64_t len) const;
-  uint64_t run(PendingOp op);
   OpFuture submit(PendingOp op);
   void worker_loop();
-  // Runs one admitted op under its ticket; the single execution path
-  // behind both workers and run_*. Releases the ticket on every exit.
+  // Runs one admitted op under its ticket. Releases the ticket on every
+  // exit.
   void execute(const PendingOp& op);
 
   Raid6Array& array_;

@@ -202,10 +202,11 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                 }
                 return 0;
               }),
-      health_(layout_->cols(), options_.health,
+      health_(layout_->cols(), HealthPolicy{},
               registry != nullptr ? *registry : obs::Registry::global()),
       needs_rebuild_(static_cast<size_t>(layout_->cols())),
-      stripe_locks_(options_.stripe_lock_slots, metrics_.stripe_lock_wait_ns),
+      stripe_locks_(static_cast<int>(std::min(stripes, kMaxStripeLockSlots)),
+                    metrics_.stripe_lock_wait_ns),
       rebuild_throttle_(options_.rebuild_rate_stripes_per_sec,
                         options_.rebuild_burst_stripes) {
   engine_.set_health_monitor(&health_);
@@ -624,14 +625,27 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
 
   // Failover loop: a disk failing (or a spare being promoted) while this
   // read is in flight surfaces as DiskFailedError from the engine; the
-  // failure set is recomputed and the read re-planned, so user reads
-  // never fail for fault sequences the code tolerates.
+  // failure set is recomputed and the read re-planned from the first
+  // element not yet served, so user reads never fail for fault sequences
+  // the code tolerates.
+  int64_t g = first;
   for (int attempt = 0;; ++attempt) {
     try {
       if (failed.empty()) {
         read_healthy(first, last, offset, out);
-      } else {
-        read_degraded(first, last, offset, out, failed);
+        return;
+      }
+      // A lost element decodes through the other members of its
+      // equations, which a write to a neighbouring element of the stripe
+      // may be changing: each stripe is served under its lock, as write()
+      // updates it.
+      while (g <= last) {
+        const int64_t stripe = g / layout_->data_count();
+        const int64_t stripe_end =
+            std::min(last, (stripe + 1) * layout_->data_count() - 1);
+        std::unique_lock<std::mutex> lock = stripe_lock(stripe);
+        read_stripe_degraded(stripe, g, stripe_end, offset, out, failed);
+        g = stripe_end + 1;
       }
       return;
     } catch (const ElementIntegrityError& e) {

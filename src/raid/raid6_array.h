@@ -48,6 +48,13 @@
 //    simulates a crash after N more element writes, restart() brings the
 //    array back up, and journal_recover() re-encodes exactly the stripes
 //    with open intents (see raid/journal.h).
+//
+// Thread safety: read() and write() may be called from many threads.
+// Writes and degraded reads serialize per stripe: each stripe they touch
+// is served under its lock, one stripe at a time, so a degraded read
+// never decodes through a neighbouring element's half-applied write.
+// Healthy reads take no lock and read only the elements they return.
+// Concurrent I/O to the same bytes may tear, as on any block device.
 #pragma once
 
 #include <array>
@@ -98,8 +105,8 @@ struct ScrubReport {
   int64_t stripes_family_disagreement = 0;  // both families evaluable but
                                             // their syndromes disagree
                                             // (>1 corrupt element)
-  // Checksum-sidecar channel (zero when the array runs without
-  // integrity or ScrubOptions::use_checksums is off):
+  // Checksum-sidecar channel (zero when ScrubOptions::use_checksums is
+  // off):
   int64_t checksum_mismatches = 0;        // elements the sidecar condemned
   int64_t elements_checksum_located = 0;  // repairs localized by checksum
                                           // (subset of elements_located)
@@ -144,8 +151,7 @@ struct ScrubOptions {
   // longer needs both parity families' syndromes to agree — two-family
   // disagreements (multiple corrupt elements) become localized repairs,
   // and identity tags expose whole-stripe stale writes parity cannot
-  // see. Off = the parity-only contract (for A/B tests and arrays
-  // without integrity).
+  // see. Off = the parity-only contract (for A/B tests).
   bool use_checksums = true;
 };
 
@@ -275,6 +281,8 @@ class Raid6Array : private WriteGate {
   // mid-operation before giving up. Each genuine failure consumes one
   // attempt, so anything past the code's fault tolerance exits quickly.
   static constexpr int kMaxFailoverAttempts = 4;
+  // Most stripe-lock slots an array allocates: 4096 cache lines, 256 KiB.
+  static constexpr int64_t kMaxStripeLockSlots = 4096;
 
   // WriteGate: the engine admits every element write through here, so
   // injected power loss sees the same write stream the monolith produced.
@@ -434,8 +442,11 @@ class Raid6Array : private WriteGate {
                              int64_t offset, std::span<const uint8_t> data);
   void read_healthy(int64_t first, int64_t last, int64_t offset,
                     std::span<uint8_t> out);
-  void read_degraded(int64_t first, int64_t last, int64_t offset,
-                     std::span<uint8_t> out, const std::vector<int>& failed);
+  // Degraded read of the elements [g, stripe_end] of one stripe, planned
+  // around `failed`; the caller holds the stripe's lock.
+  void read_stripe_degraded(int64_t stripe, int64_t g, int64_t stripe_end,
+                            int64_t offset, std::span<uint8_t> out,
+                            const std::vector<int>& failed);
 
   std::unique_ptr<codes::CodeLayout> layout_;
   size_t element_size_;
@@ -454,15 +465,15 @@ class Raid6Array : private WriteGate {
   // and the rebuild pass.
   std::vector<std::atomic<bool>> needs_rebuild_;
 
-  // Stripe-level write serialization: foreground writes, the rebuild
-  // pass, and journal recovery each lock the stripe they mutate
-  // (sharded — collisions just serialize unrelated stripes; slot count
-  // via ArrayOptions::stripe_lock_slots, each slot on its own cache
-  // line). rebuild()'s pass alone holds several at once: a window of at
-  // most slot-count consecutive stripes (distinct slots), locked in
-  // ascending order by the thread running the pass. Pool tasks never
-  // take these — the pass hands its locked stripes to pool workers — so
-  // there is no lock/pool cycle.
+  // Stripe-level serialization: foreground writes, degraded reads, the
+  // rebuild pass, and journal recovery each lock the stripe they touch.
+  // One slot per stripe, each on its own cache line, up to
+  // kMaxStripeLockSlots; a larger array shares slots by modulo, which
+  // only serializes unrelated stripes. rebuild()'s pass alone holds
+  // several at once: a window of at most slot-count consecutive stripes
+  // (distinct slots), locked in ascending order by the thread running
+  // the pass. Pool tasks never take these — the pass hands its locked
+  // stripes to pool workers — so there is no lock/pool cycle.
   StripeLockTable stripe_locks_;
 
   // Idle StripeScratch for the foreground degraded paths (ScratchLease).

@@ -4,9 +4,9 @@
 //
 // Two localization channels, tried in order:
 //
-//  * Checksum sidecar (ScrubOptions::use_checksums, the default when the
-//    array maintains integrity records): each element's payload is
-//    classified against its recorded checksum + write-identity tag, so a
+//  * Checksum sidecar (ScrubOptions::use_checksums, the default): each
+//    element's payload is classified against its recorded checksum +
+//    write-identity tag, so a
 //    corrupt/misdirected/stale element is condemned DIRECTLY — no
 //    syndrome agreement needed. Condemned elements are reconstructed
 //    from any surviving equation whose other members are trusted,
@@ -23,6 +23,8 @@
 //    corruption to one element and D is the repair patch. Anything else
 //    is unrepairable from parity alone — reported split by reason:
 //    degraded equations (a member disk is dead) vs family disagreement.
+//    The sidecar has no record of a never-written (kUntracked) element,
+//    so this channel is the only one that repairs one.
 //
 // Scrub takes NO stripe locks: its chunks run on the same pool user
 // writes fan out over, so blocking a pool worker on a stripe lock held
@@ -81,7 +83,7 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
   const CodeLayout& layout = *layout_;
   const int64_t t0 = now_ns();
   metrics_.scrubs->inc();
-  const bool use_ck = options.use_checksums && engine_.integrity_enabled();
+  const bool use_ck = options.use_checksums;
   obs::Span span(obs::TraceLog::global(), "scrub",
                  {{"stripes", stripes_},
                   {"repair", options.repair},
@@ -332,7 +334,6 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
 }
 
 void Raid6Array::clean_stripe_integrity(int64_t stripe) {
-  if (!engine_.integrity_enabled()) return;
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.clean_stripe",
                  {{"stripe", stripe}});

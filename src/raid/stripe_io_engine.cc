@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <thread>
 
@@ -20,7 +21,13 @@ namespace {
 // chunks at the syscall layer (IOV_MAX).
 constexpr size_t kMaxRunElements = 1024;
 
-// Cap on one transient-retry backoff sleep (before jitter).
+// kTransient retries per transfer before the engine escalates the device
+// to fail-stop.
+constexpr int kTransientRetryLimit = 3;
+// Exponential backoff between transient retries: sleep roughly
+// base * 2^attempt, capped at kRetryBackoffMaxNs and jittered into
+// [delay/2, delay).
+constexpr int64_t kRetryBackoffBaseNs = 20'000;
 constexpr int64_t kRetryBackoffMaxNs = 5'000'000;
 // Seeds the deterministic backoff jitter stream (per disk x attempt x
 // serial).
@@ -62,7 +69,7 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
   DCODE_CHECK(rows_ > 0, "rows must be positive");
   const auto stripes = static_cast<int64_t>(
       disk_size_ / (element_size_ * static_cast<size_t>(rows_)));
-  DCODE_CHECK(!options_.integrity_checksums || stripes <= kMaxTaggedStripes,
+  DCODE_CHECK(stripes <= kMaxTaggedStripes,
               "integrity tags address at most " +
                   std::to_string(kMaxTaggedStripes) + " stripes, got " +
                   std::to_string(stripes));
@@ -74,17 +81,23 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
       er = metrics_->disk_element_reads[static_cast<size_t>(d)];
       ew = metrics_->disk_element_writes[static_cast<size_t>(d)];
     }
-    std::unique_ptr<ChecksumStore> store;
-    if (options_.integrity_checksums) {
-      store = std::make_unique<ChecksumStore>(
-          static_cast<int64_t>(disk_size_ / element_size_));
-      if (!options_.integrity_sidecar_dir.empty()) {
-        store->attach_file(options_.integrity_sidecar_dir + "/disk" +
-                           std::to_string(d) + ".sum");
+    std::unique_ptr<BlockDevice> device = new_device(d);
+    auto store = std::make_unique<ChecksumStore>(
+        static_cast<int64_t>(disk_size_ / element_size_));
+    if (!options_.integrity_sidecar_dir.empty()) {
+      const std::string path = options_.integrity_sidecar_dir + "/disk" +
+                               std::to_string(d) + ".sum";
+      // A sidecar's records describe the contents of the device it was
+      // written beside: only a device that kept those contents may adopt
+      // them. Over a blank device they would condemn every first read.
+      if ((device->capabilities() & kDeviceReopened) == 0) {
+        std::error_code ignored;
+        std::filesystem::remove(path, ignored);
       }
+      store->attach_file(path);
     }
-    disks_.push_back(
-        std::make_unique<DiskHandle>(new_device(d), er, ew, std::move(store)));
+    disks_.push_back(std::make_unique<DiskHandle>(std::move(device), er, ew,
+                                                  std::move(store)));
   }
 }
 
@@ -98,7 +111,7 @@ void StripeIoEngine::replace_disk(int d) {
   // A blank replacement has no history: forget every record so rebuilt
   // elements re-register as they are written rather than reading as
   // corrupt against the dead disk's sums.
-  if (ChecksumStore* store = disk(d).integrity()) store->invalidate_all();
+  disk(d).integrity().invalidate_all();
 }
 
 int StripeIoEngine::flush() {
@@ -106,17 +119,15 @@ int StripeIoEngine::flush() {
   for (auto& h : disks_) {
     if (h->failed()) continue;
     DCODE_CHECK(h->faults().flush().ok(), "device flush failed");
-    if (ChecksumStore* store = h->integrity()) store->flush();
+    h->integrity().flush();
     ++flushed;
   }
   return flushed;
 }
 
 void StripeIoEngine::backoff_sleep(int disk, int attempt) const {
-  const int64_t base = options_.retry_backoff_base_ns;
-  if (base <= 0) return;
-  int64_t delay = base << std::min(attempt, 20);
-  delay = std::min(delay, std::max(base, kRetryBackoffMaxNs));
+  int64_t delay = std::min(kRetryBackoffBaseNs << std::min(attempt, 20),
+                           kRetryBackoffMaxNs);
   // Jitter into [delay/2, delay) so synchronized retry loops desynchronize
   // but the delay stays deterministic for a given (seed, disk, attempt,
   // serial) tuple.
@@ -126,7 +137,7 @@ void StripeIoEngine::backoff_sleep(int disk, int attempt) const {
       mix64(kBackoffSeed ^ (static_cast<uint64_t>(disk) << 32) ^
             (static_cast<uint64_t>(attempt) << 48) ^ serial);
   const int64_t half = delay / 2;
-  if (half > 0) delay = half + static_cast<int64_t>(h % static_cast<uint64_t>(half));
+  delay = half + static_cast<int64_t>(h % static_cast<uint64_t>(half));
   if (metrics_ != nullptr) metrics_->engine_retry_backoff_ns->observe(delay);
   std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
 }
@@ -143,7 +154,7 @@ IoResult StripeIoEngine::with_retries(
     obs::FlightRecorder::global().record(obs::FlightEventKind::kRetry, op_id,
                                          d, attempt,
                                          static_cast<int64_t>(r.status));
-    if (attempt >= options_.transient_retry_limit) {
+    if (attempt >= kTransientRetryLimit) {
       // Retry budget exhausted: escalate to fail-stop, the way a
       // controller offlines a drive that keeps erroring — but leave a
       // telemetry trail, a silent fail-stop is indistinguishable from a
@@ -179,12 +190,12 @@ void StripeIoEngine::verify_run(int d, std::span<const ReadOp> ops,
                                 size_t run, uint64_t gen, uint64_t trace_span,
                                 uint64_t op_id) {
   DiskHandle& h = disk(d);
-  ChecksumStore* store = h.integrity();
+  const ChecksumStore& store = h.integrity();
   for (size_t k = 0; k < run; ++k) {
     const ReadOp& op = ops[idx[first + k]];
     const int64_t elem = element_index(op.stripe, op.row);
     uint64_t sum = xorops::checksum64(op.dst, element_size_);
-    IntegrityVerdict v = store->classify(elem, sum);
+    IntegrityVerdict v = store.classify(elem, sum);
     if (v == IntegrityVerdict::kOk || v == IntegrityVerdict::kUntracked) {
       continue;
     }
@@ -198,7 +209,7 @@ void StripeIoEngine::verify_run(int d, std::span<const ReadOp> ops,
     });
     if (!r.ok() || h.faults().generation() != gen) throw DiskFailedError(d);
     sum = xorops::checksum64(op.dst, element_size_);
-    v = store->classify(elem, sum);
+    v = store.classify(elem, sum);
     if (v == IntegrityVerdict::kOk || v == IntegrityVerdict::kUntracked) {
       continue;
     }
@@ -294,7 +305,7 @@ void StripeIoEngine::run_read(int d, std::span<const ReadOp> ops,
                           {"offset", static_cast<int64_t>(base)},
                           {"elements", static_cast<int64_t>(run)}});
     }
-    if (verify && options_.verify_reads && h.integrity() != nullptr) {
+    if (verify && options_.verify_reads) {
       verify_run(d, ops, idx, i, run, gen, trace_span, op_id);
     }
     i += run;
@@ -345,13 +356,12 @@ void StripeIoEngine::run_write(int d, std::span<const WriteOp> ops,
     // acknowledged. A device that acks and then drops the payload (lost
     // write) leaves the store ahead of the platter — which is exactly
     // what makes the loss detectable on the next read.
-    if (ChecksumStore* store = h.integrity()) {
-      for (size_t k = 0; k < run; ++k) {
-        const WriteOp& op = ops[idx[i + k]];
-        store->record(element_index(op.stripe, op.row),
-                      xorops::checksum64(op.src, element_size_), op.stripe,
-                      op.row, element_role(d, op.stripe, op.row));
-      }
+    for (size_t k = 0; k < run; ++k) {
+      const WriteOp& op = ops[idx[i + k]];
+      h.integrity().record(element_index(op.stripe, op.row),
+                           xorops::checksum64(op.src, element_size_),
+                           op.stripe, op.row,
+                           element_role(d, op.stripe, op.row));
     }
     i += run;
   }
@@ -474,19 +484,15 @@ void StripeIoEngine::write_element(int d, int64_t stripe, int row,
 IntegrityVerdict StripeIoEngine::classify_element(int d, int64_t stripe,
                                                   int row,
                                                   const uint8_t* data) const {
-  const ChecksumStore* store = disks_[static_cast<size_t>(d)]->integrity();
-  if (store == nullptr) return IntegrityVerdict::kUntracked;
-  return store->classify(element_index(stripe, row),
-                         xorops::checksum64(data, element_size_));
+  return disk(d).integrity().classify(element_index(stripe, row),
+                                     xorops::checksum64(data, element_size_));
 }
 
 void StripeIoEngine::resync_element_integrity(int d, int64_t stripe, int row,
                                               const uint8_t* data) {
-  ChecksumStore* store = disk(d).integrity();
-  if (store == nullptr) return;
-  store->resync(element_index(stripe, row),
-                xorops::checksum64(data, element_size_), stripe, row,
-                element_role(d, stripe, row));
+  disk(d).integrity().resync(element_index(stripe, row),
+                             xorops::checksum64(data, element_size_), stripe,
+                             row, element_role(d, stripe, row));
 }
 
 std::vector<int64_t> StripeIoEngine::per_disk_element_accesses() const {

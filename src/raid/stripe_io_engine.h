@@ -53,13 +53,14 @@ class WriteGate {
   virtual void admit() = 0;
 };
 
-// One array disk as the upper layers see it: the decorated device plus
-// the element-granular accounting the experiments are built on.
+// One array disk as the upper layers see it: the decorated device, its
+// checksum sidecar, and the element-granular accounting the experiments
+// are built on.
 class DiskHandle {
  public:
   DiskHandle(std::unique_ptr<BlockDevice> backend, obs::Counter* element_reads,
              obs::Counter* element_writes,
-             std::unique_ptr<ChecksumStore> integrity = nullptr)
+             std::unique_ptr<ChecksumStore> integrity)
       : device_(std::make_unique<FaultInjectingDevice>(std::move(backend))),
         integrity_(std::move(integrity)),
         obs_reads_(element_reads),
@@ -122,10 +123,9 @@ class DiskHandle {
         std::memory_order_acq_rel);
   }
 
-  // This disk's integrity records (null when the engine runs without
-  // the checksum sidecar).
-  ChecksumStore* integrity() { return integrity_.get(); }
-  const ChecksumStore* integrity() const { return integrity_.get(); }
+  // This disk's integrity records.
+  ChecksumStore& integrity() { return *integrity_; }
+  const ChecksumStore& integrity() const { return *integrity_; }
 
   // Fault injection (decorator passthrough).
   FaultInjectingDevice& faults() { return *device_; }
@@ -191,8 +191,8 @@ class StripeIoEngine {
   using ElementRole = std::function<int(int, int64_t, int)>;
 
   // The engine reads `options` (its owner's; it must outlive the engine)
-  // for the device backend, coalescing, fan-out, retry and integrity
-  // settings. A null `element_role` records every element as role 0.
+  // for the device backend, coalescing, fan-out and integrity settings.
+  // A null `element_role` records every element as role 0.
   StripeIoEngine(int disks, size_t disk_size, size_t element_size, int rows,
                  ThreadPool& pool, ArrayMetrics* metrics, WriteGate* gate,
                  const ArrayOptions& options,
@@ -225,13 +225,11 @@ class StripeIoEngine {
   void write_element(int disk, int64_t stripe, int row, const uint8_t* src);
 
   // --- integrity --------------------------------------------------------
-  bool integrity_enabled() const { return options_.integrity_checksums; }
-  // Classifies raw payload bytes against disk `d`'s records (kUntracked
-  // when the engine runs without integrity).
+  // Classifies raw payload bytes against disk `d`'s records.
   IntegrityVerdict classify_element(int d, int64_t stripe, int row,
                                     const uint8_t* data) const;
   // Re-derives checksum + identity tag from known-good content (journal
-  // replay, scrub repair, reconstruction). No-op without integrity.
+  // replay, scrub repair, reconstruction).
   void resync_element_integrity(int d, int64_t stripe, int row,
                                 const uint8_t* data);
   // Linear element index on one device (ChecksumStore addressing).

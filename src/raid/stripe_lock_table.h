@@ -1,23 +1,23 @@
 // Stripe-granular locking for the array and the request pipeline.
 //
-// Two cooperating pieces live here:
+// Two independent pieces live here:
 //
-//  * StripeLockTable — the array-internal sharded mutex table that
-//    serializes stripe mutators (foreground writes, the background
-//    rebuild worker, journal recovery). Replaces the old fixed
-//    std::array<std::mutex, 64>: each slot is cache-line padded so two
-//    cores spinning on neighbouring slots no longer false-share, the
-//    slot count is configurable (ArrayOptions::stripe_lock_slots), and
-//    acquisition records how long the caller blocked.
+//  * StripeLockTable — the sharded mutex table behind the array's
+//    stripe locks (foreground writes, degraded reads, the rebuild pass,
+//    journal recovery) and the pool's chunk locks. Each slot is
+//    cache-line padded so two cores spinning on neighbouring slots do
+//    not false-share, and acquisition records how long the caller
+//    blocked. The array sizes its table one slot per stripe, up to a
+//    cap; the pool uses a fixed count.
 //
-//  * StripeRangeLock — the pipeline's admission layer. Each admitted
-//    op covers a stripe range and gets a sequence number and a ticket
-//    in one step; tickets are granted so that non-overlapping ops
-//    proceed fully concurrently while overlapping ops serialize in
-//    exactly admission order, whether a pipeline worker or the
-//    submitting thread runs them. Two reads never conflict; read/write
-//    and write/write overlaps do. Wait time is observed into the
-//    admission-wait histogram.
+//  * StripeRangeLock — the admission layer of the pipeline's queued
+//    path. Each submitted op covers a stripe range and gets a sequence
+//    number and a ticket in one step; tickets are granted so that
+//    non-overlapping ops proceed fully concurrently on the pipeline's
+//    workers while overlapping ops serialize in exactly admission order.
+//    Two reads never conflict; read/write and write/write overlaps do.
+//    Wait time is observed into the admission-wait histogram. Pool I/O
+//    never takes a ticket: it calls the array under its chunk locks.
 //
 // Lock ordering: OpQueue::push admits while holding the queue's mutex
 // (so FIFO pop order equals sequence order among queued ops); the range
@@ -40,7 +40,7 @@ namespace dcode::raid {
 // Sharded per-stripe mutex table. Stripes hash to slots by modulo, so a
 // collision merely serializes two unrelated stripes — never a
 // correctness issue, only a throughput one; more slots = fewer
-// collisions at (64 bytes + mutex) per slot.
+// collisions at 64 bytes per slot.
 class StripeLockTable {
  public:
   // `slots` must be positive; `wait_hist` (optional) receives the
@@ -93,9 +93,8 @@ class StripeLockTable {
 // sequence numbers, so grants are acyclic: the smallest registered
 // ticket is always grantable. That stays deadlock-free as long as every
 // admitted ticket is acquired and released without its holder waiting
-// on anything admitted later — true for inline ops (admit, acquire, run,
-// release on one thread) and for queued ops (workers pop in sequence
-// order).
+// on anything admitted later — true for queued ops, since workers pop in
+// sequence order.
 class StripeRangeLock {
  public:
   explicit StripeRangeLock(obs::Histogram* wait_hist = nullptr)

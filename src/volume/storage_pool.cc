@@ -211,10 +211,11 @@ void StoragePool::run_op(bool is_write, int64_t offset,
 
     // Placement is stable for every chunk of the window while its locks
     // are held: the migrator advances a chunk's routing only under its
-    // lock. Segments run on this thread, one after another in chunk
-    // order, each under its own admission ticket (so at most one ticket
-    // is held at a time); the first error unwinds out of the op,
-    // releasing the window's locks after the failed segment returned.
+    // lock. Segments run on this thread straight on their shard's array,
+    // one after another in chunk order; inside the array a write or a
+    // degraded read takes its stripes' locks. The first error unwinds out
+    // of the op, releasing the window's locks after the failed segment
+    // returned.
     for (int64_t c = w; c <= w_last; ++c) {
       const int64_t seg_begin = std::max(offset, c * chunk_bytes_);
       const int64_t seg_end = std::min(offset + len, (c + 1) * chunk_bytes_);
@@ -222,13 +223,12 @@ void StoragePool::run_op(bool is_write, int64_t offset,
       const int64_t shard_off = p.offset + (seg_begin - c * chunk_bytes_);
       const size_t buf_off = static_cast<size_t>(seg_begin - offset);
       const size_t seg_len = static_cast<size_t>(seg_end - seg_begin);
-      raid::StripePipeline& pipe =
-          *shards_[static_cast<size_t>(p.shard)]->pipeline;
+      raid::Raid6Array& array = *shards_[static_cast<size_t>(p.shard)]->array;
       shard_mask |= uint64_t{1} << p.shard;
       if (is_write) {
-        pipe.run_write(shard_off, wbuf.subspan(buf_off, seg_len));
+        array.write(shard_off, wbuf.subspan(buf_off, seg_len));
       } else {
-        pipe.run_read(shard_off, rbuf.subspan(buf_off, seg_len));
+        array.read(shard_off, rbuf.subspan(buf_off, seg_len));
       }
     }
     locks.clear();
@@ -347,15 +347,15 @@ bool StoragePool::restripe_pass() {
       try {
         // Chunks 0..old_shards-1 map to the same (shard, offset) under
         // both placements; skip the self-copy but still advance the
-        // watermark so routing flips over in one monotone front.
-        // The copy is admitted through both shards' pipelines like any
-        // foreground segment: a degraded read decodes through stripe
-        // neighbours, so it must order behind their in-flight writes.
+        // watermark so routing flips over in one monotone front. The
+        // copy runs on the arrays like a foreground segment: a degraded
+        // read of it waits on the stripe locks of in-flight neighbour
+        // writes it decodes through.
         if (from.shard != to.shard || from.offset != to.offset) {
-          shards_[static_cast<size_t>(from.shard)]->pipeline->run_read(
-              from.offset, buf);
-          shards_[static_cast<size_t>(to.shard)]->pipeline->run_write(
-              to.offset, buf);
+          shards_[static_cast<size_t>(from.shard)]->array->read(from.offset,
+                                                                buf);
+          shards_[static_cast<size_t>(to.shard)]->array->write(to.offset,
+                                                               buf);
         }
         // Advance before unlocking: the next op on this chunk must
         // already route to the new placement, which now holds the data.

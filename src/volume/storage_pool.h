@@ -7,9 +7,9 @@
 //   chunk c  ->  shard c % N,  byte offset (c / N) * chunk_bytes
 //
 // Each shard is a full array stack — its own Raid6Array (spares, health
-// monitor, background rebuild, journal) fronted by its own
-// StripePipeline (admission range-lock, plus worker threads for callers
-// that submit to it directly) — so one shard rebuilding or even crashed
+// monitor, background rebuild, journal), plus a StripePipeline whose
+// queue and workers serve only callers that submit to the shard
+// directly (shard_pipeline()) — so one shard rebuilding or even crashed
 // never blocks I/O routed to the others. Every shard registers its
 // metrics under a namespaced view of the pool's registry
 // (`shard0.raid.reads`, `shard1.pipeline.queue_depth`, ...) and the pool
@@ -22,11 +22,11 @@
 //   * chunks below the restripe watermark route with N+1 shards (new
 //     placement), chunks at/above it with N (old placement);
 //   * the worker walks chunks in ascending order: under the chunk's
-//     lock it copies old placement -> new placement through the two
-//     shards' pipelines (run_read, then run_write, each under its own
-//     admission ticket, exactly like a foreground segment), then
-//     advances the watermark before unlocking, so every foreground op
-//     sees a bit-identical view mid-migration;
+//     lock it copies old placement -> new placement with the two
+//     shards' Raid6Array::read and write (whose stripe locks order the
+//     copy against in-flight writes to its stripes, exactly like a
+//     foreground segment), then advances the watermark before unlocking,
+//     so every foreground op sees a bit-identical view mid-migration;
 //   * ascending order makes the in-place migration safe: the old
 //     occupant of chunk c's new location is c' = floor(c/(N+1))*N +
 //     (c mod N+1) <= c, already migrated out (or c itself — a self-copy
@@ -41,16 +41,15 @@
 // slots it covers in bounded windows (<= kWindowSlots held at once,
 // ascending within a window, all released before the next window) and,
 // holding a window's locks, runs that window's per-chunk segments one
-// after another through the owning shard's StripePipeline::run_read /
-// run_write — admitted in the pipeline's single admission order, one
-// ticket held at a time, no worker involved — so a chunk is never
-// migrated while a segment is in flight on it. The migrator follows the
-// same order — chunk lock, then one ticket at a time — and a ticket
-// holder never waits on a chunk lock, so the lock graph is acyclic.
-// Concurrency across ops comes from the callers' threads. Multi-chunk
-// ops are not atomic as a whole — concurrent overlapping ops may
-// interleave at window granularity, the same torn-read contract as any
-// block device spanning sectors.
+// after another straight on the owning shard's Raid6Array, so a chunk is
+// never migrated while a segment is in flight on it. Two lock layers
+// order a pool op: chunk locks for placement, then the array's stripe
+// locks (one held at a time) for parity consistency. The migrator
+// follows the same order, and a stripe-lock holder never waits on a
+// chunk lock, so the lock graph is acyclic. Concurrency across ops comes
+// from the callers' threads. Multi-chunk ops are not atomic as a whole —
+// concurrent overlapping ops may interleave at window granularity, the
+// same torn-read contract as any block device spanning sectors.
 //
 // read()/write() are safe from many threads. The admin operations —
 // add_shard() and restart_all() — are serialized against each other
@@ -123,8 +122,8 @@ struct PoolHealth {
 class StoragePool {
  public:
   static constexpr int kMaxShards = 64;
-  // Slots in the sharded chunk lock table (same trade-off as the
-  // array's stripe_lock_slots).
+  // Slots in the sharded chunk lock table (chunks share slots by
+  // modulo, which only serializes unrelated chunks).
   static constexpr int kChunkLockSlots = 256;
   // Max chunk-lock slots a foreground op holds simultaneously: large
   // ops take their covered slots in windows of this size (ascending
@@ -154,9 +153,9 @@ class StoragePool {
 
   // Byte-addressed synchronous I/O over the pooled logical space.
   // Bounds-checked against capacity(); runs each covered chunk's
-  // segment on the calling thread through its shard's pipeline, in
-  // chunk order (the first shard error is rethrown and the remaining
-  // segments are skipped). Safe to call from many threads.
+  // segment on the calling thread on its shard's array, in chunk order
+  // (the first shard error is rethrown and the remaining segments are
+  // skipped). Safe to call from many threads.
   void write(int64_t offset, std::span<const uint8_t> data);
   void read(int64_t offset, std::span<uint8_t> out);
 
@@ -266,8 +265,8 @@ class StoragePool {
   Placement place(int64_t chunk) const;
   static Placement place_with(int64_t chunk, int shards, int64_t chunk_bytes);
   // Shared path for read/write: splits [offset, offset+len) into
-  // per-chunk segments and runs each inline through its shard's pipeline
-  // under the covered chunk locks.
+  // per-chunk segments and runs each on its shard's array under the
+  // covered chunk locks.
   void run_op(bool is_write, int64_t offset, std::span<uint8_t> rbuf,
               std::span<const uint8_t> wbuf);
   void restripe_worker();

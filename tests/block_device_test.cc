@@ -152,6 +152,7 @@ TEST(FileDiskTest, PersistsAcrossCloseAndReopen) {
     EXPECT_EQ(disk.backend_name(), "file");
     EXPECT_NE(disk.capabilities() & kDevicePersistent, 0u);
     EXPECT_NE(disk.capabilities() & kDeviceFlush, 0u);
+    EXPECT_EQ(disk.capabilities() & kDeviceReopened, 0u);
     ASSERT_TRUE(disk.write(512, data).ok());
     ASSERT_TRUE(disk.flush().ok());
   }
@@ -161,6 +162,7 @@ TEST(FileDiskTest, PersistsAcrossCloseAndReopen) {
     opts.unlink_on_close = true;
     FileDisk disk(0, 4096, path, opts);
     EXPECT_EQ(disk.path(), path);
+    EXPECT_NE(disk.capabilities() & kDeviceReopened, 0u);
     std::vector<uint8_t> out(1024);
     ASSERT_TRUE(disk.read(512, out).ok());
     EXPECT_EQ(out, data);

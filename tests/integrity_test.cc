@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,9 @@
 #include <vector>
 
 #include "codes/registry.h"
+#include "raid/address_map.h"
 #include "raid/fault_injection.h"
+#include "raid/file_disk.h"
 #include "raid/integrity.h"
 #include "raid/journal.h"
 #include "raid/mem_disk.h"
@@ -167,9 +170,9 @@ TEST(IdentityTag, PacksAndUnpacksEveryField) {
   EXPECT_NE(make_tag(1, 0, 0, 0), 0u);
 }
 
-// make_tag keeps 20 stripe bits; an integrity engine with more stripes
-// must refuse to exist rather than alias write identities, and must do so
-// before it allocates a single device.
+// make_tag keeps 20 stripe bits; an engine with more stripes must refuse
+// to exist rather than alias write identities, and must do so before it
+// allocates a single device.
 TEST(IdentityTag, EngineRejectsStripesBeyondTheTagField) {
   ThreadPool pool(1);
   int devices = 0;
@@ -183,10 +186,6 @@ TEST(IdentityTag, EngineRejectsStripesBeyondTheTagField) {
   EXPECT_THROW(StripeIoEngine(2, disk_size, 1, 1, pool, nullptr, nullptr, opts),
                std::logic_error);
   EXPECT_EQ(devices, 0);
-  // Without integrity there are no tags, and no limit.
-  opts.integrity_checksums = false;
-  StripeIoEngine untagged(2, disk_size, 1, 1, pool, nullptr, nullptr, opts);
-  EXPECT_EQ(devices, 2);
 }
 
 // --- ChecksumStore classification ------------------------------------------
@@ -529,6 +528,95 @@ TEST(ChecksumStoreSidecar, ArraySidecarRecordsDeviceContent) {
   EXPECT_EQ(snap.sum, want);
   EXPECT_EQ(tag_stripe(snap.tag), 1);
   EXPECT_EQ(tag_row(snap.tag), 0);
+}
+
+// A sidecar describes one set of device contents. An array built on
+// blank devices must start blank records even when its sidecar directory
+// still holds an earlier array's files, or its first writes pre-read
+// zeros against foreign checksums: condemned, "repaired", and charged to
+// the disks' health. Over reopened devices the records must reload.
+TEST(ChecksumStoreSidecar, FreshDevicesStartFreshRecordsReopenedOnesReload) {
+  const std::string dir = fresh_dir("rebuilt");
+  constexpr size_t kBigElem = 4096;
+  constexpr int64_t kBigStripes = 64;
+  auto options = [&](bool reuse) {
+    ArrayOptions opts;
+    opts.integrity_sidecar_dir = dir;
+    opts.device_factory = [dir, reuse](int id, size_t size) {
+      return std::unique_ptr<BlockDevice>(std::make_unique<FileDisk>(
+          id, size, dir + "/disk" + std::to_string(id) + ".img",
+          FileDisk::Options{.reuse = reuse}));
+    };
+    return opts;
+  };
+  // Fills the array stripe by stripe from `seed`; returns what it wrote.
+  auto fill = [](Raid6Array& array, uint64_t seed) {
+    Pcg32 rng(seed);
+    auto blob = random_blob(rng, static_cast<size_t>(array.capacity()));
+    const size_t stripe_bytes =
+        static_cast<size_t>(array.layout().data_count()) * kBigElem;
+    for (size_t off = 0; off < blob.size(); off += stripe_bytes) {
+      array.write(static_cast<int64_t>(off),
+                  std::span<const uint8_t>(blob.data() + off, stripe_bytes));
+    }
+    return blob;
+  };
+  auto mismatches = [](obs::Registry& reg) {
+    int64_t n = 0;
+    for (const char* kind : {"corrupt", "misdirected", "stale"}) {
+      n += reg.counter("raid.integrity.read_mismatches", {{"kind", kind}})
+               .value();
+    }
+    return n;
+  };
+
+  {
+    obs::Registry reg;
+    Raid6Array first(codes::make_layout("dcode", 7), kBigElem, kBigStripes, 1,
+                     &reg, options(/*reuse=*/false));
+    fill(first, 1);
+    first.flush();
+  }
+  std::vector<uint8_t> blob;
+  {
+    obs::Registry reg;
+    Raid6Array second(codes::make_layout("dcode", 7), kBigElem, kBigStripes,
+                      1, &reg, options(/*reuse=*/false));
+    blob = fill(second, 2);
+    EXPECT_EQ(mismatches(reg), 0);
+    EXPECT_EQ(reg.counter("raid.integrity.write_repairs").value(), 0);
+    for (int d = 0; d < second.layout().cols(); ++d) {
+      EXPECT_EQ(second.health().state(d), DiskHealth::kHealthy) << "disk " << d;
+    }
+    second.flush();
+  }
+
+  // Corrupt one data element behind the array's back; only a reloaded
+  // record can catch it.
+  auto layout = codes::make_layout("dcode", 7);
+  const AddressMap map(*layout);
+  const auto loc = map.locate(5 * layout->data_count());
+  {
+    const std::string path = dir + "/disk" + std::to_string(loc.disk) + ".img";
+    const int fd = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    const std::vector<uint8_t> junk(kBigElem, 0xA5);
+    EXPECT_TRUE(detail::pwrite_fully(
+        fd, junk.data(), junk.size(),
+        static_cast<int64_t>((loc.stripe * layout->rows() + loc.element.row) *
+                             static_cast<int64_t>(kBigElem))));
+    ::close(fd);
+  }
+  {
+    obs::Registry reg;
+    Raid6Array reopened(codes::make_layout("dcode", 7), kBigElem, kBigStripes,
+                        1, &reg, options(/*reuse=*/true));
+    std::vector<uint8_t> back(blob.size());
+    reopened.read(0, back);
+    EXPECT_EQ(back, blob);
+    EXPECT_EQ(mismatches(reg), 1);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- wrong-path write fault models -----------------------------------------

@@ -122,8 +122,8 @@ namespace {
 constexpr size_t kElem = 4096;
 constexpr int64_t kStripes = 4;
 
-// D-Code p=7 (35 data elements per stripe) on MemDisk, integrity on, one
-// pool thread so every transfer runs on the calling thread.
+// D-Code p=7 (35 data elements per stripe) on MemDisk, one pool thread so
+// every transfer runs on the calling thread.
 class ForegroundAllocations : public ::testing::Test {
  protected:
   ForegroundAllocations() {
@@ -131,7 +131,6 @@ class ForegroundAllocations : public ::testing::Test {
     opts.device_factory = [](int id, size_t size) {
       return std::make_unique<MemDisk>(id, size);
     };
-    opts.integrity_checksums = true;
     array_ = std::make_unique<Raid6Array>(codes::make_layout("dcode", 7),
                                           kElem, kStripes, /*threads=*/1,
                                           &reg_, opts);

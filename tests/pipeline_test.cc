@@ -1,10 +1,10 @@
 // Request-pipeline tests: the OpQueue, the StripeRangeLock admission
 // protocol, the StripeLockTable, and the StripePipeline's end-to-end
-// ordering contract — any concurrent schedule of inline (run_*) and
-// queued (submit_*) ops leaves the array bit-identical to a serial array
-// that applied the same ops in admission order (the seeded property
-// tests at the bottom, also run under TSan via the `pipeline` ctest
-// label).
+// ordering contract — any concurrent schedule of ops, from clients that
+// wait for each op and clients that keep several in flight, leaves the
+// array bit-identical to a serial array that applied the same ops in
+// admission order (the seeded property tests at the bottom, also run
+// under TSan via the `pipeline` ctest label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,17 +86,17 @@ TEST(OpQueue, AdmitsTicketAtPushUnderTheQueueLock) {
   OpQueue q(16, rl);
   ASSERT_TRUE(q.push(make_write(0, 10, 1)));
   // The ticket exists before any worker pops the op, so an op admitted
-  // later on another path (an inline run_*) orders behind it.
+  // later straight on the range lock orders behind it.
   EXPECT_EQ(rl.registered(), 1u);
-  const uint64_t inline_seq = rl.admit(0, 0, /*is_write=*/false);
+  const uint64_t direct_seq = rl.admit(0, 0, /*is_write=*/false);
   ASSERT_TRUE(q.push(make_write(10, 10, 2)));
   PendingOp a, b;
   ASSERT_TRUE(q.pop(&a));
   ASSERT_TRUE(q.pop(&b));
-  EXPECT_LT(a.seq, inline_seq);
-  EXPECT_LT(inline_seq, b.seq);
+  EXPECT_LT(a.seq, direct_seq);
+  EXPECT_LT(direct_seq, b.seq);
   EXPECT_EQ(rl.registered(), 3u);  // popping does not retire tickets
-  for (uint64_t seq : {a.seq, inline_seq, b.seq}) rl.release(seq);
+  for (uint64_t seq : {a.seq, direct_seq, b.seq}) rl.release(seq);
 }
 
 TEST(OpQueue, BackpressureBlocksPushUntilPop) {
@@ -211,10 +211,8 @@ TEST(StripeLockTable, RecordsContendedWaits) {
 
 // ---------- StripePipeline: end-to-end ----------
 
-Raid6Array make_array(obs::Registry& reg, int64_t stripes = 8,
-                      ArrayOptions opts = {}) {
-  return Raid6Array(codes::make_layout("dcode", 7), kElem, stripes, 2, &reg,
-                    std::move(opts));
+Raid6Array make_array(obs::Registry& reg, int64_t stripes = 8) {
+  return Raid6Array(codes::make_layout("dcode", 7), kElem, stripes, 2, &reg);
 }
 
 TEST(StripePipeline, ReadsAndWritesRoundTrip) {
@@ -300,62 +298,11 @@ TEST(StripePipeline, PowerLossSurfacesOnTheFuture) {
   EXPECT_EQ(array.scrub(), 0);
 }
 
-TEST(StripePipeline, InlineOpsRoundTripWithoutTheQueue) {
-  obs::Registry reg;
-  auto array = make_array(reg);
-  Pcg32 rng(5);
-  auto blob = random_blob(rng, 3000);
-  StripePipeline pipe(array, {.workers = 1});
-  const uint64_t w = pipe.run_write(100, blob);
-  std::vector<uint8_t> back(blob.size());
-  const uint64_t r = pipe.run_read(100, back);
-  EXPECT_LT(w, r);  // one admission order for every op
-  EXPECT_EQ(back, blob);
-  std::vector<uint8_t> empty;
-  EXPECT_EQ(pipe.run_write(0, empty), 0u);  // empty ops are not admitted
-  EXPECT_THROW(pipe.run_read(array.capacity(), back), std::logic_error);
-  auto snap = reg.snapshot();
-  EXPECT_EQ(find_metric(snap, "pipeline.ops_submitted").value, 3);
-  EXPECT_EQ(find_metric(snap, "pipeline.ops_completed").value, 3);
-  EXPECT_EQ(find_metric(snap, "pipeline.admission_wait_ns").count, 2);
-  EXPECT_EQ(find_metric(snap, "pipeline.queue_depth").value, 0);
-}
-
-// The correctness hinge of inline execution: a queued op holds its
-// ticket from submit, not from the moment a worker pops it, so an inline
-// op admitted later can never be granted ahead of it.
-TEST(StripePipeline, InlineReadOrdersBehindAQueuedOverlappingWrite) {
-  obs::Registry reg;
-  auto array = make_array(reg, /*stripes=*/8);
-  const int64_t stripe_bytes =
-      array.layout().data_count() * static_cast<int64_t>(kElem);
-  std::vector<uint8_t> park(kElem);
-  std::vector<uint8_t> fresh(64, 0x3C);
-  std::vector<uint8_t> got(64);
-  {
-    StripePipeline pipe(array, {.workers = 1});
-    for (int d = 0; d < array.layout().cols(); ++d)
-      array.disk(d).faults().set_latency_ns(20'000'000);  // 20 ms per access
-    // The only worker parks on stripe 4; the write to stripe 0 waits in
-    // the queue behind it while the inline read is admitted.
-    auto busy = pipe.submit_read(4 * stripe_bytes, park);
-    auto queued = pipe.submit_write(0, fresh);
-    const uint64_t seq = pipe.run_read(0, got);
-    EXPECT_GT(seq, queued.sequence());
-    EXPECT_TRUE(queued.ready());
-    EXPECT_EQ(got, fresh);
-    busy.get();
-    for (int d = 0; d < array.layout().cols(); ++d)
-      array.disk(d).faults().set_latency_ns(0);
-  }
-  EXPECT_EQ(array.scrub(), 0);
-}
-
 // ---------- the ordering property test ----------
 //
 // Seeded generator over deliberately overlapping byte ranges, several
-// client threads — some running ops inline (run_*), some submitting them
-// to the workers (submit_*) — on one pipeline. After the fact, the array
+// client threads — some waiting for each op (submit_*().get()), some
+// keeping several in flight — on one pipeline. After the fact, the array
 // must be bit-identical to a serial array that applied the same writes
 // in admission (sequence) order — and every read must equal the serial
 // prefix state of its range at its admission point.
@@ -371,9 +318,7 @@ struct LoggedOp {
 TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     obs::Registry reg;
-    ArrayOptions opts;
-    opts.stripe_lock_slots = 16;  // exercise the non-default table too
-    auto array = make_array(reg, /*stripes=*/8, opts);
+    auto array = make_array(reg, /*stripes=*/8);
     const int64_t cap = array.capacity();
     Pcg32 seed_rng(seed);
     auto initial = random_blob(seed_rng, static_cast<size_t>(cap));
@@ -387,7 +332,7 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
       std::vector<std::thread> subs;
       for (int s = 0; s < kSubmitters; ++s) {
         subs.emplace_back([&, s] {
-          const bool run_inline = s % 2 == 1;
+          const bool one_at_a_time = s % 2 == 1;
           Pcg32 rng(seed * 1000 + static_cast<uint64_t>(s));
           std::vector<std::pair<OpFuture, size_t>> pending;
           for (int i = 0; i < kOpsPerSubmitter; ++i) {
@@ -404,9 +349,11 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
             op.len = std::min(op.len, cap - op.offset);
             op.data.resize(static_cast<size_t>(op.len));
             if (op.is_write) rng.fill_bytes(op.data.data(), op.data.size());
-            if (run_inline) {
-              op.seq = op.is_write ? pipe.run_write(op.offset, op.data)
-                                   : pipe.run_read(op.offset, op.data);
+            if (one_at_a_time) {
+              OpFuture f = op.is_write ? pipe.submit_write(op.offset, op.data)
+                                       : pipe.submit_read(op.offset, op.data);
+              op.seq = f.sequence();
+              f.get();
               logs[static_cast<size_t>(s)].push_back(std::move(op));
               continue;
             }
@@ -466,8 +413,8 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
 // With a single client thread, admission order == program order, so
 // every read must return exactly the bytes produced by the serial prefix
 // of writes before it — the range lock may not let any later overlapping
-// write sneak ahead, and an inline op may not overtake a queued one that
-// is still waiting for a worker.
+// write sneak ahead, and an op the client waits for may not overtake a
+// queued one that is still waiting for a worker.
 TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
   for (uint64_t seed : {3u, 11u}) {
     obs::Registry reg;
@@ -510,21 +457,21 @@ TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
           rng.next_u32() % static_cast<uint32_t>(window));
       const int64_t len = std::min(
           1 + static_cast<int64_t>(rng.next_u32() % 600), cap - offset);
-      const bool run_inline = rng.next_u32() % 3 == 0;
+      const bool wait_now = rng.next_u32() % 3 == 0;
       if (is_write) {
         std::vector<uint8_t> d(static_cast<size_t>(len));
         rng.fill_bytes(d.data(), d.size());
         std::copy(d.begin(), d.end(),
                   shadow.begin() + static_cast<size_t>(offset));
-        if (run_inline) {
-          pipe.run_write(offset, d);
+        if (wait_now) {
+          pipe.submit_write(offset, d).get();
         } else {
           pending.push_back(
               {pipe.submit_write(offset, d), true, offset, {}, nullptr});
         }
-      } else if (run_inline) {
+      } else if (wait_now) {
         std::vector<uint8_t> buf(static_cast<size_t>(len));
-        pipe.run_read(offset, buf);
+        pipe.submit_read(offset, buf).get();
         EXPECT_TRUE(std::equal(buf.begin(), buf.end(),
                                shadow.begin() + static_cast<size_t>(offset)));
       } else {

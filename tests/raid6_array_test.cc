@@ -2,10 +2,17 @@
 // operation, rebuild, and scrubbing — across all codes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "codes/registry.h"
+#include "parking_disk.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
 
@@ -230,6 +237,64 @@ TEST(Raid6Array, ParallelRebuildMatchesSerial) {
   auto parallel = build(8);
   EXPECT_EQ(serial, blob);
   EXPECT_EQ(parallel, blob);
+}
+
+// A degraded read decodes a lost element through the other members of
+// its equations, so it must not run while a write to a neighbouring
+// element of the same stripe is half applied. Geometry (D-Code p=5,
+// 512-byte elements, disk 1 failed): element 30 or 31 is lost and
+// decodes through element 32 or 33 and the parity on disk 3, all in
+// stripe 2. The write of elements 32-33 is parked inside disk 3, after
+// its data elements landed and before that parity did.
+TEST(Raid6Array, DegradedReadWaitsForAnInFlightWriteToItsStripe) {
+  WriteParking parking;
+  const DeviceFactory backend = default_device_factory();
+  ArrayOptions opts;
+  opts.device_factory = [&](int id, size_t size) {
+    return std::unique_ptr<BlockDevice>(std::make_unique<ParkingDisk>(
+        backend(id, size), id == 3 ? &parking : nullptr));
+  };
+  Raid6Array array(codes::make_layout("dcode", 5), kElem, 4, /*threads=*/1,
+                   nullptr, std::move(opts));
+  Pcg32 rng(12);
+  std::vector<uint8_t> shadow =
+      random_blob(rng, static_cast<size_t>(array.capacity()));
+  array.write(0, shadow);
+  array.fail_disk(1);
+
+  const std::vector<uint8_t> patch = random_blob(rng, 2 * kElem);
+  std::thread writer([&] {
+    park_my_writes = true;
+    array.write(32 * static_cast<int64_t>(kElem), patch);
+  });
+  bool parked = false;
+  {
+    std::unique_lock<std::mutex> lock(parking.mu);
+    parked = parking.cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return parking.parked; });
+  }
+  EXPECT_TRUE(parked) << "the write never reached disk 3";
+  std::vector<uint8_t> got(2 * kElem);
+  std::atomic<bool> read_done{false};
+  std::thread reader([&] {
+    array.read(30 * static_cast<int64_t>(kElem), got);
+    read_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(read_done) << "the read ran while stripe 2 was mid-update";
+  {
+    std::lock_guard<std::mutex> lock(parking.mu);
+    parking.released = true;
+  }
+  parking.cv.notify_all();
+  writer.join();
+  reader.join();
+  EXPECT_EQ(0, std::memcmp(got.data(), shadow.data() + 30 * kElem,
+                           got.size()));
+  std::memcpy(shadow.data() + 32 * kElem, patch.data(), patch.size());
+  std::vector<uint8_t> back(shadow.size());
+  array.read(0, back);
+  EXPECT_EQ(back, shadow);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "codes/registry.h"
+#include "parking_disk.h"
 #include "raid/address_map.h"
 #include "raid/file_disk.h"
 #include "raid/integrity.h"
@@ -33,6 +34,10 @@
 
 namespace dcode::volume {
 namespace {
+
+using raid::ParkingDisk;
+using raid::park_my_writes;
+using raid::WriteParking;
 
 ShardSpec small_spec() {
   ShardSpec spec;
@@ -260,72 +265,15 @@ TEST(StoragePool, MidRestripeReadsAndWritesAreBitIdentical) {
   EXPECT_EQ(pool.scrub_all(), 0);
 }
 
-// Parks device writes from a thread that set park_my_writes, until
-// released: a client write can be stopped between the data and parity
-// element writes of one stripe update.
-struct WriteParking {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool parked = false;
-  bool released = false;
-};
-thread_local bool park_my_writes = false;
-
-class ParkingDisk : public raid::BlockDevice {
- public:
-  // A null `parking` forwards every call unchanged.
-  ParkingDisk(std::unique_ptr<raid::BlockDevice> inner, WriteParking* parking)
-      : BlockDevice(inner->id(), inner->size()),
-        inner_(std::move(inner)),
-        parking_(parking) {}
-  std::string_view backend_name() const override {
-    return inner_->backend_name();
-  }
-  uint32_t capabilities() const override { return inner_->capabilities(); }
-
- protected:
-  raid::IoResult do_read(uint64_t offset, std::span<uint8_t> out) override {
-    return inner_->read(offset, out);
-  }
-  raid::IoResult do_write(uint64_t offset,
-                          std::span<const uint8_t> in) override {
-    park();
-    return inner_->write(offset, in);
-  }
-  raid::IoResult do_readv(uint64_t offset,
-                          std::span<const raid::IoVec> iov) override {
-    return inner_->readv(offset, iov);
-  }
-  raid::IoResult do_writev(uint64_t offset,
-                           std::span<const raid::ConstIoVec> iov) override {
-    park();
-    return inner_->writev(offset, iov);
-  }
-  raid::IoResult do_flush() override { return inner_->flush(); }
-
- private:
-  void park() {
-    if (parking_ == nullptr || !park_my_writes) return;
-    std::unique_lock<std::mutex> lock(parking_->mu);
-    parking_->parked = true;
-    parking_->cv.notify_all();
-    parking_->cv.wait(lock, [&] { return parking_->released; });
-  }
-
-  std::unique_ptr<raid::BlockDevice> inner_;
-  WriteParking* parking_;
-};
-
-// The array's degraded read takes no stripe lock, so the migrator must
-// order each copy behind in-flight writes to the same stripe. A copy
-// that read a degraded chunk while a write to a *neighbouring* chunk of
-// its stripe was half applied would decode the lost element through the
-// neighbour's new data and its not-yet-updated parity, and land the
-// wrong bytes in the new placement for good. Geometry (D-Code p=5,
-// 512-byte elements, two elements per chunk, disk 1 failed): chunk 15's
-// lost element decodes through chunk 16's data and the parity on disk 3,
-// both in stripe 2; the migrator's writes to shard 0 up to chunk 15 land
-// in stripes 0-1.
+// The migrator's copy must order behind in-flight writes to the same
+// stripe. A copy that read a degraded chunk while a write to a
+// *neighbouring* chunk of its stripe was half applied would decode the
+// lost element through the neighbour's new data and its not-yet-updated
+// parity, and land the wrong bytes in the new placement for good.
+// Geometry (D-Code p=5, 512-byte elements, two elements per chunk, disk 1
+// failed): chunk 15's lost element decodes through chunk 16's data and
+// the parity on disk 3, both in stripe 2; the migrator's writes to shard
+// 0 up to chunk 15 land in stripes 0-1.
 TEST(StoragePool, RestripeCopyOrdersBehindAnInFlightNeighbourWrite) {
   ShardSpec spec;
   spec.prime = 5;
@@ -375,8 +323,8 @@ TEST(StoragePool, RestripeCopyOrdersBehindAnInFlightNeighbourWrite) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Copying chunk 15 needs a read ticket for stripe 2, which the parked
-  // write holds.
+  // Copying chunk 15 needs stripe 2's lock, which the parked write
+  // holds.
   EXPECT_LE(pool.restripe_watermark(), 15);
   {
     std::lock_guard<std::mutex> lock(parking.mu);
@@ -634,7 +582,7 @@ TEST(StoragePool, PoolOpsRunInlineNotOnPipelineWorkers) {
   raid::AddressMap map(array.layout());
   const int64_t esize = static_cast<int64_t>(spec.element_size);
   const int slow_disk = map.locate(0).disk;
-  // An element of stripe 2 on another disk: disjoint ticket, fast device.
+  // An element of stripe 2 on another disk: disjoint stripe, fast device.
   int64_t elem = 2 * array.layout().data_count();
   while (map.locate(elem).disk == slow_disk) ++elem;
 
@@ -651,6 +599,13 @@ TEST(StoragePool, PoolOpsRunInlineNotOnPipelineWorkers) {
   EXPECT_EQ(0, std::memcmp(parked.data(), blob.data(), parked.size()));
   EXPECT_EQ(reg.counter("shard0.pipeline.ops_submitted").value(),
             reg.counter("shard0.pipeline.ops_completed").value());
+  // Pool ops never enter the pipeline: after the fill and the read, the
+  // direct submit_read is its only op and its only admission.
+  EXPECT_EQ(reg.counter("shard0.pipeline.ops_submitted").value(), 1);
+  EXPECT_EQ(reg.histogram("shard0.pipeline.admission_wait_ns",
+                          obs::latency_bounds_ns())
+                .count(),
+            1);
 }
 
 TEST(StoragePool, AddShardWhileRestripingRejected) {
