@@ -96,9 +96,9 @@ double measure_runtime_scrub_repair_ms() {
   for (int i = 0; i < corruptions; ++i) {
     const int disk = i % 12;  // p + 1 columns
     const int64_t stripe = (i * 4) % stripes;
-    const uint64_t off =
-        (static_cast<uint64_t>(stripe) * rows + static_cast<uint64_t>(i % rows)) *
-        esize;
+    const uint64_t off = (static_cast<uint64_t>(stripe) * rows +
+                          static_cast<uint64_t>(i % rows)) *
+                         esize;
     std::vector<uint8_t> buf(64);
     array.disk(disk).read(off, buf);
     for (auto& b : buf) b ^= 0x3C;

@@ -47,6 +47,14 @@ class AddressMap {
     return static_cast<int>((col + stripe) % layout_->cols());
   }
 
+  // Physical disk -> column for a given stripe: the inverse of
+  // physical_disk.
+  int logical_column(int64_t stripe, int disk) const {
+    if (!rotate_) return disk;
+    const int64_t cols = layout_->cols();
+    return static_cast<int>(((disk - stripe) % cols + cols) % cols);
+  }
+
  private:
   const codes::CodeLayout* layout_;
   bool rotate_;

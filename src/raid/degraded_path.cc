@@ -33,8 +33,9 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   ScratchLease w(*this);
   load_stripe_degraded(stripe, *w);
   Stripe& s = w->s;
-  std::vector<char> touched(static_cast<size_t>(layout.rows() * layout.cols()),
-                            0);
+  OpTables& t = op_tables();
+  std::vector<char>& touched = t.flags;
+  touched.assign(static_cast<size_t>(layout.rows() * layout.cols()), 0);
   for (int64_t e = g; e <= stripe_end; ++e) {
     auto loc = map_.locate(e);
     size_t eb, sb, len;
@@ -51,7 +52,7 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   // would manufacture consistent garbage). Replay the captured target
   // values instead — they are idempotent — skipping disks that have died
   // since; rebuild reconstructs their elements from the survivors.
-  std::vector<WriteOp> wops;
+  std::vector<WriteOp>& wops = t.wops;
   for (int attempt = 0;; ++attempt) {
     try {
       wops.clear();
@@ -97,12 +98,10 @@ void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
   // the plan touches (extra equation members, chain intermediates,
   // partial edges) in a per-thread slot. `filled` marks what a plan read
   // or a reconstruction has produced.
-  struct Cell {
-    uint8_t* p = nullptr;
-    int slot = -1;
-    bool filled = false;
-  };
-  std::vector<Cell> cells(static_cast<size_t>(layout.rows() * layout.cols()));
+  using Cell = OpTables::Cell;
+  OpTables& t = op_tables();
+  std::vector<Cell>& cells = t.cells;
+  cells.assign(static_cast<size_t>(layout.rows() * layout.cols()), Cell{});
   auto at = [&](const Element& e) -> Cell& {
     return cells[static_cast<size_t>(e.row * layout.cols() + e.col)];
   };
@@ -127,8 +126,8 @@ void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
     if (c.slot >= 0) c.p = base + static_cast<size_t>(c.slot) * slot_bytes();
   }
 
-  std::vector<ReadOp> rops;
-  rops.reserve(plan.accesses.size());
+  std::vector<ReadOp>& rops = t.rops;
+  rops.clear();
   for (const IoAccess& a : plan.accesses) {
     DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
     // A duplicate plan read lands twice in one place but still counts.
@@ -139,7 +138,7 @@ void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
   engine_.read_batch(rops);
 
   std::optional<ScratchLease> whole;  // the full-stripe fallback's stripe
-  std::vector<const uint8_t*> members;
+  std::vector<const uint8_t*>& members = t.members;
   int64_t eq_recs = 0;
   for (const Reconstruction& rec : plan.reconstructions) {
     Cell& dst = at(rec.target);

@@ -53,11 +53,23 @@ void HealthMonitor::set_state_locked(PerDisk& d, DiskHealth next) {
 }
 
 void HealthMonitor::age_window_locked(PerDisk& d) {
-  if (++d.ops_in_window < policy_.window_ops) return;
+  if (d.ops_in_window.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      policy_.window_ops) {
+    halve_window_locked(d);
+  }
+}
+
+void HealthMonitor::halve_window_locked(PerDisk& d) {
   // Window full: halve everything. A tally of transients decays to zero
   // within a few windows of clean traffic instead of haunting the disk
-  // forever, and the decay is purely count-driven (deterministic).
-  d.ops_in_window /= 2;
+  // forever, and the decay is purely count-driven (deterministic). The
+  // compare-exchange keeps any lock-free success that lands meanwhile.
+  int64_t n = d.ops_in_window.load(std::memory_order_relaxed);
+  while (n >= policy_.window_ops &&
+         !d.ops_in_window.compare_exchange_weak(n, n / 2,
+                                                std::memory_order_relaxed)) {
+  }
+  if (n < policy_.window_ops) return;
   d.transients /= 2;
   d.slow_ops /= 2;
   d.checksum_mismatches /= 2;
@@ -96,11 +108,20 @@ bool HealthMonitor::evaluate_locked(PerDisk& d) {
 
 void HealthMonitor::record_success(int disk, int64_t latency_ns) {
   PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  if (policy_.slow_op_ns <= 0) {
+    // Only the window count changes, so only a full window takes the lock.
+    if (d.ops_in_window.fetch_add(1, std::memory_order_relaxed) + 1 >=
+        policy_.window_ops) {
+      std::lock_guard<std::mutex> lock(d.mu);
+      halve_window_locked(d);
+    }
+    return;
+  }
   bool escalated = false;
   {
     std::lock_guard<std::mutex> lock(d.mu);
     age_window_locked(d);
-    if (policy_.slow_op_ns > 0 && latency_ns >= policy_.slow_op_ns) {
+    if (latency_ns >= policy_.slow_op_ns) {
       ++d.slow_ops;
       escalated = evaluate_locked(d);
     }
@@ -167,7 +188,7 @@ void HealthMonitor::mark_healthy(int disk) {
   PerDisk& d = *disks_[static_cast<size_t>(disk)];
   std::lock_guard<std::mutex> lock(d.mu);
   if (d.state != DiskHealth::kHealthy) recoveries_->inc();
-  d.ops_in_window = 0;
+  d.ops_in_window.store(0, std::memory_order_relaxed);
   d.transients = 0;
   d.slow_ops = 0;
   d.checksum_mismatches = 0;

@@ -34,15 +34,6 @@ uint64_t slot_self_checksum(const SlotImage& s, int64_t element) {
   return xorops::checksum64(&s, 32, static_cast<uint64_t>(element));
 }
 
-// Writers are rare (one per element write) and already serialized per
-// stripe by the array; this small pool only closes the scrub-resync vs
-// foreground-write race so the per-record seqlock keeps its
-// single-writer invariant.
-std::mutex& writer_mutex(int64_t element) {
-  static std::mutex mus[16];
-  return mus[static_cast<size_t>(element) & 15];
-}
-
 }  // namespace
 
 const char* to_string(IntegrityVerdict v) {

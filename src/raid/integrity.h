@@ -47,9 +47,11 @@
 // slot write leaves a bad self-checksum, never a wrong-but-valid record.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -190,6 +192,20 @@ class ChecksumStore {
     std::atomic<uint64_t> tag{0};
   };
 
+  // Writers are rare (one per element write) and already serialized per
+  // stripe by the array; these locks only close the scrub-resync vs
+  // foreground-write race so the per-record seqlock keeps its
+  // single-writer invariant. Each store has its own, so writers to
+  // different disks never share one; consecutive elements of a disk map
+  // to different slots.
+  struct alignas(64) WriterSlot {
+    std::mutex mu;
+  };
+  static constexpr size_t kWriterSlots = 16;
+  std::mutex& writer_mutex(int64_t element) const {
+    return writers_[static_cast<size_t>(element) % kWriterSlots].mu;
+  }
+
   void store_locked(int64_t element, uint64_t sum, uint64_t prev,
                     uint64_t tag);
   void persist(int64_t element, uint64_t sum, uint64_t prev, uint64_t tag,
@@ -197,6 +213,7 @@ class ChecksumStore {
 
   int64_t elements_;
   std::unique_ptr<Record[]> recs_;
+  mutable std::array<WriterSlot, kWriterSlots> writers_;
   int fd_ = -1;
   std::string path_;
 };

@@ -1,8 +1,6 @@
 #include "raid/planner.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <optional>
 #include <set>
 
@@ -24,11 +22,17 @@ struct StripeSlice {
 std::vector<StripeSlice> slice_by_stripe(const AddressMap& map, int64_t start,
                                          int len) {
   DCODE_CHECK(start >= 0 && len > 0, "invalid logical range");
+  const int64_t per_stripe = map.data_per_stripe();
+  const int64_t end = start + len;
   std::vector<StripeSlice> slices;
-  for (int64_t g = start; g < start + len; ++g) {
+  slices.reserve(
+      static_cast<size_t>((end - 1) / per_stripe - start / per_stripe + 1));
+  for (int64_t g = start; g < end; ++g) {
     auto loc = map.locate(g);
     if (slices.empty() || slices.back().stripe != loc.stripe) {
       slices.push_back(StripeSlice{loc.stripe, {}});
+      slices.back().elements.reserve(static_cast<size_t>(
+          std::min(end, (loc.stripe + 1) * per_stripe) - g));
     }
     slices.back().elements.push_back(loc.element);
   }
@@ -105,32 +109,43 @@ PeelSchedule build_peel_schedule(const CodeLayout& layout,
 
 }  // namespace
 
-std::vector<int> dirty_parity_closure(
-    const CodeLayout& layout, std::span<const Element> written) {
-  std::vector<char> eq_dirty(layout.equations().size(), 0);
-  std::vector<int> dirty;
-  std::deque<Element> work(written.begin(), written.end());
-  while (!work.empty()) {
-    Element x = work.front();
-    work.pop_front();
+void dirty_parity_closure(const CodeLayout& layout,
+                          std::span<const Element> written,
+                          std::vector<int>& dirty, std::vector<char>& marked) {
+  const auto& eqs = layout.equations();
+  marked.assign(eqs.size(), 0);
+  dirty.clear();
+  // `dirty` doubles as the work list: each newly dirty equation's parity
+  // is itself a changed element whose other equations it dirties.
+  auto dirty_equations_of = [&](const Element& x) {
     for (int qi : layout.equations_containing(x.row, x.col)) {
-      const Equation& q = layout.equations()[static_cast<size_t>(qi)];
-      if (q.parity == x) continue;  // x *stores* this equation
-      if (!eq_dirty[static_cast<size_t>(qi)]) {
-        eq_dirty[static_cast<size_t>(qi)] = 1;
+      const auto q = static_cast<size_t>(qi);
+      if (eqs[q].parity == x) continue;  // x *stores* this equation
+      if (marked[q] == 0) {
+        marked[q] = 1;
         dirty.push_back(qi);
-        work.push_back(q.parity);
       }
     }
+  };
+  for (const Element& x : written) dirty_equations_of(x);
+  for (size_t k = 0; k < dirty.size(); ++k) {
+    dirty_equations_of(eqs[static_cast<size_t>(dirty[k])].parity);
   }
-  // Topological order (the layout's encode order restricted to dirty).
-  std::vector<int> rank(layout.equations().size(), 0);
-  const auto& order = layout.encode_order();
-  for (size_t i = 0; i < order.size(); ++i)
-    rank[static_cast<size_t>(order[i])] = static_cast<int>(i);
-  std::sort(dirty.begin(), dirty.end(),
-            [&](int a, int b) { return rank[static_cast<size_t>(a)] <
-                                       rank[static_cast<size_t>(b)]; });
+  // Topological order: the layout's encode order restricted to the
+  // dirty set.
+  DCODE_ASSERT(layout.encode_order().size() == eqs.size(),
+               "every equation has an encode rank");
+  dirty.clear();
+  for (int qi : layout.encode_order()) {
+    if (marked[static_cast<size_t>(qi)] != 0) dirty.push_back(qi);
+  }
+}
+
+std::vector<int> dirty_parity_closure(const CodeLayout& layout,
+                                      std::span<const Element> written) {
+  std::vector<int> dirty;
+  std::vector<char> marked;
+  dirty_parity_closure(layout, written, dirty, marked);
   return dirty;
 }
 
@@ -255,19 +270,33 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
            failed_disks.end();
   };
 
+  auto cell_of = [&](Element x) {
+    return static_cast<size_t>(x.row) * layout.cols() + x.col;
+  };
+  // Per cell of the current stripe: whether the plan already has its
+  // bytes (read or reconstructed).
+  std::vector<char> has;
+  std::vector<Element> lost;  // the current slice's elements on failed disks
+  auto available = [&](const Element& x) { return has[cell_of(x)] != 0; };
+  // Marks `x` available; false if it already was.
+  auto make_available = [&](const Element& x) {
+    char& h = has[cell_of(x)];
+    const bool fresh = h == 0;
+    h = 1;
+    return fresh;
+  };
   for (const StripeSlice& slice : slice_by_stripe(*map_, start, len)) {
     const int64_t s = slice.stripe;
     auto disk_of = [&](const Element& e) {
       return map_->physical_disk(s, e.col);
     };
 
-    // Elements whose bytes the plan already has (read or reconstructed).
-    std::set<Element> available;
-    std::vector<Element> lost;
+    has.assign(static_cast<size_t>(layout.rows()) * layout.cols(), 0);
+    lost.clear();
     for (const Element& e : slice.elements) {
       if (is_failed(disk_of(e))) {
         lost.push_back(e);
-      } else if (available.insert(e).second) {
+      } else if (make_available(e)) {
         plan.accesses.push_back(IoAccess{s, e, disk_of(e), false});
       }
     }
@@ -285,36 +314,33 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
       }
       return *sched;
     };
-    auto cell_of = [&](Element x) {
-      return static_cast<size_t>(x.row) * layout.cols() + x.col;
-    };
 
     // Chain resolution: read the survivors an equation needs, recursing
     // into lost members first (their schedule steps precede ours).
     auto resolve_chain = [&](auto&& self, Element x) -> void {
-      if (available.count(x)) return;
+      if (available(x)) return;
       int qi = schedule().equation[cell_of(x)];
       DCODE_ASSERT(qi >= 0, "chain resolution on an unpeelable element");
       const Equation& q = layout.equations()[static_cast<size_t>(qi)];
       auto need = [&](const Element& m) {
-        if (m == x || available.count(m)) return;
+        if (m == x || available(m)) return;
         if (is_failed(disk_of(m))) {
           self(self, m);
         } else {
-          available.insert(m);
+          make_available(m);
           plan.accesses.push_back(IoAccess{s, m, disk_of(m), false});
         }
       };
       need(q.parity);
       for (const Element& m : q.sources) need(m);
       plan.reconstructions.push_back(Reconstruction{s, x, qi});
-      available.insert(x);
+      make_available(x);
     };
 
     bool full_decode_done = false;
     for (const Element& e : lost) {
       if (full_decode_done) break;
-      if (available.count(e)) continue;  // already rebuilt en passant
+      if (available(e)) continue;  // already rebuilt en passant
 
       // Candidate equations: `e` must be their only member on a failed disk.
       int best_eq = -1;
@@ -325,9 +351,9 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
         size_t extra = 0;
         auto consider = [&](const Element& m) {
           if (m == e) return;
-          if (is_failed(disk_of(m)) && !available.count(m)) {
+          if (is_failed(disk_of(m)) && !available(m)) {
             usable = false;
-          } else if (!available.count(m)) {
+          } else if (!available(m)) {
             ++extra;
           }
         };
@@ -353,15 +379,14 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
           for (int c = 0; c < layout.cols(); ++c) {
             Element m = codes::make_element(r, c);
             if (is_failed(disk_of(m))) continue;
-            if (available.insert(m).second) {
+            if (make_available(m)) {
               plan.accesses.push_back(IoAccess{s, m, disk_of(m), false});
             }
           }
         }
         for (const Element& l : lost) {
-          if (!available.count(l)) {
+          if (make_available(l)) {
             plan.reconstructions.push_back(Reconstruction{s, l, -1});
-            available.insert(l);
           }
         }
         full_decode_done = true;
@@ -370,14 +395,13 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
 
       const Equation& q = layout.equations()[static_cast<size_t>(best_eq)];
       auto pull = [&](const Element& m) {
-        if (m == e || available.count(m)) return;
-        available.insert(m);
+        if (m == e || !make_available(m)) return;
         plan.accesses.push_back(IoAccess{s, m, disk_of(m), false});
       };
       pull(q.parity);
       for (const Element& m : q.sources) pull(m);
       plan.reconstructions.push_back(Reconstruction{s, e, best_eq});
-      available.insert(e);
+      make_available(e);
     }
   }
   return plan;

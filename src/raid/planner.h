@@ -29,6 +29,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "raid/address_map.h"
 #include "raid/io_plan.h"
@@ -77,5 +78,11 @@ class IoPlanner {
 // Exposed for tests and the update-complexity bench.
 std::vector<int> dirty_parity_closure(const codes::CodeLayout& layout,
                                       std::span<const codes::Element> written);
+// The same closure into `dirty`, with `marked` as its per-equation work
+// flags: both are overwritten and keep their capacity, so a caller that
+// reuses them (the array's RMW write) allocates nothing once warm.
+void dirty_parity_closure(const codes::CodeLayout& layout,
+                          std::span<const codes::Element> written,
+                          std::vector<int>& dirty, std::vector<char>& marked);
 
 }  // namespace dcode::raid

@@ -77,6 +77,20 @@ TEST(AddressMap, RotationSpreadsAColumnAcrossAllDisks) {
   EXPECT_EQ(static_cast<int>(seen.size()), layout->cols());
 }
 
+TEST(AddressMap, LogicalColumnInvertsPhysicalDisk) {
+  auto layout = codes::make_layout("dcode", 7);
+  for (bool rotate : {false, true}) {
+    AddressMap map(*layout, rotate);
+    for (int64_t s : {int64_t{0}, int64_t{1}, int64_t{6}, int64_t{7},
+                      int64_t{123457}}) {
+      for (int c = 0; c < layout->cols(); ++c) {
+        EXPECT_EQ(map.logical_column(s, map.physical_disk(s, c)), c)
+            << "rotate " << rotate << " stripe " << s;
+      }
+    }
+  }
+}
+
 TEST(AddressMap, NegativeAddressRejected) {
   auto layout = codes::make_layout("dcode", 5);
   AddressMap map(*layout);

@@ -38,7 +38,8 @@ class ArrayAllCodes : public ::testing::TestWithParam<std::string> {
 
 INSTANTIATE_TEST_SUITE_P(Codes, ArrayAllCodes,
                          ::testing::Values("dcode", "xcode", "rdp", "evenodd",
-                                           "hcode", "hdp", "pcode", "liberation"),
+                                           "hcode", "hdp", "pcode",
+                                           "liberation"),
                          [](const auto& info) { return info.param; });
 
 TEST_P(ArrayAllCodes, WriteReadRoundTripWholeArray) {
@@ -94,7 +95,8 @@ TEST_P(ArrayAllCodes, DegradedReadAfterOneFailure) {
 TEST_P(ArrayAllCodes, DegradedReadAfterTwoFailures) {
   Pcg32 rng(4);
   // Disk indices valid for every code's geometry (HDP p=7 has 6 disks).
-  for (auto [f1, f2] : std::vector<std::pair<int, int>>{{0, 1}, {2, 5}, {1, 4}}) {
+  for (auto [f1, f2] :
+       std::vector<std::pair<int, int>>{{0, 1}, {2, 5}, {1, 4}}) {
     Raid6Array array = make();
     auto blob = random_blob(rng, static_cast<size_t>(array.capacity()));
     array.write(0, blob);
