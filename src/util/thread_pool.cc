@@ -125,13 +125,6 @@ ThreadPool::Stats ThreadPool::stats() const {
   return s;
 }
 
-void ThreadPool::parallel_for(size_t count,
-                              const std::function<void(size_t)>& fn) {
-  parallel_for_chunked(count, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 void ThreadPool::parallel_for_chunked(
     size_t count, const std::function<void(size_t, size_t)>& fn) {
   if (count == 0) return;

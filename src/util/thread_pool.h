@@ -54,8 +54,14 @@ class ThreadPool {
   // Runs fn(i) for i in [0, count), partitioned into contiguous chunks,
   // and blocks until all iterations complete. Runs inline when the pool
   // has a single worker, the range is tiny (avoids dispatch overhead), or
-  // the caller is itself one of this pool's workers.
-  void parallel_for(size_t count, const std::function<void(size_t)>& fn);
+  // the caller is itself one of this pool's workers. `fn` is passed on by
+  // reference, so an inline run allocates nothing.
+  template <typename Fn>
+  void parallel_for(size_t count, Fn&& fn) {
+    parallel_for_chunked(count, [&fn](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) fn(i);
+    });
+  }
 
   // Like parallel_for but hands each worker a [begin, end) slice; useful
   // when per-chunk setup (e.g. a scratch buffer) amortizes across items.

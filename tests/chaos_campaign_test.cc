@@ -596,6 +596,47 @@ TEST(ConcurrentFailover, ThrottledRebuildServesReadsAroundTheWatermark) {
   EXPECT_GT(reg.counter("raid.rebuild.stripes_rebuilt").value(), 0);
 }
 
+// A transfer that fail-stopped on the dead disk can report after a spare
+// has replaced it. That late report speaks for the old device: the spare
+// keeps its rebuild (before, it was failed in turn and the next spare
+// taken). The spare failing for real is still a new episode.
+TEST(ConcurrentFailover, LateFailStopFromTheReplacedDiskSparesTheSpare) {
+  ArrayOptions opts;
+  opts.background_rebuild = true;
+  opts.rebuild_rate_stripes_per_sec = 5.0;  // outlasts the steps below
+  opts.rebuild_burst_stripes = 1.0;
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, 12, 2, &reg, opts);
+  array.add_hot_spares(2);
+
+  Pcg32 rng(23);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.fail_disk(3);
+  ASSERT_EQ(array.health().state(3), DiskHealth::kRebuilding);
+  // The engine's report for a transfer that failed on the old device.
+  array.health().report_fail_stop(3);
+  EXPECT_FALSE(array.disk(3).failed());
+  EXPECT_EQ(array.health().state(3), DiskHealth::kRebuilding);
+  EXPECT_EQ(array.hot_spares(), 1);
+
+  array.fail_disk(3);  // the spare itself
+  EXPECT_FALSE(array.disk(3).failed());
+  EXPECT_EQ(array.health().state(3), DiskHealth::kRebuilding);
+  EXPECT_EQ(array.hot_spares(), 0);
+  EXPECT_EQ(reg.counter("raid.spare_promotions").value(), 2);
+
+  array.set_rebuild_rate(0.0);
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_EQ(array.failed_disk_count(), 0);
+  EXPECT_EQ(array.health().state(3), DiskHealth::kHealthy);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+}
+
 // A failure discovered by a foreground op is escalated on that op's
 // thread: spare promotion, then the background worker start. A
 // wait_for_rebuild() from another thread in between must wait for both,
@@ -711,10 +752,10 @@ TEST_P(PoolChaosCampaign, ShardFaultsMidRestripeKeepPoolInvariants) {
   auto run_pool_workload = [&](Worker& w, int round) {
     Pcg32 rng(seed * 4099 + static_cast<uint64_t>(round) * 9173 + 11);
     const int64_t span = w.end - w.begin;
-    const int64_t max_len = std::min<int64_t>(span - 1, 5 * popts.chunk_bytes / 2);
+    const int64_t max_len =
+        std::min<int64_t>(span - 1, 5 * popts.chunk_bytes / 2);
     for (int op = 0; op < kPoolOps; ++op) {
-      const int64_t len =
-          rng.next_in_range(1, static_cast<int>(max_len));
+      const int64_t len = rng.next_in_range(1, static_cast<int>(max_len));
       const int64_t off =
           w.begin + static_cast<int64_t>(rng.next_below(
                         static_cast<uint32_t>(span - len)));
@@ -768,8 +809,9 @@ TEST_P(PoolChaosCampaign, ShardFaultsMidRestripeKeepPoolInvariants) {
     std::vector<std::thread> threads;
     threads.reserve(workers.size());
     for (int t = 0; t < kPoolWorkers; ++t) {
-      threads.emplace_back(
-          [&, t] { run_pool_workload(workers[static_cast<size_t>(t)], round); });
+      threads.emplace_back([&, t] {
+        run_pool_workload(workers[static_cast<size_t>(t)], round);
+      });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     EXPECT_TRUE(pool.restripe_in_progress());
