@@ -5,8 +5,12 @@
 //
 //   BM_HealthyWrite/k   — k-element delta RMW write (k = 1, 16, 35; 35
 //                         is a full stripe)
-//   BM_DegradedWrite/k  — disk 1 failed, no spare: k-element stripe
-//                         rewrite (k = 1, 20)
+//   BM_DegradedWrite/k  — disk 1 failed, no spare: k-element delta
+//                         update around the lost column (k = 1, 20; the
+//                         first element of each stripe is live)
+//   BM_DegradedWriteOnLost/1 — the same, one element on the failed
+//                         disk: its old value is rebuilt through one
+//                         equation before the delta update
 //   BM_DegradedRead/k   — disk 1 failed: k-element read (k = 1 is an
 //                         element on the failed disk, rebuilt through one
 //                         equation; k = 20 mixes direct reads and
@@ -84,15 +88,23 @@ int64_t offset_of(const raid::Raid6Array& array, int64_t i,
          static_cast<int64_t>(kElement);
 }
 
-void run_writes(benchmark::State& state, bool degraded) {
+// The first data element of a stripe on the failed disk.
+int first_on_failed_disk(const raid::Raid6Array& array) {
+  int first = 0;
+  while (array.layout().data_element(first).col != kFailedDisk) ++first;
+  return first;
+}
+
+void run_writes(benchmark::State& state, bool degraded, bool on_lost = false) {
   const auto k = static_cast<size_t>(state.range(0));
   auto array = make_array(degraded);
+  const int first = on_lost ? first_on_failed_disk(*array) : 0;
   std::vector<uint8_t> data(k * kElement);
   Pcg32 rng(static_cast<uint64_t>(k));
   rng.fill_bytes(data.data(), data.size());
   int64_t i = 0;
   for (auto _ : state) {
-    array->write(offset_of(*array, i++, 0), data);
+    array->write(offset_of(*array, i++, first), data);
     benchmark::DoNotOptimize(data.data());
     benchmark::ClobberMemory();
   }
@@ -105,15 +117,16 @@ void BM_HealthyWrite(benchmark::State& state) { run_writes(state, false); }
 
 void BM_DegradedWrite(benchmark::State& state) { run_writes(state, true); }
 
+void BM_DegradedWriteOnLost(benchmark::State& state) {
+  run_writes(state, true, /*on_lost=*/true);
+}
+
 void BM_DegradedRead(benchmark::State& state) {
   const auto k = static_cast<size_t>(state.range(0));
   auto array = make_array(/*degraded=*/true);
   // A single-element read targets the first data element on the failed
   // disk, so it always reconstructs.
-  int first = 0;
-  if (k == 1) {
-    while (array->layout().data_element(first).col != kFailedDisk) ++first;
-  }
+  const int first = k == 1 ? first_on_failed_disk(*array) : 0;
   std::vector<uint8_t> out(k * kElement);
   int64_t i = 0;
   for (auto _ : state) {
@@ -266,6 +279,8 @@ void BM_SharedArrayMix(benchmark::State& state) {
 BENCHMARK(BM_HealthyWrite)->Arg(1)->Arg(16)->Arg(35)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_DegradedWrite)->Arg(1)->Arg(20)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_DegradedWriteOnLost)->Arg(1)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_DegradedRead)->Arg(1)->Arg(20)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();

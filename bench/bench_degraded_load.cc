@@ -1,7 +1,8 @@
 // Extension experiment: I/O loads in DEGRADED mode. The paper's Figure
 // 4/5 run healthy arrays; here the same mixed workload runs with one data
-// disk failed (reads reconstruct through the planner's chains, writes use
-// the stripe-rewrite policy), averaged over every failure case.
+// disk failed (reads reconstruct through the planner's chains, writes run
+// the delta update around the lost column), averaged over every failure
+// case.
 //
 // Expected shape: degraded cost is dominated by reconstruction reads, so
 // the codes whose continuous elements share parities (D-Code, RDP,
@@ -212,9 +213,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nObservations: stripe-rewrite writes dominate degraded "
-               "cost, so the narrower arrays (hdp) pay the smallest "
-               "absolute penalty; RDP's parity disks finally serve I/O, "
+  std::cout << "\nObservations: a degraded write updates only the live "
+               "elements it touches, so its penalty is the reads that "
+               "rebuild lost old values, offset by the lost data and "
+               "parity it does not write (hdp can come out below its "
+               "healthy cost); RDP's parity disks finally serve I/O, "
                "pulling its LF down toward the verticals'.\n";
 
   std::cout << "\n-- Runtime: degraded sequential read throughput per "

@@ -1,12 +1,12 @@
-// Raid6Array's degraded-mode paths: the stripe-rewrite write policy and
+// Raid6Array's degraded-mode paths: the old values of a write to a
+// stripe with a lost column (write_stripe_rmw's first phase there) and
 // planner-driven degraded reads (whole-stripe loads are the shared
 // load_stripe_degraded step in stripe_repair.cc). Split from
 // raid6_array.cc so the core policy file stays readable.
+#include <algorithm>
 #include <cstring>
-#include <optional>
 #include <vector>
 
-#include "codes/encoder.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
 #include "raid/raid6_array.h"
@@ -17,105 +17,26 @@ namespace dcode::raid {
 using codes::CodeLayout;
 using codes::Element;
 using codes::Equation;
-using codes::Stripe;
 
 using ReadOp = StripeIoEngine::ReadOp;
-using WriteOp = StripeIoEngine::WriteOp;
 
-void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
-                                       int64_t stripe_end, int64_t offset,
-                                       std::span<const uint8_t> data) {
-  // Stripe-rewrite policy: reconstruct, modify, re-encode, then write
-  // back only the touched surviving data elements plus every surviving
-  // parity (untouched data is already on disk). The scratch stripe is
-  // reused as is: load_stripe_degraded assigns every element.
+uint8_t* Raid6Array::run_degraded_plan(int64_t stripe,
+                                       const std::vector<int>& failed,
+                                       int slots) {
   const CodeLayout& layout = *layout_;
-  ScratchLease w(*this);
-  load_stripe_degraded(stripe, *w);
-  Stripe& s = w->s;
   OpTables& t = op_tables();
-  std::vector<char>& touched = t.flags;
-  touched.assign(static_cast<size_t>(layout.rows() * layout.cols()), 0);
-  for (int64_t e = g; e <= stripe_end; ++e) {
-    auto loc = map_.locate(e);
-    size_t eb, sb, len;
-    overlay_range(e, offset, static_cast<int64_t>(data.size()),
-                  static_cast<int64_t>(element_size_), &eb, &sb, &len);
-    std::memcpy(s.at(loc.element) + eb, data.data() + sb, len);
-    touched[static_cast<size_t>(loc.element.row * layout.cols() +
-                                loc.element.col)] = 1;
-  }
-  codes::encode_stripe(s);
-  // Write phase with internal failover: once the first write lands the
-  // on-disk stripe mixes old and new state, so another disk dying here
-  // must NOT trigger a re-load (decoding through half-updated parity
-  // would manufacture consistent garbage). Replay the captured target
-  // values instead — they are idempotent — skipping disks that have died
-  // since; rebuild reconstructs their elements from the survivors.
-  std::vector<WriteOp>& wops = t.wops;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      wops.clear();
-      for (int r = 0; r < layout.rows(); ++r) {
-        for (int c = 0; c < layout.cols(); ++c) {
-          int pdisk = map_.physical_disk(stripe, c);
-          if (disk_degraded_for_stripe(pdisk, stripe)) continue;
-          if (layout.is_parity(r, c) ||
-              touched[static_cast<size_t>(r * layout.cols() + c)] != 0) {
-            wops.push_back({pdisk, stripe, r, s.at(r, c)});
-          }
-        }
-      }
-      engine_.write_batch(wops);
-      return;
-    } catch (const DiskFailedError&) {
-      if (attempt >= kMaxFailoverAttempts) throw;
-      metrics_.failovers->inc();
-    }
-  }
-}
-
-void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
-                                      int64_t stripe_end, int64_t offset,
-                                      std::span<uint8_t> out,
-                                      const std::vector<int>& failed) {
-  const CodeLayout& layout = *layout_;
-  const int64_t esize = static_cast<int64_t>(element_size_);
-  const int64_t end = offset + static_cast<int64_t>(out.size());
-  // Follow the planner's per-element equation choices.
-  IoPlan plan = planner_.plan_degraded_read(
-      g, static_cast<int>(stripe_end - g + 1), failed);
-  obs::Span span(
-      obs::TraceLog::global(), "degraded_read",
-      {{"stripe", stripe},
-       {"elements", stripe_end - g + 1},
-       {"failed_disks", static_cast<int64_t>(failed.size())},
-       {"plan_reads", plan.reads()},
-       {"reconstructions", static_cast<int64_t>(plan.reconstructions.size())}});
-
-  // Where each element of the stripe lives: a fully covered requested
-  // element in the caller's buffer, as read_healthy does; anything else
-  // the plan touches (extra equation members, chain intermediates,
-  // partial edges) in a per-thread slot. `filled` marks what a plan read
-  // or a reconstruction has produced.
+  const IoPlan& plan = t.plan;
   using Cell = OpTables::Cell;
-  OpTables& t = op_tables();
   std::vector<Cell>& cells = t.cells;
-  cells.assign(static_cast<size_t>(layout.rows() * layout.cols()), Cell{});
   auto at = [&](const Element& e) -> Cell& {
     return cells[static_cast<size_t>(e.row * layout.cols() + e.col)];
   };
-  for (int64_t e = g; e <= stripe_end; ++e) {
-    if (e * esize >= offset && (e + 1) * esize <= end) {
-      at(map_.locate(e).element).p = out.data() + (e * esize - offset);
-    }
-  }
-  int slots = 0;
   auto number = [&](Cell& c) {
     if (c.p == nullptr && c.slot < 0) c.slot = slots++;
   };
   for (const IoAccess& a : plan.accesses) {
     DCODE_ASSERT(a.stripe == stripe, "a one-stripe plan stays in its stripe");
+    DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
     number(at(a.element));
   }
   for (const Reconstruction& rec : plan.reconstructions) {
@@ -126,49 +47,155 @@ void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
     if (c.slot >= 0) c.p = base + static_cast<size_t>(c.slot) * slot_bytes();
   }
 
+  if (std::any_of(plan.reconstructions.begin(), plan.reconstructions.end(),
+                  [](const Reconstruction& r) { return r.equation < 0; })) {
+    // Full-stripe chained decode fallback (EVENODD and liberation with
+    // two failed disks crossing every equation of a target). Such a plan
+    // reads every live cell, which is what one load_stripe_degraded
+    // reads; it counts its own rebuilt elements.
+    ScratchLease whole(*this);
+    load_stripe_degraded(stripe, *whole);
+    for (int r = 0; r < layout.rows(); ++r) {
+      for (int c = 0; c < layout.cols(); ++c) {
+        Cell& x = at(codes::make_element(r, c));
+        if (x.p == nullptr) continue;
+        std::memcpy(x.p, whole->s.at(r, c), element_size_);
+        x.filled = true;
+      }
+    }
+    return base;
+  }
+
+  // One verified batch: the plan's reads (a duplicate lands twice in one
+  // place but still counts), then every other live cell the caller
+  // placed. A placed cell on a failed disk is one the plan rebuilds.
   std::vector<ReadOp>& rops = t.rops;
   rops.clear();
   for (const IoAccess& a : plan.accesses) {
-    DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
-    // A duplicate plan read lands twice in one place but still counts.
     Cell& c = at(a.element);
     c.filled = true;
     rops.push_back({a.disk, stripe, a.element.row, c.p});
   }
+  for (int r = 0; r < layout.rows(); ++r) {
+    for (int c = 0; c < layout.cols(); ++c) {
+      Cell& x = at(codes::make_element(r, c));
+      const int disk = map_.physical_disk(stripe, c);
+      if (x.p == nullptr || x.filled ||
+          std::find(failed.begin(), failed.end(), disk) != failed.end()) {
+        continue;
+      }
+      x.filled = true;
+      rops.push_back({disk, stripe, r, x.p});
+    }
+  }
   engine_.read_batch(rops);
 
-  std::optional<ScratchLease> whole;  // the full-stripe fallback's stripe
   std::vector<const uint8_t*>& members = t.members;
-  int64_t eq_recs = 0;
   for (const Reconstruction& rec : plan.reconstructions) {
+    const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
+    members.clear();
+    auto fold = [&](const Element& m) {
+      if (m == rec.target) return;
+      const Cell& c = at(m);
+      DCODE_CHECK(c.filled, "planner promised this member was read");
+      members.push_back(c.p);
+    };
+    fold(q.parity);
+    for (const Element& m : q.sources) fold(m);
     Cell& dst = at(rec.target);
-    if (rec.equation >= 0) {
-      const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
-      members.clear();
-      auto fold = [&](const Element& m) {
-        if (m == rec.target) return;
-        const Cell& c = at(m);
-        DCODE_CHECK(c.filled, "planner promised this member was read");
-        members.push_back(c.p);
-      };
-      fold(q.parity);
-      for (const Element& m : q.sources) fold(m);
-      xorops::xor_many(dst.p, members, element_size_);
-      ++eq_recs;
-    } else {
-      // Full-stripe chained decode fallback (two failed disks crossing
-      // every equation of the target). It loads the stripe once and
-      // counts its own rebuilt elements.
-      span.note("full_stripe_decode", {{"stripe", stripe}});
-      if (!whole) {
-        whole.emplace(*this);
-        load_stripe_degraded(stripe, **whole);
-      }
-      std::memcpy(dst.p, (*whole)->s.at(rec.target), element_size_);
-    }
+    xorops::xor_many(dst.p, members, element_size_);
     dst.filled = true;
   }
-  metrics_.elements_reconstructed->inc(eq_recs);
+  metrics_.elements_reconstructed->inc(
+      static_cast<int64_t>(plan.reconstructions.size()));
+  return base;
+}
+
+uint8_t* Raid6Array::read_old_values_degraded(int64_t stripe, int64_t g,
+                                              size_t n) {
+  // The first half of plan_degraded_write: the degraded read of the
+  // written range gives every written element's old value, reading live
+  // ones and rebuilding lost ones through the planner's equation choice.
+  const CodeLayout& layout = *layout_;
+  OpTables& t = op_tables();
+  const size_t m = t.closure.size();
+  planner_.plan_degraded_read(g, static_cast<int>(n), t.failed, t.plan,
+                              t.plan_cells, t.plan_lost);
+
+  // The cells the update needs, placed in write_stripe_rmw's slot
+  // region: written element i in old-data slot i, each live dirty parity
+  // in its parity slot, where the update uses its old value as it is.
+  // run_degraded_plan reads the live dirty parities the plan does not in
+  // the same verified batch, so every pre-read lands before the first
+  // device write: an integrity error then reaches write()'s clean and
+  // salvage handler with the stripe still pre-update, where its lost
+  // columns still decode (a mid-update stripe with a lost column does
+  // not).
+  using Cell = OpTables::Cell;
+  std::vector<Cell>& cells = t.cells;
+  cells.assign(static_cast<size_t>(layout.rows() * layout.cols()), Cell{});
+  auto at = [&](const Element& e) -> Cell& {
+    return cells[static_cast<size_t>(e.row * layout.cols() + e.col)];
+  };
+  for (size_t i = 0; i < n; ++i) at(t.written[i]).slot = static_cast<int>(i);
+  for (size_t i = 0; i < m; ++i) {
+    const Element& p =
+        layout.equations()[static_cast<size_t>(t.closure[i])].parity;
+    if (std::find(t.failed.begin(), t.failed.end(),
+                  map_.physical_disk(stripe, p.col)) != t.failed.end()) {
+      continue;
+    }
+    at(p).slot = static_cast<int>(n + 2 + m + i);
+    t.flags[i] = kParityPlanned;
+  }
+  uint8_t* const base =
+      run_degraded_plan(stripe, t.failed, static_cast<int>(n + 2 + 2 * m));
+  for (size_t i = 0; i < n; ++i) {
+    DCODE_CHECK(at(t.written[i]).filled, "written element missing from plan");
+  }
+  return base;
+}
+
+void Raid6Array::read_stripe_degraded(int64_t stripe, int64_t g,
+                                      int64_t stripe_end, int64_t offset,
+                                      std::span<uint8_t> out,
+                                      const std::vector<int>& failed) {
+  const CodeLayout& layout = *layout_;
+  const int64_t esize = static_cast<int64_t>(element_size_);
+  const int64_t end = offset + static_cast<int64_t>(out.size());
+  // Follow the planner's per-element equation choices.
+  OpTables& t = op_tables();
+  const IoPlan& plan = t.plan;
+  planner_.plan_degraded_read(g, static_cast<int>(stripe_end - g + 1), failed,
+                              t.plan, t.plan_cells, t.plan_lost);
+  obs::Span span(
+      obs::TraceLog::global(), "degraded_read",
+      {{"stripe", stripe},
+       {"elements", stripe_end - g + 1},
+       {"failed_disks", static_cast<int64_t>(failed.size())},
+       {"plan_reads", plan.reads()},
+       {"reconstructions", static_cast<int64_t>(plan.reconstructions.size())}});
+  if (std::any_of(plan.reconstructions.begin(), plan.reconstructions.end(),
+                  [](const Reconstruction& r) { return r.equation < 0; })) {
+    span.note("full_stripe_decode", {{"stripe", stripe}});
+  }
+
+  // Where each element of the stripe lives: a fully covered requested
+  // element in the caller's buffer, as read_healthy does; anything else
+  // the plan touches (extra equation members, chain intermediates,
+  // partial edges) in a per-thread slot.
+  using Cell = OpTables::Cell;
+  std::vector<Cell>& cells = t.cells;
+  cells.assign(static_cast<size_t>(layout.rows() * layout.cols()), Cell{});
+  auto at = [&](const Element& e) -> Cell& {
+    return cells[static_cast<size_t>(e.row * layout.cols() + e.col)];
+  };
+  for (int64_t e = g; e <= stripe_end; ++e) {
+    if (e * esize >= offset && (e + 1) * esize <= end) {
+      at(map_.locate(e).element).p = out.data() + (e * esize - offset);
+    }
+  }
+  run_degraded_plan(stripe, failed, 0);
 
   for (int64_t e = g; e <= stripe_end; ++e) {
     const Cell& c = at(map_.locate(e).element);

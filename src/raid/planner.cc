@@ -210,50 +210,80 @@ IoPlan IoPlanner::plan_write(int64_t start, int len,
 IoPlan IoPlanner::plan_degraded_write(int64_t start, int len,
                                       std::span<const int> failed_disks) const {
   if (failed_disks.empty()) return plan_write(start, len);
+  DCODE_CHECK(start >= 0 && len > 0, "invalid logical range");
   const CodeLayout& layout = map_->layout();
+  const auto& eqs = layout.equations();
+  const int64_t per_stripe = map_->data_per_stripe();
   IoPlan plan;
+  IoPlan old_values;
+  std::vector<char> has;
+  std::vector<Element> lost;
+  std::vector<Element> written;
+  std::vector<int> dirty;
+  std::vector<char> marked;
 
   auto is_failed = [&](int disk) {
     return std::find(failed_disks.begin(), failed_disks.end(), disk) !=
            failed_disks.end();
   };
 
-  for (const StripeSlice& slice : slice_by_stripe(*map_, start, len)) {
-    const int64_t s = slice.stripe;
+  const int64_t end = start + len;
+  for (int64_t s = start / per_stripe; s * per_stripe < end; ++s) {
+    const int64_t first = std::max(start, s * per_stripe);
+    const int64_t stripe_end = std::min(end, (s + 1) * per_stripe);
+    const int n = static_cast<int>(stripe_end - first);
     auto disk_of = [&](const Element& e) {
       return map_->physical_disk(s, e.col);
     };
-
-    // Does this stripe involve a failed disk at all (data touched, or any
-    // parity hosted there)?
+    // Does this stripe have a column on a failed disk? If not, it plans
+    // like a healthy write.
     bool stripe_degraded = false;
     for (int c = 0; c < layout.cols() && !stripe_degraded; ++c) {
-      if (is_failed(map_->physical_disk(s, c))) stripe_degraded = true;
+      stripe_degraded = is_failed(map_->physical_disk(s, c));
     }
     if (!stripe_degraded) {
-      // Healthy stripe: delegate to the normal per-stripe write plan.
-      IoPlan sub = plan_write(
-          static_cast<int64_t>(s) * layout.data_count() +
-              layout.data_index(slice.elements.front().row,
-                                slice.elements.front().col),
-          static_cast<int>(slice.elements.size()));
+      IoPlan sub = plan_write(first, n);
       plan.accesses.insert(plan.accesses.end(), sub.accesses.begin(),
                            sub.accesses.end());
       continue;
     }
 
-    // Stripe-rewrite: read all surviving cells, write touched surviving
-    // data plus every surviving parity.
-    std::set<Element> touched(slice.elements.begin(), slice.elements.end());
-    for (int r = 0; r < layout.rows(); ++r) {
-      for (int c = 0; c < layout.cols(); ++c) {
-        Element e = make_element(r, c);
-        if (is_failed(disk_of(e))) continue;
-        plan.accesses.push_back(IoAccess{s, e, disk_of(e), false});
-        bool write_back = layout.is_parity(r, c) || touched.count(e) > 0;
-        if (write_back) {
-          plan.accesses.push_back(IoAccess{s, e, disk_of(e), true});
-        }
+    // The delta update around the lost columns. The old value of every
+    // written element comes from the degraded read of the written range:
+    // live ones read directly, lost ones rebuilt through its cheapest
+    // equation or recovery chain. Each live dirty parity it has not read
+    // yet is read too (the array reads them in the same batch, before any
+    // write). Then the live written data and the live dirty parities are
+    // written; a lost dirty parity is neither read nor written, but its
+    // delta still folds into any equation holding it.
+    plan_degraded_read(first, n, failed_disks, old_values, has, lost);
+    plan.accesses.insert(plan.accesses.end(), old_values.accesses.begin(),
+                         old_values.accesses.end());
+    plan.reconstructions.insert(plan.reconstructions.end(),
+                                old_values.reconstructions.begin(),
+                                old_values.reconstructions.end());
+    written.clear();
+    for (int64_t x = first; x < stripe_end; ++x) {
+      written.push_back(
+          layout.data_element(static_cast<int>(x - s * per_stripe)));
+    }
+    dirty_parity_closure(layout, written, dirty, marked);
+    for (int qi : dirty) {
+      const Element& p = eqs[static_cast<size_t>(qi)].parity;
+      const size_t cell = static_cast<size_t>(p.row) * layout.cols() + p.col;
+      if (!is_failed(disk_of(p)) && has[cell] == 0) {
+        plan.accesses.push_back(IoAccess{s, p, disk_of(p), false});
+      }
+    }
+    for (const Element& e : written) {
+      if (!is_failed(disk_of(e))) {
+        plan.accesses.push_back(IoAccess{s, e, disk_of(e), true});
+      }
+    }
+    for (int qi : dirty) {
+      const Element& p = eqs[static_cast<size_t>(qi)].parity;
+      if (!is_failed(disk_of(p))) {
+        plan.accesses.push_back(IoAccess{s, p, disk_of(p), true});
       }
     }
   }
@@ -262,8 +292,22 @@ IoPlan IoPlanner::plan_degraded_write(int64_t start, int len,
 
 IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
                                      std::span<const int> failed_disks) const {
-  const CodeLayout& layout = map_->layout();
   IoPlan plan;
+  std::vector<char> has;
+  std::vector<Element> lost;
+  plan_degraded_read(start, len, failed_disks, plan, has, lost);
+  return plan;
+}
+
+void IoPlanner::plan_degraded_read(int64_t start, int len,
+                                   std::span<const int> failed_disks,
+                                   IoPlan& plan, std::vector<char>& has,
+                                   std::vector<Element>& lost) const {
+  DCODE_CHECK(start >= 0 && len > 0, "invalid logical range");
+  const CodeLayout& layout = map_->layout();
+  const int64_t per_stripe = map_->data_per_stripe();
+  plan.accesses.clear();
+  plan.reconstructions.clear();
 
   auto is_failed = [&](int disk) {
     return std::find(failed_disks.begin(), failed_disks.end(), disk) !=
@@ -273,10 +317,9 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
   auto cell_of = [&](Element x) {
     return static_cast<size_t>(x.row) * layout.cols() + x.col;
   };
-  // Per cell of the current stripe: whether the plan already has its
-  // bytes (read or reconstructed).
-  std::vector<char> has;
-  std::vector<Element> lost;  // the current slice's elements on failed disks
+  // `has`: per cell of the current stripe, whether the plan already has
+  // its bytes (read or reconstructed). `lost`: the current stripe's
+  // requested elements on failed disks, in logical order.
   auto available = [&](const Element& x) { return has[cell_of(x)] != 0; };
   // Marks `x` available; false if it already was.
   auto make_available = [&](const Element& x) {
@@ -285,15 +328,19 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
     h = 1;
     return fresh;
   };
-  for (const StripeSlice& slice : slice_by_stripe(*map_, start, len)) {
-    const int64_t s = slice.stripe;
+  const int64_t end = start + len;
+  for (int64_t s = start / per_stripe; s * per_stripe < end; ++s) {
+    const int64_t first = std::max(start, s * per_stripe);
+    const int64_t stripe_end = std::min(end, (s + 1) * per_stripe);
     auto disk_of = [&](const Element& e) {
       return map_->physical_disk(s, e.col);
     };
 
     has.assign(static_cast<size_t>(layout.rows()) * layout.cols(), 0);
     lost.clear();
-    for (const Element& e : slice.elements) {
+    for (int64_t x = first; x < stripe_end; ++x) {
+      const Element e =
+          layout.data_element(static_cast<int>(x - s * per_stripe));
       if (is_failed(disk_of(e))) {
         lost.push_back(e);
       } else if (make_available(e)) {
@@ -404,7 +451,6 @@ IoPlan IoPlanner::plan_degraded_read(int64_t start, int len,
       make_available(e);
     }
   }
-  return plan;
 }
 
 }  // namespace dcode::raid

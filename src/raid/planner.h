@@ -22,6 +22,11 @@
 //    (greedy, in logical order). Consecutive lost elements sharing a
 //    horizontal parity re-use each other's reads — D-Code's degraded-read
 //    edge over X-Code (paper Figure 7).
+//  * plan_degraded_write — the same delta update as RMW, around the lost
+//    columns: the old values of the written elements come from
+//    plan_degraded_read over the written range, and only live elements
+//    are read and written. So a write to a degraded stripe costs what it
+//    touches, not a stripe rewrite.
 //
 // Counting convention: one access = one element read or written, the
 // papers' unit. `times` multipliers from <S, L, T> tuples are applied by
@@ -49,12 +54,24 @@ class IoPlanner {
   IoPlan plan_write(int64_t start, int len,
                     WritePolicy policy = WritePolicy::kAuto) const;
 
-  // Partial stripe write while disks are failed. Unaffected stripes plan
-  // like healthy writes; a stripe touching a failed disk uses the
-  // stripe-rewrite policy the byte-level array implements: read every
-  // surviving element, reconstruct, then write the touched surviving data
-  // plus every surviving parity. (The paper evaluates degraded *reads*
-  // only; this extends the load experiments to degraded writes.)
+  // Partial stripe write while disks are failed: the plan the byte-level
+  // array executes. A stripe with no column on a failed disk plans like
+  // a healthy write (plan_write). A stripe with a lost column runs a
+  // delta update:
+  //   reads  — plan_degraded_read over the written range (the old values
+  //            of live written elements directly; lost ones and any
+  //            chain intermediates through its equation choice), then
+  //            each live dirty parity that plan has not read;
+  //   reconstructions — that plan's;
+  //   writes — each live written data element, then each live dirty
+  //            parity.
+  // A dirty parity on a lost column is neither read nor written; its
+  // delta still folds into any equation that holds it (RDP, HDP,
+  // H-Code). Every read is a distinct live cell and the writes are a
+  // subset of a stripe rewrite's, so the plan never costs more than
+  // rewriting the stripe, and equals it for a full-stripe write. (The
+  // paper evaluates degraded *reads* only; this extends the load
+  // experiments to degraded writes.)
   IoPlan plan_degraded_write(int64_t start, int len,
                              std::span<const int> failed_disks) const;
 
@@ -68,6 +85,17 @@ class IoPlanner {
   // liberation) fall back to a full-stripe decode.
   IoPlan plan_degraded_read(int64_t start, int len,
                             std::span<const int> failed_disks) const;
+  // The same plan into `plan`, with `has` and `lost` as its per-cell
+  // flags and its list of lost requested elements. All three are
+  // overwritten and keep their capacity, so a caller that reuses them
+  // (the array's degraded reads and writes) allocates nothing once warm,
+  // short of a stripe whose lost element needs a recovery chain (two
+  // lost columns). On return, `has` flags the cells of the range's last
+  // stripe that the plan reads or rebuilds.
+  void plan_degraded_read(int64_t start, int len,
+                          std::span<const int> failed_disks, IoPlan& plan,
+                          std::vector<char>& has,
+                          std::vector<codes::Element>& lost) const;
 
  private:
   const AddressMap* map_;

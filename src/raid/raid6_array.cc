@@ -356,23 +356,45 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   dirty_parity_closure(layout, t.written, t.closure, t.closure_marks);
   const std::vector<int>& closure = t.closure;
   const size_t m = closure.size();
+  // The disks degraded for this stripe, as of now: the caller holds its
+  // lock, so only a disk failing mid-op changes the set.
+  std::vector<int>& failed = t.failed;
+  failed.clear();
+  for (int d = 0; d < layout.cols(); ++d) {
+    if (disk_degraded_for_stripe(d, stripe)) failed.push_back(d);
+  }
+  // Per dirty parity: whether its old value is captured in its parity
+  // slot (kParityRead, or kParityPlanned in a degraded stripe's first
+  // batch).
+  std::vector<char>& parity_live = t.flags;
+  parity_live.assign(m, 0);
 
   // One scratch region per call: n old-data slots (turned into deltas in
   // place), two partial-edge overlays, then m parity deltas and m parity
-  // values. Nothing is zero-filled: every slot is read into or assigned
-  // before it is read.
-  uint8_t* const base = element_slots(n + 2 + 2 * m);
+  // values; a stripe with a lost column adds a slot per other cell its
+  // plan reads or rebuilds. Nothing is zero-filled: every slot is read
+  // into or assigned before it is read.
+  //
+  // Phase 1: the old contents of every touched data element. A healthy
+  // stripe batch-reads them; a stripe with a lost column takes them, and
+  // its live dirty parities, from the planner's degraded write plan
+  // (read_old_values_degraded).
+  std::vector<ReadOp>& rops = t.rops;
+  uint8_t* base;
+  if (failed.empty()) {
+    base = element_slots(n + 2 + 2 * m);
+    rops.clear();
+    for (size_t i = 0; i < n; ++i) {
+      rops.push_back({t.locs[i].disk, stripe, t.locs[i].element.row,
+                      base + i * slot_bytes()});
+    }
+    engine_.read_batch(rops);
+  } else {
+    base = read_old_values_degraded(stripe, g, n);
+  }
   auto slot = [&](size_t i) { return base + i * slot_bytes(); };
   auto pdelta = [&](size_t i) { return slot(n + 2 + i); };
   auto parity = [&](size_t i) { return slot(n + 2 + m + i); };
-
-  // Phase 1: batch-read the old contents of every touched data element.
-  std::vector<ReadOp>& rops = t.rops;
-  rops.clear();
-  for (size_t i = 0; i < n; ++i) {
-    rops.push_back({t.locs[i].disk, stripe, t.locs[i].element.row, slot(i)});
-  }
-  engine_.read_batch(rops);
 
   // Phase 2 (computation only): the new payload of each element — a fully
   // covered one straight from the caller's buffer, a partial edge as the
@@ -429,9 +451,7 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   // rebuild later reconstructs their elements from the consistent
   // survivors. Only the pre-write phases above may throw to the caller.
   std::vector<WriteOp>& wops = t.wops;
-  std::vector<char>& parity_live = t.flags;  // old parity captured once
-  parity_live.assign(m, 0);
-  bool parity_read = false;
+  bool parity_read = false;  // old parity captured once
   for (int attempt = 0;; ++attempt) {
     try {
       wops.clear();
@@ -444,12 +464,15 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
       if (!parity_read) {
         // Parity is still uniformly old (no parity write has happened in
         // any attempt), so reading it now is safe; after this point the
-        // captured values are authoritative and are never re-read.
+        // captured values are authoritative and are never re-read. A
+        // stripe with a lost column read them in its first batch.
         rops.clear();
         for (size_t i = 0; i < m; ++i) {
+          if (parity_live[i] == kParityPlanned) continue;
           const Equation& q =
               layout.equations()[static_cast<size_t>(closure[i])];
-          parity_live[i] = disk_degraded_for_stripe(pdisks[i], stripe) ? 0 : 1;
+          parity_live[i] =
+              disk_degraded_for_stripe(pdisks[i], stripe) ? 0 : kParityRead;
           if (parity_live[i] != 0) {
             rops.push_back({pdisks[i], stripe, q.parity.row, parity(i)});
           }
@@ -525,21 +548,16 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
     // The stripe lock serializes this update against the background
     // rebuild worker (and other writers); degradedness is decided
     // per stripe under the lock, so a stripe behind the rebuild
-    // watermark takes the fast RMW path while stripes ahead of it
-    // rewrite around the rebuilding disk. A disk failing mid-write
-    // surfaces as DiskFailedError — re-plan and retry (failover).
+    // watermark reads its old values directly while stripes ahead of it
+    // plan them around the rebuilding disk. A disk failing before the
+    // first device write surfaces as DiskFailedError — re-plan and retry
+    // (failover).
     bool salvage = false;
     for (int attempt = 0;; ++attempt) {
       std::unique_lock<std::mutex> lock = stripe_lock(stripe);
-      bool stripe_degraded = false;
-      for (int d = 0; d < layout.cols(); ++d) {
-        stripe_degraded |= disk_degraded_for_stripe(d, stripe);
-      }
       try {
         if (salvage) {
           salvage_stripe_rewrite(stripe, g, stripe_end, offset, data);
-        } else if (stripe_degraded) {
-          write_stripe_degraded(stripe, g, stripe_end, offset, data);
         } else {
           write_stripe_rmw(stripe, g, stripe_end, offset, data);
         }
@@ -627,8 +645,9 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
   // (which is correct — parity took the write the platter lost). The set
   // is op-local; scrub owns the durable repair.
   std::vector<int> suspects;
+  std::vector<int>& failed = op_tables().failed;
   auto collect_failed = [&] {
-    std::vector<int> failed;
+    failed.clear();
     for (int d = 0; d < layout_->cols(); ++d) {
       if (disk_degraded_for_range(d, last_stripe)) failed.push_back(d);
     }
@@ -638,9 +657,8 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
       }
     }
     std::sort(failed.begin(), failed.end());
-    return failed;
   };
-  std::vector<int> failed = collect_failed();
+  collect_failed();
   OpGuard op(/*is_write=*/false, offset, static_cast<int64_t>(out.size()),
              !failed.empty(), metrics_, options_);
   (failed.empty() ? metrics_.reads : metrics_.degraded_reads)->inc();
@@ -683,11 +701,11 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
           suspects.end()) {
         suspects.push_back(e.disk());
       }
-      failed = collect_failed();
+      collect_failed();
     } catch (const DiskFailedError&) {
       if (attempt >= kMaxFailoverAttempts) throw;
       metrics_.failovers->inc();
-      failed = collect_failed();
+      collect_failed();
     }
   }
 }

@@ -17,25 +17,31 @@
 // (element granularity inside; byte granularity at the public API).
 //
 // Behaviour:
-//  * write — healthy mode always runs delta read-modify-write (read old
-//    data, write new data, read old parity, write parity ^ delta), even
-//    where the planner's auto policy would pick reconstruct-write: only
-//    the parity read lets a write catch a misdirected element write to
-//    its own stripe before it folds into parity. If any disk is failed,
-//    the affected stripes are reconstructed in memory, modified,
-//    re-encoded and written back to the surviving disks (stripe-rewrite
-//    policy).
+//  * write — every stripe runs one delta read-modify-write executor (read
+//    old data, write new data, read old parity, write parity ^ delta),
+//    even where the planner's auto policy would pick reconstruct-write:
+//    only the parity read lets a write catch a misdirected element write
+//    to its own stripe before it folds into parity. On a stripe with a
+//    lost column the old values come from the planner's degraded write
+//    plan (plan_degraded_write): the degraded read of the written range
+//    rebuilds lost ones through its equation choice, and only live data
+//    and live dirty parities are read and written. There the old parity
+//    is read with the old data, before the first device write, because
+//    the integrity repair a condemned pre-read triggers must decode the
+//    lost column, which a half-updated stripe does not allow.
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * scratch — the foreground paths allocate no element buffers: fully
 //    covered elements move straight between the devices and the caller's
 //    buffer, everything else (old data, deltas, parity, partial edges,
 //    extra equation members) uses a per-thread slot buffer, and the
-//    degraded rewrite reuses whole-stripe scratch from the array's free
-//    list. Their index and pointer tables are per-thread as well, so
-//    once warm, on a one-worker pool, the healthy write and read
-//    allocate nothing at all (fanning a batch out across more workers
-//    allocates in the pool's task queue).
+//    unpeelable full-stripe decode reuses whole-stripe scratch from the
+//    array's free list. Their index and pointer tables, plans included,
+//    are per-thread as well, so once warm, on a one-worker pool, writes
+//    and reads allocate nothing at all, healthy or with one lost column
+//    (fanning a batch out across more workers allocates in the pool's
+//    task queue; a recovery chain's peel schedule and the full-stripe
+//    decode allocate in the planner and the codec).
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
 //    Rebuild is one watermark pass (background_rebuild.cc), run by the
 //    hot-spare worker or by rebuild(); a stripe whose only lost column is
@@ -378,12 +384,13 @@ class Raid6Array : private WriteGate {
   uint8_t* element_slots(size_t count) const;
   size_t slot_bytes() const { return (element_size_ + 63) & ~size_t{63}; }
   // The index and pointer tables of one foreground stripe op (RMW write,
-  // healthy read, degraded rewrite, degraded read). Per thread, like
-  // element_slots(): each call clears and refills what it uses, so once
-  // warm they never reallocate, and since they hold no layout pointer one
-  // set serves every array the thread touches. Callers never nest.
+  // healthy read, degraded read). Per thread, like element_slots(): each
+  // call clears and refills what it uses, so once warm they never
+  // reallocate, and since they hold no layout pointer one set serves
+  // every array the thread touches. Callers never nest, except that
+  // read() keeps its `failed` list across its degraded stripes.
   struct OpTables {
-    // Where a degraded read keeps one cell of its stripe.
+    // Where a degraded plan keeps one cell of its stripe.
     struct Cell {
       uint8_t* p = nullptr;
       int slot = -1;
@@ -399,9 +406,17 @@ class Raid6Array : private WriteGate {
     std::vector<const uint8_t*> delta;  // per cell (row * cols + col)
     std::vector<const uint8_t*> members;
     std::vector<int> pdisks;
-    std::vector<char> flags;  // RMW: parity live; rewrite: cell touched
+    std::vector<char> flags;  // RMW: per dirty parity, old value captured
     std::vector<Cell> cells;
+    std::vector<int> failed;  // disks degraded for the stripe or range
+    IoPlan plan;              // a degraded read or old-value plan
+    std::vector<char> plan_cells;  // ...its per-cell flags
+    std::vector<codes::Element> plan_lost;
   };
+  // OpTables::flags values: a dirty parity's old value read by the RMW
+  // parity pre-read, or already in a degraded stripe's first batch.
+  static constexpr char kParityRead = 1;
+  static constexpr char kParityPlanned = 2;
   static OpTables& op_tables();
   // Recomputes `target` in `s` as the XOR of equation `q`'s other members.
   static void rederive(const codes::Equation& q, codes::Element target,
@@ -464,12 +479,29 @@ class Raid6Array : private WriteGate {
   // stripe so every sidecar record is refreshed.
   void salvage_stripe_rewrite(int64_t stripe, int64_t g, int64_t stripe_end,
                               int64_t offset, std::span<const uint8_t> data);
-  // Healthy-path RMW for the elements [g, stripe_end] of one stripe.
+  // The one write executor: delta RMW for the elements [g, stripe_end]
+  // of one stripe, healthy or with lost columns; the caller holds the
+  // stripe's lock.
   void write_stripe_rmw(int64_t stripe, int64_t g, int64_t stripe_end,
                         int64_t offset, std::span<const uint8_t> data);
-  // Degraded-path stripe rewrite for the same element range.
-  void write_stripe_degraded(int64_t stripe, int64_t g, int64_t stripe_end,
-                             int64_t offset, std::span<const uint8_t> data);
+  // write_stripe_rmw's first phase on a stripe with a lost column (the
+  // disks in op_tables().failed): plans the old values of its n written
+  // elements [g, g + n) with plan_degraded_read, takes the slot region,
+  // and in one verified batch fills old-data slot i for each and the
+  // parity slot of each live dirty parity (flagged kParityPlanned), all
+  // before the first device write. Returns the region's base.
+  uint8_t* read_old_values_degraded(int64_t stripe, int64_t g, size_t n);
+  // Runs op_tables().plan, a degraded read plan of one stripe planned
+  // around `failed`, into op_tables().cells. A cell the caller placed
+  // (p set, or a slot below `slots`) keeps its place; every other cell
+  // the plan reads or rebuilds takes a slot after them, in one
+  // element_slots() region whose base this returns. The plan's reads and
+  // every other live placed cell go out in one verified batch, then its
+  // reconstructions run in plan order; a plan with a full-stripe decode
+  // (equation -1) fills every cell from one load_stripe_degraded
+  // instead. Each cell produced is marked filled.
+  uint8_t* run_degraded_plan(int64_t stripe, const std::vector<int>& failed,
+                             int slots);
   void read_healthy(int64_t first, int64_t last, int64_t offset,
                     std::span<uint8_t> out);
   // Degraded read of the elements [g, stripe_end] of one stripe, planned

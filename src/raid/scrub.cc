@@ -400,10 +400,16 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
   // salvage.
   const std::vector<Element> salvaged = reconstruct_distrusted(stripe, w);
   // Parity is recomputed from the data below, so condemned parity needs
-  // no old bytes; neither does a data element the incoming write covers
-  // wholesale. Anything else still distrusted is genuinely gone —
-  // refuse rather than hand the caller silent garbage.
-  for (const Equation& q : layout.equations()) w.distrusted(q.parity) = 0;
+  // no old bytes (a dead column's decode below still routes around it);
+  // neither does a data element the incoming write covers wholesale.
+  // Anything else still distrusted is genuinely gone — refuse rather
+  // than hand the caller silent garbage.
+  std::vector<Element> condemned_parities;
+  for (const Equation& q : layout.equations()) {
+    if (w.distrusted(q.parity) == 0) continue;
+    condemned_parities.push_back(q.parity);
+    w.distrusted(q.parity) = 0;
+  }
   const bool garbage_left =
       std::find(w.distrust.begin(), w.distrust.end(), 1) != w.distrust.end();
   for (int64_t e = g; e <= stripe_end; ++e) {
@@ -429,13 +435,15 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
       throw ElementIntegrityError(map_.physical_disk(stripe, 0), stripe, 0,
                                   IntegrityVerdict::kCorrupt);
     }
-    auto live = [&](const Element& m) {
-      return w.dead[static_cast<size_t>(m.col)] == 0;
+    // A condemned parity is an erasure of the decode, not a member.
+    for (const Element& p : condemned_parities) w.distrusted(p) = 1;
+    auto trusted = [&](const Element& m) {
+      return w.dead[static_cast<size_t>(m.col)] == 0 && w.distrusted(m) == 0;
     };
     std::vector<uint8_t> syndrome(element_size_);
     for (const Equation& q : layout.equations()) {
-      if (!live(q.parity) ||
-          !std::all_of(q.sources.begin(), q.sources.end(), live)) {
+      if (!trusted(q.parity) ||
+          !std::all_of(q.sources.begin(), q.sources.end(), trusted)) {
         continue;
       }
       std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
@@ -448,8 +456,15 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
                                     IntegrityVerdict::kCorrupt);
       }
     }
-    DCODE_CHECK(decode_erasures(stripe, w),
-                "stripe unrecoverable (more than two failures)");
+    // A re-derived condemned parity must re-verify, so a decode through
+    // mid-update state is refused here too.
+    if (!decode_erasures(stripe, w)) {
+      DCODE_CHECK(!condemned_parities.empty(),
+                  "stripe unrecoverable (more than two failures)");
+      const Element p = condemned_parities.front();
+      throw ElementIntegrityError(map_.physical_disk(stripe, p.col), stripe,
+                                  p.row, IntegrityVerdict::kCorrupt);
+    }
     metrics_.elements_reconstructed->inc(static_cast<int64_t>(w.lost.size()));
   }
   for (int64_t e = g; e <= stripe_end; ++e) {

@@ -12,6 +12,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -226,6 +229,77 @@ TEST(ChecksumStore, ResyncClearsStaleHistory) {
 
   store.invalidate_all();
   EXPECT_EQ(store.classify(2, 20), IntegrityVerdict::kUntracked);
+}
+
+// The per-record seqlock, checked by what readers see rather than by a
+// race detector (TSan does not model its fences): while one writer per
+// element records a known sequence of sums, every snapshot a concurrent
+// reader loads must be one a writer stored, whole — sum f(k), prev
+// f(k-1), and a tag of generation k carrying the element's identity —
+// and an element's generation never goes back.
+TEST(ChecksumStore, ConcurrentLoadsSeeOnlyWholeRecords) {
+  constexpr int kElements = 4;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr uint32_t kRecords = 100000;
+  ChecksumStore store(kElements);
+  auto sum_of = [](int e, uint32_t k) {
+    return (static_cast<uint64_t>(e + 1) << 56) ^
+           (uint64_t{k} * 0x9E3779B97F4A7C15ull);
+  };
+  auto stripe_of = [](int e) { return int64_t{100} + e; };
+  auto row_of = [](int e) { return 3 * e + 1; };
+  auto role_of = [](int e) { return e % 3; };
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int64_t> bad{0};
+  std::atomic<int64_t> loads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint32_t k = 1; k <= kRecords; ++k) {
+        for (int e = w; e < kElements; e += kWriters) {
+          store.record(e, sum_of(e, k), stripe_of(e), row_of(e), role_of(e));
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      uint32_t last[kElements] = {};
+      int64_t n = 0;
+      int64_t wrong = 0;
+      auto check = [&](int e) {
+        const ChecksumStore::Snapshot s = store.load(e);
+        ++n;
+        const uint32_t k = tag_generation(s.tag);
+        if (k < last[e]) ++wrong;
+        last[e] = k;
+        if (k == 0) {
+          wrong += s.tag != 0 || s.sum != 0 || s.prev != 0;
+          return;
+        }
+        wrong += s.sum != sum_of(e, k);
+        wrong += s.prev != (k > 1 ? sum_of(e, k - 1) : 0);
+        wrong += tag_stripe(s.tag) != stripe_of(e);
+        wrong += tag_row(s.tag) != row_of(e);
+        wrong += tag_role(s.tag) != role_of(e);
+      };
+      while (writers_left.load() > 0) {
+        for (int e = 0; e < kElements; ++e) check(e);
+      }
+      for (int e = 0; e < kElements; ++e) {
+        check(e);
+        wrong += last[e] != kRecords;
+      }
+      bad.fetch_add(wrong);
+      loads.fetch_add(n);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(loads.load(), kReaders * kElements);
 }
 
 // --- sidecar persistence ---------------------------------------------------
@@ -786,6 +860,51 @@ TEST(VerifyOnRead, SameStripeMisdirectSalvagedAtWriteTime) {
   std::vector<uint8_t> out(shadow.size());
   array.read(0, out);
   EXPECT_EQ(out, shadow);
+}
+
+TEST(VerifyOnRead, DegradedWriteDecodesAroundACondemnedParity) {
+  // D-Code p=7 with disk 2 failed. A silently corrupted parity whose
+  // equation has a member on the lost column cannot be repaired in place,
+  // so a write that dirties it escalates to the salvage rewrite, which
+  // must decode the lost column around the condemned parity rather than
+  // through it: every element of every such equation, written in turn,
+  // must read back exact, before and after the lost disk is rebuilt.
+  constexpr int kLost = 2;
+  const auto layout = codes::make_layout("dcode", 7);
+  int cases = 0;
+  for (const codes::Equation& q : layout->equations()) {
+    const bool crosses_lost =
+        std::any_of(q.sources.begin(), q.sources.end(),
+                    [](const codes::Element& e) { return e.col == kLost; });
+    if (q.parity.col == kLost || !crosses_lost) continue;
+    for (const codes::Element& target : q.sources) {
+      if (target.col == kLost) continue;
+      ++cases;
+      Raid6Array array(codes::make_layout("dcode", 7), kElem, 2, 1);
+      Pcg32 rng(static_cast<uint64_t>(70 + cases));
+      auto shadow = random_blob(rng, static_cast<size_t>(array.capacity()));
+      array.write(0, shadow);
+      array.fail_disk(kLost);
+      array.disk(q.parity.col)
+          .corrupt(static_cast<uint64_t>(q.parity.row) * kElem + 3, 16, rng);
+
+      const int64_t at =
+          layout->data_index(target.row, target.col) * int64_t{kElem};
+      const auto fresh = random_blob(rng, kElem);
+      array.write(at, fresh);
+      std::copy(fresh.begin(), fresh.end(), shadow.begin() + at);
+      std::vector<uint8_t> out(shadow.size());
+      array.read(0, out);
+      EXPECT_EQ(out, shadow) << "parity " << q.parity.row << ","
+                             << q.parity.col << " target " << target.row
+                             << "," << target.col;
+      array.replace_disk(kLost);
+      array.rebuild();
+      array.read(0, out);
+      EXPECT_EQ(out, shadow);
+    }
+  }
+  EXPECT_GT(cases, 0);
 }
 
 // --- checksum-assisted scrub: beyond the parity-only contracts -------------

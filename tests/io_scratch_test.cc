@@ -1,16 +1,15 @@
 // Foreground stripe I/O without per-element buffers.
 //
-// Raid6Array's foreground stripe paths (the healthy RMW write, the
-// degraded stripe rewrite, the degraded read and a healthy read's partial
-// edges) work in reused scratch and in the caller's buffer. This binary
+// Raid6Array's foreground stripe paths (the RMW write, healthy or with a
+// lost column, the degraded read and a healthy read's partial edges)
+// work in reused scratch and in the caller's buffer. This binary
 // replaces the global operator new/delete (plain and std::align_val_t
 // forms) with a counting shim, so it stands alone: once an array is
 // warmed up, none of those paths may allocate a buffer of element size
 // or more. A second counter sees allocations of any size: once warm, on
-// a one-worker pool, the healthy paths (RMW writes, reads) allocate
-// nothing at all, and the degraded ones pin their exact counts (the
-// planner's IoPlan and the codec's decode and encode still allocate), so
-// a change that adds one shows here.
+// a one-worker pool, the healthy paths (RMW writes, reads) and the
+// degraded ones with one failed disk allocate nothing at all, so a
+// change that adds one shows here.
 //
 // The second suite pins the ownership rule that makes the reuse safe: a
 // whole-stripe scratch points at its array's layout, so it must belong
@@ -256,14 +255,15 @@ TEST_F(ForegroundAllocations, HealthyTwentyElementReadWithPartialEdges) {
   expect_intact();
 }
 
-// The degraded paths still allocate small tables outside the array: the
-// stripe rewrite in the codec's peeling decode and re-encode, the read in
-// read()'s failed-disk list and the planner's IoPlan.
+// With one failed disk the degraded paths allocate nothing either: the
+// planner fills a per-thread IoPlan, the write runs the same RMW executor
+// with its old values planned around the lost column, and read() keeps
+// its failed-disk list per thread.
 TEST_F(ForegroundAllocations, DegradedOneElementWrite) {
   array_->fail_disk(1);
   const Allocations a = write_allocations(elem(8), kElem);
   EXPECT_EQ(a.large, 0);
-  EXPECT_EQ(a.any, 7);
+  EXPECT_EQ(a.any, 0);
   expect_intact();
 }
 
@@ -271,7 +271,7 @@ TEST_F(ForegroundAllocations, DegradedTwentyElementWrite) {
   array_->fail_disk(1);
   const Allocations a = write_allocations(elem(25), 20 * kElem);
   EXPECT_EQ(a.large, 0);
-  EXPECT_EQ(a.any, 14);
+  EXPECT_EQ(a.any, 0);
   expect_intact();
 }
 
@@ -279,7 +279,7 @@ TEST_F(ForegroundAllocations, DegradedTwentyElementReadWithPartialEdges) {
   array_->fail_disk(1);
   const Allocations a = read_allocations(elem(30) + 777, 20 * kElem - 1500);
   EXPECT_EQ(a.large, 0);
-  EXPECT_EQ(a.any, 20);
+  EXPECT_EQ(a.any, 0);
   expect_intact();
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "codes/registry.h"
@@ -130,6 +131,110 @@ TEST(RuntimeVsPlanner, HealthyWriteMatchesRmwIoPlan) {
       array->per_disk_element_accesses(),
       predicted(planner.plan_write(start, len, WritePolicy::kReadModifyWrite),
                 array->layout().cols()));
+}
+
+// A degraded write reads and writes, disk by disk, exactly what
+// plan_degraded_write names: with one lost column and with two, for a
+// write landing on a live element, one landing on a lost element, a
+// range with partial edges across two stripes, and a full stripe.
+TEST(RuntimeVsPlanner, DegradedWriteMatchesIoPlan) {
+  for (const std::vector<int>& failed :
+       std::vector<std::vector<int>>{{2}, {1, 4}}) {
+    obs::Registry reg;
+    auto array = make_array(reg);
+    auto data = random_bytes(static_cast<size_t>(array->capacity()), 6);
+    array->write(0, data);
+    for (int f : failed) array->fail_disk(f);
+
+    AddressMap map(array->layout());
+    IoPlanner planner(map);
+    auto lost = [&](int64_t g) {
+      return std::find(failed.begin(), failed.end(), map.locate(g).disk) !=
+             failed.end();
+    };
+    int64_t on_live = 0;
+    while (lost(on_live)) ++on_live;
+    int64_t on_lost = 0;
+    while (!lost(on_lost)) ++on_lost;
+    const int64_t per_stripe = map.data_per_stripe();
+    const auto esize = static_cast<int64_t>(kElem);
+    struct Case {
+      const char* name;
+      int64_t offset;  // bytes
+      int64_t bytes;
+    };
+    const Case cases[] = {
+        {"live element", on_live * esize, esize},
+        {"lost element", on_lost * esize, esize},
+        {"partial edges across two stripes",
+         (per_stripe - 3) * esize + 5, 6 * esize - 9},
+        {"full stripe", 2 * per_stripe * esize, per_stripe * esize},
+    };
+    Pcg32 rng(7);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", " +
+                   std::to_string(failed.size()) + " lost");
+      std::vector<uint8_t> fresh(static_cast<size_t>(c.bytes));
+      rng.fill_bytes(fresh.data(), fresh.size());
+      array->reset_stats();
+      array->write(c.offset, fresh);
+      std::copy(fresh.begin(), fresh.end(), data.begin() + c.offset);
+
+      const int64_t first = c.offset / esize;
+      const int64_t last = (c.offset + c.bytes - 1) / esize;
+      EXPECT_EQ(array->per_disk_element_accesses(),
+                predicted(planner.plan_degraded_write(
+                              first, static_cast<int>(last - first + 1),
+                              failed),
+                          array->layout().cols()));
+    }
+    std::vector<uint8_t> out(data.size());
+    array->read(0, out);
+    EXPECT_EQ(out, data);
+  }
+}
+
+// EVENODD and liberation with two failed disks rebuild some lost elements
+// only through a full-stripe decode (equation -1). The degraded read and
+// the degraded write then read each live cell once, as their plans say.
+TEST(RuntimeVsPlanner, FullStripeDecodeFallbackMatchesIoPlan) {
+  for (const char* code : {"evenodd", "liberation"}) {
+    SCOPED_TRACE(code);
+    obs::Registry reg;
+    Raid6Array array(codes::make_layout(code, 7), kElem, 2, /*threads=*/1,
+                     &reg);
+    auto data = random_bytes(static_cast<size_t>(array.capacity()), 8);
+    array.write(0, data);
+    const std::vector<int> failed = {0, 1};
+    for (int f : failed) array.fail_disk(f);
+    AddressMap map(array.layout());
+    IoPlanner planner(map);
+    const int64_t per_stripe = map.data_per_stripe();
+    const IoPlan read_plan = planner.plan_degraded_read(0, 4, failed);
+    ASSERT_TRUE(std::any_of(
+        read_plan.reconstructions.begin(), read_plan.reconstructions.end(),
+        [](const Reconstruction& r) { return r.equation < 0; }));
+
+    array.reset_stats();
+    std::vector<uint8_t> out(4 * kElem);
+    array.read(0, out);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
+    EXPECT_EQ(array.per_disk_element_accesses(),
+              predicted(read_plan, array.layout().cols()));
+
+    array.reset_stats();
+    auto fresh = random_bytes(3 * kElem, 9);
+    const int64_t at = per_stripe + 1;
+    array.write(at * static_cast<int64_t>(kElem), fresh);
+    std::copy(fresh.begin(), fresh.end(),
+              data.begin() + at * static_cast<int64_t>(kElem));
+    EXPECT_EQ(array.per_disk_element_accesses(),
+              predicted(planner.plan_degraded_write(at, 3, failed),
+                        array.layout().cols()));
+    std::vector<uint8_t> all(data.size());
+    array.read(0, all);
+    EXPECT_EQ(all, data);
+  }
 }
 
 // A quiesced single-disk rebuild of `failed` reads exactly what the
