@@ -38,6 +38,13 @@
 // waits:
 //
 //   BM_SharedArrayMix/threads:4 — items_per_second counts ops
+//
+// The fill row is the array's share of dcode_bench's set-up (setup_s):
+// build a D-Code p=7 MemDisk array of k stripes (4 KiB, threads = 1) and
+// fill it one full-stripe write per stripe on one thread; tearing the
+// array down is not timed:
+//
+//   BM_FillArray/512 — items_per_second counts stripes
 #include <benchmark/benchmark.h>
 #include <stdlib.h>
 
@@ -274,6 +281,32 @@ void BM_SharedArrayMix(benchmark::State& state) {
   if (state.thread_index() == 0) g_shared.reset();
 }
 
+void BM_FillArray(benchmark::State& state) {
+  const int64_t stripes = state.range(0);
+  raid::ArrayOptions opts;
+  opts.device_factory = [](int id, size_t size) {
+    return std::make_unique<raid::MemDisk>(id, size);
+  };
+  const int per_stripe = codes::make_layout("dcode", 7)->data_count();
+  std::vector<uint8_t> stripe(static_cast<size_t>(per_stripe) * kElement);
+  Pcg32 rng(29);
+  rng.fill_bytes(stripe.data(), stripe.size());
+  for (auto _ : state) {
+    auto array = std::make_unique<raid::Raid6Array>(
+        codes::make_layout("dcode", 7), kElement, stripes, /*threads=*/1,
+        nullptr, opts);
+    for (int64_t s = 0; s < stripes; ++s) {
+      array->write(s * static_cast<int64_t>(stripe.size()), stripe);
+    }
+    state.PauseTiming();
+    array.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * stripes);
+  state.SetBytesProcessed(state.iterations() * stripes *
+                          static_cast<int64_t>(stripe.size()));
+}
+
 }  // namespace
 
 BENCHMARK(BM_HealthyWrite)->Arg(1)->Arg(16)->Arg(35)
@@ -290,6 +323,8 @@ BENCHMARK(BM_FileHealthyRead)->Arg(1)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_SharedArrayMix)->Threads(4)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_FillArray)->Arg(512)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
   return dcode::bench::run_gbench_with_telemetry("bench_array_paths", argc,

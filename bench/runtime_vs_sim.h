@@ -4,13 +4,16 @@
 // the planner-based simulator, then report the two per-disk element-access
 // tallies side by side in the telemetry output.
 //
-// The simulator side uses WritePolicy::kReadModifyWrite — the execution
-// model the byte-level array actually implements in healthy mode — so the
-// two tallies must agree element-for-element; any mismatch is a real
-// divergence between planner predictions and array behaviour, not policy
-// noise. (The Fig. 4/5 headline numbers themselves keep kAuto.)
+// The simulator side plans each write as the byte-level array executes
+// it in healthy mode — WritePolicy::kReconstructWrite for a stripe the
+// write covers whole (encoded, nothing read), kReadModifyWrite for the
+// rest — so the two tallies must agree element-for-element; any mismatch
+// is a real divergence between planner predictions and array behaviour,
+// not policy noise. (The Fig. 4/5 headline numbers themselves keep
+// kAuto.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <span>
@@ -52,11 +55,22 @@ inline RuntimeVsSimResult run_runtime_vs_sim(const std::string& code, int p,
   raid::IoPlanner planner(map);
   sim::IoStats sim_stats(layout->cols());
   for (const sim::Op& op : ops) {
-    raid::IoPlan plan =
-        op.is_write ? planner.plan_write(op.start, op.len,
-                                         raid::WritePolicy::kReadModifyWrite)
-                    : planner.plan_read(op.start, op.len);
-    sim_stats.accumulate(plan, op.times);
+    if (!op.is_write) {
+      sim_stats.accumulate(planner.plan_read(op.start, op.len), op.times);
+      continue;
+    }
+    const int64_t end = op.start + op.len;
+    for (int64_t s = op.start / data_count; s * data_count < end; ++s) {
+      const int64_t first = std::max(op.start, s * data_count);
+      const int len =
+          static_cast<int>(std::min(end, (s + 1) * data_count) - first);
+      sim_stats.accumulate(
+          planner.plan_write(first, len,
+                             len == data_count
+                                 ? raid::WritePolicy::kReconstructWrite
+                                 : raid::WritePolicy::kReadModifyWrite),
+          op.times);
+    }
   }
 
   // Runtime side: execute each op once against the live array and weight

@@ -15,7 +15,13 @@
 //          equation, recompute parities outright.
 //    Sharing a horizontal parity across consecutive elements is exactly
 //    what makes D-Code / RDP / H-Code cheap here and X-Code / HDP dear
-//    (paper Figure 5).
+//    (paper Figure 5). The byte-level array runs RCW on a stripe a write
+//    covers whole, where it reads nothing (the dirty closure is every
+//    equation), and RMW on every other healthy stripe write, whose
+//    parity pre-read catches a misdirected write (raid6_array.h). So the
+//    auto choice prices writes for the paper's experiments, and
+//    kReconstructWrite per whole stripe plus kReadModifyWrite per partial
+//    one is what the array does.
 //  * plan_degraded_read — surviving requested elements are read directly;
 //    each lost one picks the reconstruction equation with the smallest
 //    number of *additional* reads given everything already in the plan

@@ -363,32 +363,43 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   for (int d = 0; d < layout.cols(); ++d) {
     if (disk_degraded_for_stripe(d, stripe)) failed.push_back(d);
   }
-  // Per dirty parity: whether its old value is captured in its parity
-  // slot (kParityRead, or kParityPlanned in a degraded stripe's first
-  // batch).
+  // A write that covers every data element of a healthy stripe needs none
+  // of its old contents: its closure is every equation, and each parity is
+  // encoded from the caller's bytes in encode order (reconstruct-write
+  // with nothing to read), then data and parity go out in one batch.
+  const bool encode =
+      failed.empty() && n == static_cast<size_t>(layout.data_count()) &&
+      m == layout.equations().size() && g * esize >= offset &&
+      (stripe_end + 1) * esize <= end;
+  // Per dirty parity: whether its value is captured in its parity slot
+  // (kParityRead, kParityPlanned in a degraded stripe's first batch, or
+  // kParityEncoded).
   std::vector<char>& parity_live = t.flags;
-  parity_live.assign(m, 0);
+  parity_live.assign(m, encode ? kParityEncoded : 0);
 
   // One scratch region per call: n old-data slots (turned into deltas in
   // place), two partial-edge overlays, then m parity deltas and m parity
-  // values; a stripe with a lost column adds a slot per other cell its
-  // plan reads or rebuilds. Nothing is zero-filled: every slot is read
-  // into or assigned before it is read.
+  // values (an encoded stripe uses only the parity values); a stripe with
+  // a lost column adds a slot per other cell its plan reads or rebuilds.
+  // Nothing is zero-filled: every slot is read into or assigned before it
+  // is read.
   //
   // Phase 1: the old contents of every touched data element. A healthy
-  // stripe batch-reads them; a stripe with a lost column takes them, and
-  // its live dirty parities, from the planner's degraded write plan
-  // (read_old_values_degraded).
+  // stripe batch-reads them (an encoded one needs none); a stripe with a
+  // lost column takes them, and its live dirty parities, from the
+  // planner's degraded write plan (read_old_values_degraded).
   std::vector<ReadOp>& rops = t.rops;
   uint8_t* base;
   if (failed.empty()) {
     base = element_slots(n + 2 + 2 * m);
-    rops.clear();
-    for (size_t i = 0; i < n; ++i) {
-      rops.push_back({t.locs[i].disk, stripe, t.locs[i].element.row,
-                      base + i * slot_bytes()});
+    if (!encode) {
+      rops.clear();
+      for (size_t i = 0; i < n; ++i) {
+        rops.push_back({t.locs[i].disk, stripe, t.locs[i].element.row,
+                        base + i * slot_bytes()});
+      }
+      engine_.read_batch(rops);
     }
-    engine_.read_batch(rops);
   } else {
     base = read_old_values_degraded(stripe, g, n);
   }
@@ -399,9 +410,10 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   // Phase 2 (computation only): the new payload of each element — a fully
   // covered one straight from the caller's buffer, a partial edge as the
   // old element with the user bytes overlaid — and the per-element
-  // deltas, then the parity deltas of the dirty closure in topo order.
-  // No I/O happens here, so everything below works from values captured
-  // while the stripe was still consistent.
+  // deltas, then the parity deltas of the dirty closure in topo order;
+  // an encoded stripe runs the same pass over new values, so it yields
+  // each parity's new value. No I/O happens here, so everything below
+  // works from values captured while the stripe was still consistent.
   std::vector<const uint8_t*>& fresh = t.fresh;
   std::vector<const uint8_t*>& delta = t.delta;
   fresh.assign(n, nullptr);
@@ -424,6 +436,10 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
       fresh[i] = overlay;
       overlay += slot_bytes();
     }
+    if (encode) {
+      delta[cell(t.locs[i].element)] = fresh[i];
+      continue;
+    }
     xorops::xor_into(old, fresh[i], element_size_);  // old ^ new
     delta[cell(t.locs[i].element)] = old;
   }
@@ -438,8 +454,11 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
       if (delta[cell(src)] != nullptr) members.push_back(delta[cell(src)]);
     }
     DCODE_ASSERT(!members.empty(), "a dirty equation has a changed source");
-    xorops::xor_many(pdelta(i), members, element_size_);
-    delta[cell(q.parity)] = pdelta(i);
+    DCODE_ASSERT(!encode || members.size() == q.sources.size(),
+                 "an encoded parity has the new value of every source");
+    uint8_t* out = encode ? parity(i) : pdelta(i);
+    xorops::xor_many(out, members, element_size_);
+    delta[cell(q.parity)] = out;
   }
 
   // Phase 3 (writes, with internal failover): once the first device write
@@ -447,11 +466,12 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   // new state — a degraded re-plan decoding through a stale parity would
   // manufacture consistent garbage. So a disk dying from here on is
   // handled by REPLAYING the captured target values (data writes and
-  // parity old^delta are idempotent), skipping disks that have died; the
-  // rebuild later reconstructs their elements from the consistent
-  // survivors. Only the pre-write phases above may throw to the caller.
+  // parity old^delta or encoded are idempotent), skipping disks that have
+  // died; the rebuild later reconstructs their elements from the
+  // consistent survivors. Only the pre-write phases above may throw to
+  // the caller. An encoded stripe writes its data and parity in one batch.
   std::vector<WriteOp>& wops = t.wops;
-  bool parity_read = false;  // old parity captured once
+  bool parity_read = encode;  // old parity captured once (encoded: none)
   for (int attempt = 0;; ++attempt) {
     try {
       wops.clear();
@@ -460,7 +480,10 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
         wops.push_back(
             {t.locs[i].disk, stripe, t.locs[i].element.row, fresh[i]});
       }
-      engine_.write_batch(wops);
+      if (!encode) {
+        engine_.write_batch(wops);
+        wops.clear();
+      }
       if (!parity_read) {
         // Parity is still uniformly old (no parity write has happened in
         // any attempt), so reading it now is safe; after this point the
@@ -485,7 +508,6 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
         }
         parity_read = true;
       }
-      wops.clear();
       for (size_t i = 0; i < m; ++i) {
         if (parity_live[i] == 0 ||
             disk_degraded_for_stripe(pdisks[i], stripe)) {

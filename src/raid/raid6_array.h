@@ -4,8 +4,9 @@
 // examples and the read-speed experiments run on. Since the monolith
 // split, the array is pure policy over two lower layers:
 //
-//   Raid6Array            — delta RMW writes, degraded paths, journal,
-//                           spares, rebuild orchestration (this class)
+//   Raid6Array            — RMW and full-stripe writes, degraded paths,
+//                           journal, spares, rebuild orchestration (this
+//                           class)
 //   StripeIoEngine        — batched element I/O: coalescing into ranged
 //                           vectored transfers, per-disk parallelism,
 //                           transient-error retries, element accounting
@@ -17,18 +18,25 @@
 // (element granularity inside; byte granularity at the public API).
 //
 // Behaviour:
-//  * write — every stripe runs one delta read-modify-write executor (read
-//    old data, write new data, read old parity, write parity ^ delta),
-//    even where the planner's auto policy would pick reconstruct-write:
-//    only the parity read lets a write catch a misdirected element write
-//    to its own stripe before it folds into parity. On a stripe with a
-//    lost column the old values come from the planner's degraded write
-//    plan (plan_degraded_write): the degraded read of the written range
-//    rebuilds lost ones through its equation choice, and only live data
-//    and live dirty parities are read and written. There the old parity
-//    is read with the old data, before the first device write, because
-//    the integrity repair a condemned pre-read triggers must decode the
-//    lost column, which a half-updated stripe does not allow.
+//  * write — every stripe runs one write executor. A write that covers
+//    every data element of a stripe with no lost column reads nothing: it
+//    encodes each parity from the caller's bytes in the layout's encode
+//    order and writes the whole stripe in one batch, which is the plan of
+//    plan_write(…, WritePolicy::kReconstructWrite). Every other stripe
+//    write runs delta read-modify-write (read old data, write new data,
+//    read old parity, write parity ^ delta), even where the planner's
+//    auto policy would pick reconstruct-write: only the parity read lets
+//    a partial write catch a misdirected element write to its own stripe
+//    before it folds into parity (a full-stripe write's slip is caught by
+//    the sidecar when the element is next read, or by a repair scrub).
+//    On a stripe with a lost column the old values come from the
+//    planner's degraded write plan (plan_degraded_write): the degraded
+//    read of the written range rebuilds lost ones through its equation
+//    choice, and only live data and live dirty parities are read and
+//    written. There the old parity is read with the old data, before the
+//    first device write, because the integrity repair a condemned
+//    pre-read triggers must decode the lost column, which a half-updated
+//    stripe does not allow.
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * scratch — the foreground paths allocate no element buffers: fully
@@ -403,10 +411,12 @@ class Raid6Array : private WriteGate {
     std::vector<StripeIoEngine::ReadOp> rops;
     std::vector<StripeIoEngine::WriteOp> wops;
     std::vector<const uint8_t*> fresh;
-    std::vector<const uint8_t*> delta;  // per cell (row * cols + col)
+    // Per cell (row * cols + col): its delta, or its new value in an
+    // encoded stripe.
+    std::vector<const uint8_t*> delta;
     std::vector<const uint8_t*> members;
     std::vector<int> pdisks;
-    std::vector<char> flags;  // RMW: per dirty parity, old value captured
+    std::vector<char> flags;  // RMW: per dirty parity, value captured
     std::vector<Cell> cells;
     std::vector<int> failed;  // disks degraded for the stripe or range
     IoPlan plan;              // a degraded read or old-value plan
@@ -414,9 +424,11 @@ class Raid6Array : private WriteGate {
     std::vector<codes::Element> plan_lost;
   };
   // OpTables::flags values: a dirty parity's old value read by the RMW
-  // parity pre-read, or already in a degraded stripe's first batch.
+  // parity pre-read, or already in a degraded stripe's first batch; or
+  // its new value encoded from a full-stripe write's data.
   static constexpr char kParityRead = 1;
   static constexpr char kParityPlanned = 2;
+  static constexpr char kParityEncoded = 3;
   static OpTables& op_tables();
   // Recomputes `target` in `s` as the XOR of equation `q`'s other members.
   static void rederive(const codes::Equation& q, codes::Element target,
@@ -479,9 +491,10 @@ class Raid6Array : private WriteGate {
   // stripe so every sidecar record is refreshed.
   void salvage_stripe_rewrite(int64_t stripe, int64_t g, int64_t stripe_end,
                               int64_t offset, std::span<const uint8_t> data);
-  // The one write executor: delta RMW for the elements [g, stripe_end]
-  // of one stripe, healthy or with lost columns; the caller holds the
-  // stripe's lock.
+  // The one write executor for the elements [g, stripe_end] of one
+  // stripe: delta RMW, healthy or with lost columns, except that a write
+  // covering every data element of a healthy stripe encodes its parity
+  // and reads nothing; the caller holds the stripe's lock.
   void write_stripe_rmw(int64_t stripe, int64_t g, int64_t stripe_end,
                         int64_t offset, std::span<const uint8_t> data);
   // write_stripe_rmw's first phase on a stripe with a lost column (the

@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <linux/magic.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/vfs.h>
 #include <unistd.h>
 
@@ -72,6 +73,39 @@ TEST(MemDiskTest, RoundTripAndOpAccounting) {
   ASSERT_TRUE(disk.discard(128, 512).ok());
   ASSERT_TRUE(disk.read(128, out).ok());
   EXPECT_EQ(out, std::vector<uint8_t>(512, 0));
+}
+
+// Minor page faults the calling thread has taken so far.
+int64_t thread_minor_faults() {
+  rusage usage{};
+  ::getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(MemDiskTest, StorageComesZeroedFromTheKernel) {
+  // Building a device touches none of its pages: a 64 MiB MemDisk costs a
+  // few minor faults, not one per 4 KiB page (16 384).
+  constexpr size_t kSize = size_t{64} << 20;
+  const int64_t before = thread_minor_faults();
+  auto disk = std::make_unique<MemDisk>(0, kSize);
+  EXPECT_LT(thread_minor_faults() - before, 64);
+
+  // Unwritten storage reads as zeros...
+  std::vector<uint8_t> out(size_t{1} << 20);
+  const std::vector<uint8_t> zeros(out.size(), 0);
+  for (size_t at = 0; at < kSize; at += out.size()) {
+    ASSERT_TRUE(disk->read(at, out).ok());
+    ASSERT_EQ(out, zeros) << "at " << at;
+  }
+  // ...and discard zeroes a written range again, leaving its neighbours.
+  const auto data = random_bytes(3 * 4096 + 100, 5);
+  ASSERT_TRUE(disk->write(4000, data).ok());
+  ASSERT_TRUE(disk->discard(4100, data.size() - 200).ok());
+  std::vector<uint8_t> back(data.size());
+  ASSERT_TRUE(disk->read(4000, back).ok());
+  auto expected = data;
+  std::fill(expected.begin() + 100, expected.end() - 100, uint8_t{0});
+  EXPECT_EQ(back, expected);
 }
 
 TEST(MemDiskTest, VectoredTransferIsOneDeviceOp) {

@@ -838,7 +838,8 @@ TEST(VerifyOnRead, SameStripeMisdirectSalvagedAtWriteTime) {
   // healthy columns, pre-update parity everywhere — and the in-place
   // repair cannot converge. write() must escalate to the salvage
   // rewrite: the write succeeds and leaves the stripe clean without any
-  // later scrub.
+  // later scrub. The write covers the stripe but its last element, so it
+  // runs RMW: a full-stripe write reads no parity (next test).
   obs::Registry reg;
   auto layout = codes::make_layout("dcode", 5);
   Raid6Array array(std::move(layout), kElem, kStripes, 2, &reg);
@@ -851,13 +852,53 @@ TEST(VerifyOnRead, SameStripeMisdirectSalvagedAtWriteTime) {
   array.disk(victim).faults().inject_misdirected_writes(
       1, static_cast<uint64_t>(kElem));
   const size_t stripe_bytes = static_cast<size_t>(array.capacity() / kStripes);
-  auto fresh = random_blob(rng, stripe_bytes);
+  auto fresh = random_blob(rng, stripe_bytes - kElem);
   array.write(0, fresh);
   std::memcpy(shadow.data(), fresh.data(), fresh.size());
 
   EXPECT_GT(reg.counter("raid.integrity.write_repairs").value(), 0);
   EXPECT_EQ(array.scrub(), 0);
   std::vector<uint8_t> out(shadow.size());
+  array.read(0, out);
+  EXPECT_EQ(out, shadow);
+}
+
+TEST(VerifyOnRead, FullStripeWriteMisdirectCaughtOnRead) {
+  // A full-stripe write encodes its parity from the caller's bytes and
+  // reads nothing, so no pre-read sees a slip at write time. Disk 2's run
+  // of five cells lands one element on: its first cell keeps its old
+  // bytes, the others hold their upper neighbours' new ones, and the next
+  // stripe's first cell on that disk takes the last. Parity holds the new
+  // values, so verify-on-read serves the written bytes from it, and a
+  // repair scrub rewrites every cell it locates.
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 5), kElem, kStripes, 2, &reg);
+  Pcg32 rng(63);
+  auto shadow = random_blob(rng, static_cast<size_t>(array.capacity()));
+  array.write(0, shadow);
+  ASSERT_EQ(array.scrub(), 0);
+
+  const int victim = 2;
+  array.disk(victim).faults().inject_misdirected_writes(
+      1, static_cast<uint64_t>(kElem));
+  const size_t stripe_bytes = static_cast<size_t>(array.capacity() / kStripes);
+  auto fresh = random_blob(rng, stripe_bytes);
+  array.write(0, fresh);
+  std::memcpy(shadow.data(), fresh.data(), fresh.size());
+  EXPECT_EQ(array.disk(victim).faults().pending_wrong_path_writes(), 0);
+  EXPECT_EQ(reg.counter("raid.integrity.write_repairs").value(), 0);
+
+  std::vector<uint8_t> out(shadow.size());
+  array.read(0, out);
+  EXPECT_EQ(out, shadow);
+  EXPECT_GE(reg.counter("raid.integrity.read_fallbacks").value(), 1);
+
+  // The run's five cells and the next stripe's first cell on disk 2.
+  const ScrubReport report = array.scrub_report({.repair = true});
+  EXPECT_EQ(report.elements_located, 6);
+  EXPECT_EQ(report.elements_repaired, report.elements_located);
+  EXPECT_EQ(report.stripes_unrepairable, 0);
+  EXPECT_EQ(array.scrub(), 0);
   array.read(0, out);
   EXPECT_EQ(out, shadow);
 }

@@ -161,11 +161,11 @@ TEST(WriteHole, CrashPointFuzz) {
   }
 }
 
-// One crash-point sweep: on a one-stripe journaled D-Code array with
-// `failed` disks failed before the write, every data element in turn
-// takes a 1-element write, crashed after each k = 0, 1, ... element
-// writes until the write completes; each crash is followed by restart()
-// and journal_recover() on the array as it stands, then a full read.
+// Crash-point sweeps: on a one-stripe journaled D-Code array with
+// `failed` disks failed before the write, one write of the data elements
+// [first, first + len) is crashed after each k = 0, 1, ... element writes
+// until it completes; each crash is followed by restart() and
+// journal_recover() on the array as it stands, then a full read.
 struct CrashSweep {
   int64_t crash_points = 0;
   int64_t runs_with_a_third_value = 0;
@@ -173,43 +173,53 @@ struct CrashSweep {
   int64_t unclean_scrubs = 0;
 };
 
+void sweep_write(int p, const std::vector<int>& failed, int64_t first,
+                 int64_t len, CrashSweep& sweep) {
+  const int64_t data = codes::make_layout("dcode", p)->data_count();
+  for (int64_t k = 0;; ++k) {
+    Raid6Array array(codes::make_layout("dcode", p), kElem, 1, 1);
+    array.enable_journal();
+    Pcg32 rng(static_cast<uint64_t>(p * 1000 + first));
+    const auto old = random_blob(rng, static_cast<size_t>(array.capacity()));
+    array.write(0, old);
+    for (int f : failed) array.fail_disk(f);
+    const auto fresh = random_blob(rng, static_cast<size_t>(len) * kElem);
+    array.inject_power_loss_after(k);
+    try {
+      array.write(first * static_cast<int64_t>(kElem), fresh);
+      break;
+    } catch (const PowerLossError&) {
+    }
+    ++sweep.crash_points;
+    array.restart();
+    array.journal_recover();
+    std::vector<uint8_t> out(old.size());
+    array.read(0, out);
+    int64_t third = 0;
+    for (int64_t e = 0; e < data; ++e) {
+      const auto at = static_cast<ptrdiff_t>(e) * ptrdiff_t{kElem};
+      const auto got = out.begin() + at;
+      const auto end = got + ptrdiff_t{kElem};
+      const bool is_old = std::equal(got, end, old.begin() + at);
+      const bool is_new =
+          e >= first && e < first + len &&
+          std::equal(got, end,
+                     fresh.begin() + static_cast<ptrdiff_t>(e - first) *
+                                         ptrdiff_t{kElem});
+      third += !is_old && !is_new;
+    }
+    sweep.third_value_elements += third;
+    sweep.runs_with_a_third_value += third > 0;
+    sweep.unclean_scrubs += array.scrub() != 0;
+  }
+}
+
+// Every data element in turn takes a 1-element write.
 CrashSweep sweep_one_element_writes(int p, const std::vector<int>& failed) {
   CrashSweep sweep;
   const int64_t data = codes::make_layout("dcode", p)->data_count();
   for (int64_t target = 0; target < data; ++target) {
-    for (int64_t k = 0;; ++k) {
-      Raid6Array array(codes::make_layout("dcode", p), kElem, 1, 1);
-      array.enable_journal();
-      Pcg32 rng(static_cast<uint64_t>(p * 1000 + target));
-      const auto old =
-          random_blob(rng, static_cast<size_t>(array.capacity()));
-      array.write(0, old);
-      for (int f : failed) array.fail_disk(f);
-      const auto fresh = random_blob(rng, kElem);
-      array.inject_power_loss_after(k);
-      try {
-        array.write(target * static_cast<int64_t>(kElem), fresh);
-        break;
-      } catch (const PowerLossError&) {
-      }
-      ++sweep.crash_points;
-      array.restart();
-      array.journal_recover();
-      std::vector<uint8_t> out(old.size());
-      array.read(0, out);
-      int64_t third = 0;
-      for (int64_t e = 0; e < data; ++e) {
-        const auto at = static_cast<ptrdiff_t>(e) * ptrdiff_t{kElem};
-        const auto got = out.begin() + at;
-        const auto end = got + ptrdiff_t{kElem};
-        const bool is_old = std::equal(got, end, old.begin() + at);
-        const bool is_new = e == target && std::equal(got, end, fresh.begin());
-        third += !is_old && !is_new;
-      }
-      sweep.third_value_elements += third;
-      sweep.runs_with_a_third_value += third > 0;
-      sweep.unclean_scrubs += array.scrub() != 0;
-    }
+    sweep_write(p, failed, target, 1, sweep);
   }
   return sweep;
 }
@@ -223,6 +233,24 @@ TEST(WriteHole, EveryCrashPointOfAHealthyWriteRecoversOldOrNew) {
     const CrashSweep sweep = sweep_one_element_writes(p, {});
     EXPECT_EQ(sweep.crash_points,
               5 * codes::make_layout("dcode", p)->data_count());
+    EXPECT_EQ(sweep.runs_with_a_third_value, 0);
+    EXPECT_EQ(sweep.third_value_elements, 0);
+    EXPECT_EQ(sweep.unclean_scrubs, 0);
+  }
+}
+
+TEST(WriteHole, EveryCrashPointOfAFullStripeWriteRecoversOldOrNew) {
+  // D-Code p=5 and p=7, healthy: a full-stripe write over a written
+  // stripe encodes its parity and sends every cell in one batch, so its
+  // crash points are the intent record, each of the stripe's cells and
+  // the commit record. At each, replay leaves every element old or new
+  // and the stripe consistent.
+  for (int p : {5, 7}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const auto layout = codes::make_layout("dcode", p);
+    CrashSweep sweep;
+    sweep_write(p, {}, 0, layout->data_count(), sweep);
+    EXPECT_EQ(sweep.crash_points, layout->rows() * layout->cols() + 2);
     EXPECT_EQ(sweep.runs_with_a_third_value, 0);
     EXPECT_EQ(sweep.third_value_elements, 0);
     EXPECT_EQ(sweep.unclean_scrubs, 0);

@@ -241,13 +241,42 @@ TEST_F(OpTraceTest, RmwWriteLeavesMatchIoPlan) {
     array_->write(start * static_cast<int64_t>(kElem), fresh);
   });
 
-  // The byte-level array always applies delta-based RMW in healthy mode.
+  // The byte-level array applies delta-based RMW to a healthy
+  // partial-stripe write.
   AddressMap map(array_->layout());
   IoPlanner planner(map);
   EXPECT_EQ(accesses,
             predicted(planner.plan_write(start, len,
                                          WritePolicy::kReadModifyWrite),
                       array_->layout().rows(), kElem));
+}
+
+// A stripe the write covers whole is encoded, so its leaves are the
+// reconstruct-write plan's: all writes.
+TEST_F(OpTraceTest, FullStripeWriteLeavesMatchRcwIoPlan) {
+  AddressMap map(array_->layout());
+  IoPlanner planner(map);
+  const int per_stripe = static_cast<int>(map.data_per_stripe());
+  const auto esize = static_cast<int64_t>(kElem);
+  // Elements per_stripe - 3 to 2 * per_stripe + 3, the first and last
+  // partly.
+  auto fresh = random_bytes(static_cast<size_t>((per_stripe + 7) * esize - 9),
+                            98);
+  auto accesses = run_traced("array.write", [&] {
+    array_->write((per_stripe - 3) * esize + 5, fresh);
+  });
+
+  IoPlan expected =
+      planner.plan_write(per_stripe - 3, 3, WritePolicy::kReadModifyWrite);
+  for (const IoPlan& part :
+       {planner.plan_write(per_stripe, per_stripe,
+                           WritePolicy::kReconstructWrite),
+        planner.plan_write(2 * per_stripe, 4,
+                           WritePolicy::kReadModifyWrite)}) {
+    expected.accesses.insert(expected.accesses.end(), part.accesses.begin(),
+                             part.accesses.end());
+  }
+  EXPECT_EQ(accesses, predicted(expected, array_->layout().rows(), kElem));
 }
 
 // --- pipelined ops ---------------------------------------------------------

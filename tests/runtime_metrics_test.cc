@@ -123,14 +123,55 @@ TEST(RuntimeVsPlanner, HealthyWriteMatchesRmwIoPlan) {
   auto fresh = random_bytes(static_cast<size_t>(len) * kElem, 5);
   array->write(start * static_cast<int64_t>(kElem), fresh);
 
-  // The byte-level array always applies delta-based read-modify-write in
-  // healthy mode, so the RMW plan is the exact prediction.
+  // The byte-level array applies delta-based read-modify-write to a
+  // healthy partial-stripe write, so the RMW plan is the exact prediction.
   AddressMap map(array->layout());
   IoPlanner planner(map);
   EXPECT_EQ(
       array->per_disk_element_accesses(),
       predicted(planner.plan_write(start, len, WritePolicy::kReadModifyWrite),
                 array->layout().cols()));
+}
+
+// A healthy write that covers a whole stripe encodes its parity and reads
+// nothing there: a range that runs partial, full, partial over three
+// stripes costs, disk by disk, RMW + reconstruct-write + RMW.
+TEST(RuntimeVsPlanner, FullStripeWriteMatchesRcwIoPlan) {
+  obs::Registry reg;
+  auto array = make_array(reg);
+  auto data = random_bytes(static_cast<size_t>(array->capacity()), 8);
+  array->write(0, data);
+
+  AddressMap map(array->layout());
+  IoPlanner planner(map);
+  const int per_stripe = static_cast<int>(map.data_per_stripe());
+  const auto esize = static_cast<int64_t>(kElem);
+  // Elements per_stripe - 3 to 2 * per_stripe + 3, the first and last
+  // partly.
+  const int64_t offset = (per_stripe - 3) * esize + 5;
+  const int64_t bytes = (per_stripe + 7) * esize - 9;
+  auto fresh = random_bytes(static_cast<size_t>(bytes), 9);
+  array->reset_stats();
+  array->write(offset, fresh);
+  std::copy(fresh.begin(), fresh.end(), data.begin() + offset);
+
+  const IoPlan rcw = planner.plan_write(per_stripe, per_stripe,
+                                        WritePolicy::kReconstructWrite);
+  EXPECT_EQ(rcw.reads(), 0);
+  IoPlan expected =
+      planner.plan_write(per_stripe - 3, 3, WritePolicy::kReadModifyWrite);
+  for (const IoPlan& part :
+       {rcw, planner.plan_write(2 * per_stripe, 4,
+                                WritePolicy::kReadModifyWrite)}) {
+    expected.accesses.insert(expected.accesses.end(), part.accesses.begin(),
+                             part.accesses.end());
+  }
+  EXPECT_EQ(array->per_disk_element_accesses(),
+            predicted(expected, array->layout().cols()));
+  std::vector<uint8_t> out(data.size());
+  array->read(0, out);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(array->scrub(), 0);
 }
 
 // A degraded write reads and writes, disk by disk, exactly what
