@@ -34,8 +34,9 @@
 // its own stripes (stripe % 4 == thread; dcode_bench's clients write
 // only theirs, and its pool's chunk locks keep reads off bytes in
 // flight), so what shows is the per-transfer bookkeeping every client
-// shares (health window, checksum-store writer locks), not stripe-lock
-// waits:
+// shares (the devices' op and element counters, which the health
+// monitor's window also reads, and the checksum-store writer locks), not
+// stripe-lock waits:
 //
 //   BM_SharedArrayMix/threads:4 — items_per_second counts ops
 //

@@ -101,8 +101,9 @@ class FlightRecorder {
   std::string dump_path() const;
 
   // Rate-limited (min_dump_interval_ns apart) dump to the configured
-  // path. Called on health escalation and slow-op breach; safe to call
-  // often. Returns true if a dump was written.
+  // path. Requested on a disk failure (reason "disk_failure") and a
+  // slow-op breach ("slow_op"); safe to call often. Returns true if a
+  // dump was written.
   bool request_dump(const std::string& reason);
   void set_min_dump_interval_ns(int64_t ns) {
     min_dump_interval_ns_.store(ns, std::memory_order_relaxed);

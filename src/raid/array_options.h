@@ -6,7 +6,7 @@
 // ShardSpec::array hands every shard of a StoragePool one of these. It
 // holds only values some caller varies; the rest are constants where
 // they are used (the engine's retry budget and backoff, the health
-// monitor's HealthPolicy{}, the stripe-lock table's size) and the
+// monitor's window and thresholds, the stripe-lock table's size) and the
 // checksum sidecar is always on.
 #pragma once
 

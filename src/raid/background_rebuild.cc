@@ -173,8 +173,12 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
   metrics_.rebuilds->inc();
   LatencyTimer timer(metrics_.rebuild_latency_ns);
 
+  // Each target's device generation, read before its watermark: what
+  // the pass rebuilds counts only for that device (see the advance below).
+  std::vector<uint64_t> generations;
   int64_t start = stripes_;
   for (int d : targets) {
+    generations.push_back(engine_.disk(d).faults().generation());
     start = std::min(start, engine_.disk(d).readable_stripes());
   }
   start = std::max<int64_t>(0, start);
@@ -234,9 +238,19 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
     });
     // Advance the watermark across the window before releasing its locks:
     // the next writer of these stripes must already see them healthy, or
-    // its RMW would skip the device the pass just filled.
+    // its RMW would skip the device the pass just filled. Only a target
+    // still on the pass's generation advances: a re-promotion resets the
+    // watermark to 0, which the CAS cannot tell from a pass at stripe 0
+    // that wrote the replaced device. promote_mu_ orders the check
+    // against the reset and the swap.
+    std::lock_guard<std::mutex> promote_lock(promote_mu_);
     for (int64_t i = 0; i < n; ++i) {
-      for (int d : targets) engine_.disk(d).advance_readable_stripes(first + i);
+      for (size_t t = 0; t < targets.size(); ++t) {
+        DiskHandle& h = engine_.disk(targets[t]);
+        if (h.faults().generation() == generations[t]) {
+          h.advance_readable_stripes(first + i);
+        }
+      }
       metrics_.rebuild_stripes->inc();
       obs::FlightRecorder::global().record(
           obs::FlightEventKind::kRebuildStripe, 0, targets.front(), first + i,

@@ -51,6 +51,14 @@ class FaultInjectingDevice : public BlockDevice {
   // --- fail-stop ----------------------------------------------------------
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   void fail() { failed_.store(true, std::memory_order_release); }
+  // fail(), but only while the decorator still holds the device of
+  // `gen`: a retry loop that ran on a device a spare has since replaced
+  // must not fail the spare. The inner lock, held shared, excludes
+  // replace().
+  void fail_if_generation(uint64_t gen) {
+    std::shared_lock<std::shared_mutex> lock(inner_mu_);
+    if (generation_.load(std::memory_order_acquire) == gen) fail();
+  }
   // Swap in a blank replacement device (a fresh backend from the array's
   // factory) and clear the fail-stop state. Safe against concurrent I/O:
   // in-flight ops hold the inner lock shared, so the swap waits for them

@@ -1,8 +1,27 @@
 #include "raid/health_monitor.h"
 
+#include <string>
+
+#include "obs/flight_recorder.h"
 #include "util/check.h"
 
 namespace dcode::raid {
+
+namespace {
+
+constexpr int64_t kHalfWindow = HealthMonitor::kWindowTransfers / 2;
+
+// `tally` halved `times` times.
+int64_t halve(int64_t tally, int64_t times) {
+  return times >= 63 ? 0 : tally >> times;
+}
+
+// Every attempt the slot's decorator has seen, whatever its outcome.
+int64_t transfers(const FaultInjectingDevice& device) {
+  return device.read_ops() + device.write_ops();
+}
+
+}  // namespace
 
 const char* to_string(DiskHealth h) {
   switch (h) {
@@ -18,14 +37,15 @@ const char* to_string(DiskHealth h) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(int disks, HealthPolicy policy,
-                             obs::Registry& registry)
-    : policy_(policy) {
-  DCODE_CHECK(disks > 0, "health monitor needs at least one disk");
-  DCODE_CHECK(policy_.window_ops > 0, "health window must be positive");
-  disks_.reserve(static_cast<size_t>(disks));
-  for (int d = 0; d < disks; ++d) {
+HealthMonitor::HealthMonitor(std::vector<const FaultInjectingDevice*> devices,
+                             obs::Registry& registry) {
+  DCODE_CHECK(!devices.empty(), "health monitor needs at least one disk");
+  disks_.reserve(devices.size());
+  for (size_t d = 0; d < devices.size(); ++d) {
     auto pd = std::make_unique<PerDisk>();
+    pd->id = static_cast<int>(d);
+    pd->device = devices[d];
+    pd->seen = transfers(*pd->device);
     pd->health_gauge = &registry.gauge(
         "raid.disk.health", {{"disk", std::to_string(d)}},
         "device health state (0 healthy, 1 suspect, 2 failed, 3 rebuilding)");
@@ -48,89 +68,55 @@ void HealthMonitor::set_escalation_callback(std::function<void(int)> cb) {
 
 void HealthMonitor::set_state_locked(PerDisk& d, DiskHealth next) {
   if (d.state == next) return;
+  obs::FlightRecorder::global().record(
+      obs::FlightEventKind::kHealthTransition, 0, d.id,
+      static_cast<int64_t>(d.state), static_cast<int64_t>(next));
   d.state = next;
   d.health_gauge->set(static_cast<int64_t>(next));
 }
 
 void HealthMonitor::age_window_locked(PerDisk& d) {
-  if (d.ops_in_window.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      policy_.window_ops) {
-    halve_window_locked(d);
+  const int64_t now = transfers(*d.device);
+  if (now < d.seen) {  // reset_stats() zeroed the count: rebase
+    d.seen = now;
+    return;
   }
-}
-
-void HealthMonitor::halve_window_locked(PerDisk& d) {
-  // Window full: halve everything. A tally of transients decays to zero
-  // within a few windows of clean traffic instead of haunting the disk
-  // forever, and the decay is purely count-driven (deterministic). The
-  // compare-exchange keeps any lock-free success that lands meanwhile.
-  int64_t n = d.ops_in_window.load(std::memory_order_relaxed);
-  while (n >= policy_.window_ops &&
-         !d.ops_in_window.compare_exchange_weak(n, n / 2,
-                                                std::memory_order_relaxed)) {
+  // Aged one transfer at a time, the window fills at kWindowTransfers,
+  // halves every tally and drops to half a window, then fills again every
+  // kHalfWindow transfers.
+  const int64_t filled = d.in_window + (now - d.seen);
+  d.seen = now;
+  if (filled < kWindowTransfers) {
+    d.in_window = filled;
+    return;
   }
-  if (n < policy_.window_ops) return;
-  d.transients /= 2;
-  d.slow_ops /= 2;
-  d.checksum_mismatches /= 2;
+  const int64_t over = filled - kWindowTransfers;
+  const int64_t halvings = 1 + over / kHalfWindow;
+  d.in_window = kHalfWindow + over % kHalfWindow;
+  d.transients = halve(d.transients, halvings);
+  d.checksum_mismatches = halve(d.checksum_mismatches, halvings);
 }
 
 bool HealthMonitor::evaluate_locked(PerDisk& d) {
   if (d.state == DiskHealth::kFailed || d.state == DiskHealth::kRebuilding) {
     return false;  // already handled / being repaired
   }
-  const bool transient_fail = policy_.fail_transients > 0 &&
-                              d.transients >= policy_.fail_transients;
-  const bool slow_fail =
-      policy_.fail_slow_ops > 0 && d.slow_ops >= policy_.fail_slow_ops;
-  const bool checksum_fail =
-      policy_.fail_checksum_mismatches > 0 &&
-      d.checksum_mismatches >= policy_.fail_checksum_mismatches;
-  if (transient_fail || slow_fail || checksum_fail) {
+  if (d.transients >= kFailTransients) {
     set_state_locked(d, DiskHealth::kFailed);
     escalations_->inc();
     return true;
   }
-  const bool transient_suspect = policy_.suspect_transients > 0 &&
-                                 d.transients >= policy_.suspect_transients;
-  const bool slow_suspect =
-      policy_.suspect_slow_ops > 0 && d.slow_ops >= policy_.suspect_slow_ops;
-  const bool checksum_suspect =
-      policy_.suspect_checksum_mismatches > 0 &&
-      d.checksum_mismatches >= policy_.suspect_checksum_mismatches;
   if (d.state == DiskHealth::kHealthy &&
-      (transient_suspect || slow_suspect || checksum_suspect)) {
+      (d.transients >= kSuspectTransients ||
+       d.checksum_mismatches >= kSuspectChecksumMismatches)) {
     set_state_locked(d, DiskHealth::kSuspect);
     suspects_->inc();
   }
   return false;
 }
 
-void HealthMonitor::record_success(int disk, int64_t latency_ns) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
-  if (policy_.slow_op_ns <= 0) {
-    // Only the window count changes, so only a full window takes the lock.
-    if (d.ops_in_window.fetch_add(1, std::memory_order_relaxed) + 1 >=
-        policy_.window_ops) {
-      std::lock_guard<std::mutex> lock(d.mu);
-      halve_window_locked(d);
-    }
-    return;
-  }
-  bool escalated = false;
-  {
-    std::lock_guard<std::mutex> lock(d.mu);
-    age_window_locked(d);
-    if (latency_ns >= policy_.slow_op_ns) {
-      ++d.slow_ops;
-      escalated = evaluate_locked(d);
-    }
-  }
-  if (escalated) fire_escalation(disk);
-}
-
 void HealthMonitor::record_transient(int disk) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   bool escalated = false;
   {
     std::lock_guard<std::mutex> lock(d.mu);
@@ -142,7 +128,7 @@ void HealthMonitor::record_transient(int disk) {
 }
 
 void HealthMonitor::record_checksum_mismatch(int disk) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   bool escalated = false;
   {
     std::lock_guard<std::mutex> lock(d.mu);
@@ -153,11 +139,15 @@ void HealthMonitor::record_checksum_mismatch(int disk) {
   if (escalated) fire_escalation(disk);
 }
 
-void HealthMonitor::report_fail_stop(int disk) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
+void HealthMonitor::report_fail_stop(int disk, uint64_t generation) {
+  PerDisk& d = slot(disk);
   bool escalated = false;
   {
     std::lock_guard<std::mutex> lock(d.mu);
+    age_window_locked(d);
+    if (generation < d.device->generation() && !d.device->failed()) {
+      return;  // the replaced device's late report
+    }
     if (d.state != DiskHealth::kFailed) {
       set_state_locked(d, DiskHealth::kFailed);
       escalations_->inc();
@@ -179,43 +169,39 @@ void HealthMonitor::fire_escalation(int disk) {
 }
 
 void HealthMonitor::mark_rebuilding(int disk) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   std::lock_guard<std::mutex> lock(d.mu);
   set_state_locked(d, DiskHealth::kRebuilding);
 }
 
 void HealthMonitor::mark_healthy(int disk) {
-  PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   std::lock_guard<std::mutex> lock(d.mu);
   if (d.state != DiskHealth::kHealthy) recoveries_->inc();
-  d.ops_in_window.store(0, std::memory_order_relaxed);
+  d.seen = transfers(*d.device);
+  d.in_window = 0;
   d.transients = 0;
-  d.slow_ops = 0;
   d.checksum_mismatches = 0;
   set_state_locked(d, DiskHealth::kHealthy);
 }
 
 DiskHealth HealthMonitor::state(int disk) const {
-  const PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   std::lock_guard<std::mutex> lock(d.mu);
   return d.state;
 }
 
 int64_t HealthMonitor::transients_in_window(int disk) const {
-  const PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   std::lock_guard<std::mutex> lock(d.mu);
+  age_window_locked(d);
   return d.transients;
 }
 
-int64_t HealthMonitor::slow_ops_in_window(int disk) const {
-  const PerDisk& d = *disks_[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(d.mu);
-  return d.slow_ops;
-}
-
 int64_t HealthMonitor::checksum_mismatches_in_window(int disk) const {
-  const PerDisk& d = *disks_[static_cast<size_t>(disk)];
+  PerDisk& d = slot(disk);
   std::lock_guard<std::mutex> lock(d.mu);
+  age_window_locked(d);
   return d.checksum_mismatches;
 }
 

@@ -209,7 +209,6 @@ IoPlan IoPlanner::plan_write(int64_t start, int len,
 
 IoPlan IoPlanner::plan_degraded_write(int64_t start, int len,
                                       std::span<const int> failed_disks) const {
-  if (failed_disks.empty()) return plan_write(start, len);
   DCODE_CHECK(start >= 0 && len > 0, "invalid logical range");
   const CodeLayout& layout = map_->layout();
   const auto& eqs = layout.equations();
@@ -236,13 +235,16 @@ IoPlan IoPlanner::plan_degraded_write(int64_t start, int len,
       return map_->physical_disk(s, e.col);
     };
     // Does this stripe have a column on a failed disk? If not, it plans
-    // like a healthy write.
+    // the healthy write the array runs: the encode of a stripe the range
+    // covers whole, RMW otherwise.
     bool stripe_degraded = false;
     for (int c = 0; c < layout.cols() && !stripe_degraded; ++c) {
       stripe_degraded = is_failed(map_->physical_disk(s, c));
     }
     if (!stripe_degraded) {
-      IoPlan sub = plan_write(first, n);
+      IoPlan sub = plan_write(first, n,
+                              n == per_stripe ? WritePolicy::kReconstructWrite
+                                              : WritePolicy::kReadModifyWrite);
       plan.accesses.insert(plan.accesses.end(), sub.accesses.begin(),
                            sub.accesses.end());
       continue;

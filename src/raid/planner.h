@@ -28,11 +28,13 @@
 //    (greedy, in logical order). Consecutive lost elements sharing a
 //    horizontal parity re-use each other's reads — D-Code's degraded-read
 //    edge over X-Code (paper Figure 7).
-//  * plan_degraded_write — the same delta update as RMW, around the lost
-//    columns: the old values of the written elements come from
+//  * plan_degraded_write — the write the array executes: on a stripe with
+//    a lost column, the same delta update as RMW around the lost columns
+//    (the old values of the written elements come from
 //    plan_degraded_read over the written range, and only live elements
-//    are read and written. So a write to a degraded stripe costs what it
-//    touches, not a stripe rewrite.
+//    are read and written), so a write to a degraded stripe costs what
+//    it touches, not a stripe rewrite; on any other stripe, RCW if the
+//    write covers it whole and RMW if not.
 //
 // Counting convention: one access = one element read or written, the
 // papers' unit. `times` multipliers from <S, L, T> tuples are applied by
@@ -60,10 +62,12 @@ class IoPlanner {
   IoPlan plan_write(int64_t start, int len,
                     WritePolicy policy = WritePolicy::kAuto) const;
 
-  // Partial stripe write while disks are failed: the plan the byte-level
-  // array executes. A stripe with no column on a failed disk plans like
-  // a healthy write (plan_write). A stripe with a lost column runs a
-  // delta update:
+  // A write as the byte-level array executes it, around `failed_disks`
+  // (which may be empty). A stripe with no column on a failed disk plans
+  // the healthy write the array runs: plan_write's kReconstructWrite for
+  // a stripe the range covers whole (the encode, which reads nothing) and
+  // kReadModifyWrite otherwise — not the cheaper-of choice of kAuto. A
+  // stripe with a lost column runs a delta update:
   //   reads  — plan_degraded_read over the written range (the old values
   //            of live written elements directly; lost ones and any
   //            chain intermediates through its equation choice), then

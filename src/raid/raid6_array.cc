@@ -205,7 +205,7 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                            ? 1
                            : 0;
               }),
-      health_(layout_->cols(), HealthPolicy{},
+      health_(engine_.devices(),
               registry != nullptr ? *registry : obs::Registry::global()),
       needs_rebuild_(static_cast<size_t>(layout_->cols())),
       stripe_locks_(static_cast<int>(std::min(stripes, kMaxStripeLockSlots)),
@@ -238,11 +238,15 @@ void Raid6Array::add_hot_spares(int count) {
 
 void Raid6Array::fail_disk(int disk) {
   DCODE_CHECK(disk >= 0 && disk < layout_->cols(), "disk out of range");
+  // The generation is read first: a promotion racing this call then
+  // leaves a report for the device it replaced, which the monitor drops
+  // unless the spare failed as well.
+  const uint64_t generation = engine_.disk(disk).faults().generation();
   engine_.fail_disk(disk);
   // Route the declaration through the monitor: it fires the escalation
   // handler (metrics, spare promotion, background rebuild) exactly once
   // per failure episode.
-  health_.report_fail_stop(disk);
+  health_.report_fail_stop(disk, generation);
   if (!options_.background_rebuild && needs_rebuild(disk)) {
     // Legacy synchronous behaviour: a promoted spare is rebuilt before
     // fail_disk returns, so the array never observes the intermediate
@@ -268,25 +272,6 @@ void Raid6Array::handle_disk_failure(int disk) {
       self->rebuild_cv_.notify_all();
     }
   } done{this};
-
-  {
-    // A transfer that fail-stopped on a disk a spare has since replaced
-    // can report after the promotion. While the spare rebuilds, only a
-    // fail-stop escalates (a budget escalation cannot fire from
-    // kRebuilding), and every fail-stop fails its device first; so with
-    // the spare's device not failed, the report was the old device's and
-    // the spare keeps its rebuild. Under promote_mu_, the rebuild cannot
-    // finish between the check and the restore.
-    std::unique_lock<std::mutex> lock(promote_mu_);
-    if (needs_rebuild(disk) && !engine_.disk(disk).failed()) {
-      health_.mark_rebuilding(disk);
-      lock.unlock();
-      // The spare may have failed meanwhile, and its own report found the
-      // disk failed already: report it again.
-      if (engine_.disk(disk).failed()) health_.report_fail_stop(disk);
-      return;
-    }
-  }
 
   metrics_.disk_failures[static_cast<size_t>(disk)]->inc();
   metrics_.disks_failed->add(1);

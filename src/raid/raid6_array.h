@@ -343,8 +343,8 @@ class Raid6Array : private WriteGate {
   // Escalation handler (health-monitor callback): promotes a hot spare
   // into the failed slot when one is available and starts/extends the
   // background rebuild. Never rebuilds inline — it can run on a pool
-  // worker mid-batch. A late fail-stop from the device a rebuilding
-  // spare replaced leaves the spare alone.
+  // worker mid-batch. The monitor drops a late fail-stop from a device a
+  // spare replaced, so every call is a failure of the slot's device.
   void handle_disk_failure(int disk);
   // Claims a spare (if any) and swaps a blank into `disk`'s slot with the
   // watermark protocol (needs_rebuild -> watermark 0 -> replace). Returns

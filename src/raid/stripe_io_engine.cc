@@ -108,8 +108,8 @@ StripeIoEngine::StripeIoEngine(int disks, size_t disk_size,
       }
       store->attach_file(path);
     }
-    disks_.push_back(std::make_unique<DiskHandle>(std::move(device), er, ew,
-                                                  std::move(store)));
+    disks_.push_back(std::make_unique<DiskHandle>(
+        std::move(device), element_size_, er, ew, std::move(store)));
   }
 }
 
@@ -155,7 +155,8 @@ void StripeIoEngine::backoff_sleep(int disk, int attempt) const {
 }
 
 bool StripeIoEngine::retry_transient(FaultInjectingDevice& dev,
-                                     uint64_t op_id, int attempt) const {
+                                     uint64_t op_id, int attempt,
+                                     uint64_t gen) const {
   const int d = dev.id();
   if (monitor_ != nullptr) monitor_->record_transient(d);
   obs::FlightRecorder::global().record(
@@ -165,14 +166,14 @@ bool StripeIoEngine::retry_transient(FaultInjectingDevice& dev,
     // Retry budget exhausted: escalate to fail-stop, the way a
     // controller offlines a drive that keeps erroring — but leave a
     // telemetry trail, a silent fail-stop is indistinguishable from a
-    // pulled drive.
-    dev.fail();
+    // pulled drive. Only the device the attempt ran on is failed.
+    dev.fail_if_generation(gen);
     if (metrics_ != nullptr) metrics_->engine_retry_exhausted->inc();
     obs::FlightRecorder::global().record(obs::FlightEventKind::kFailStop,
                                          op_id, d, attempt, 0);
     obs::Span span(obs::TraceLog::global(), "engine.retry_exhausted",
                    {{"disk", d}, {"attempts", attempt}});
-    if (monitor_ != nullptr) monitor_->report_fail_stop(d);
+    if (monitor_ != nullptr) monitor_->report_fail_stop(d, gen);
     return false;
   }
   if (metrics_ != nullptr) metrics_->engine_transient_retries->inc();
@@ -183,22 +184,17 @@ bool StripeIoEngine::retry_transient(FaultInjectingDevice& dev,
 template <typename Io>
 IoResult StripeIoEngine::with_retries(FaultInjectingDevice& dev,
                                       uint64_t op_id, Io&& io) const {
-  IoResult r = io();
-  for (int attempt = 0; r.status == IoStatus::kTransient; ++attempt) {
-    if (!retry_transient(dev, op_id, attempt)) return IoResult::failed();
-    r = io();
-  }
-  if (monitor_ != nullptr) {
-    if (r.status == IoStatus::kFailed) {
+  for (int attempt = 0;; ++attempt) {
+    const uint64_t gen = dev.generation();
+    const IoResult r = io();
+    if (r.status == IoStatus::kFailed && monitor_ != nullptr) {
       // The device fail-stopped on its own (injected or real): the
       // monitor still owns the escalation decision.
-      monitor_->report_fail_stop(dev.id());
-    } else if (r.ok()) {
-      // The array's monitor counts successes and tracks no latency.
-      monitor_->record_success(dev.id(), 0);
+      monitor_->report_fail_stop(dev.id(), gen);
     }
+    if (r.status != IoStatus::kTransient) return r;
+    if (!retry_transient(dev, op_id, attempt, gen)) return IoResult::failed();
   }
-  return r;
 }
 
 void StripeIoEngine::verify_run(int d, std::span<const ReadOp> ops,
@@ -307,8 +303,7 @@ void StripeIoEngine::run_read(int d, std::span<const ReadOp> ops,
                        [&] { return h.faults().readv(base, iov); });
     }
     if (!r.ok() || h.faults().generation() != gen) throw DiskFailedError(d);
-    h.account_reads(static_cast<int64_t>(run),
-                    static_cast<int64_t>(run * element_size_));
+    h.account_reads(static_cast<int64_t>(run));
     obs::FlightRecorder::global().record(
         obs::FlightEventKind::kDiskRead, op_id, d, static_cast<int64_t>(base),
         static_cast<int64_t>(run));
@@ -357,8 +352,7 @@ void StripeIoEngine::run_write(int d, std::span<const WriteOp> ops,
                        [&] { return h.faults().writev(base, iov); });
     }
     if (!r.ok()) throw DiskFailedError(d);
-    h.account_writes(static_cast<int64_t>(run),
-                     static_cast<int64_t>(run * element_size_));
+    h.account_writes(static_cast<int64_t>(run));
     obs::FlightRecorder::global().record(
         obs::FlightEventKind::kDiskWrite, op_id, d,
         static_cast<int64_t>(base), static_cast<int64_t>(run));

@@ -64,11 +64,12 @@ class WriteGate {
 // are built on.
 class DiskHandle {
  public:
-  DiskHandle(std::unique_ptr<BlockDevice> backend, obs::Counter* element_reads,
-             obs::Counter* element_writes,
+  DiskHandle(std::unique_ptr<BlockDevice> backend, size_t element_size,
+             obs::Counter* element_reads, obs::Counter* element_writes,
              std::unique_ptr<ChecksumStore> integrity)
       : device_(std::make_unique<FaultInjectingDevice>(std::move(backend))),
         integrity_(std::move(integrity)),
+        element_size_(static_cast<int64_t>(element_size)),
         obs_reads_(element_reads),
         obs_writes_(element_writes) {}
 
@@ -79,20 +80,15 @@ class DiskHandle {
 
   // Element-granular accounting (one count per element read/written via
   // the engine, however the transfers were coalesced) — the runtime twin
-  // of sim::IoStats.
+  // of sim::IoStats. The engine moves whole elements only, so the byte
+  // counts follow from the element counts.
   int64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   int64_t writes() const { return writes_.load(std::memory_order_relaxed); }
-  int64_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
-  int64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
+  int64_t bytes_read() const { return reads() * element_size_; }
+  int64_t bytes_written() const { return writes() * element_size_; }
   void reset_stats() {
     reads_.store(0, std::memory_order_relaxed);
     writes_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    bytes_written_.store(0, std::memory_order_relaxed);
     device_->reset_op_stats();
   }
 
@@ -152,14 +148,12 @@ class DiskHandle {
  private:
   friend class StripeIoEngine;
 
-  void account_reads(int64_t elements, int64_t bytes) {
+  void account_reads(int64_t elements) {
     reads_.fetch_add(elements, std::memory_order_relaxed);
-    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
     if (obs_reads_ != nullptr) obs_reads_->inc(elements);
   }
-  void account_writes(int64_t elements, int64_t bytes) {
+  void account_writes(int64_t elements) {
     writes_.fetch_add(elements, std::memory_order_relaxed);
-    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
     if (obs_writes_ != nullptr) obs_writes_->inc(elements);
   }
 
@@ -167,12 +161,11 @@ class DiskHandle {
   std::unique_ptr<ChecksumStore> integrity_;
   std::atomic<int64_t> readable_stripes_{
       std::numeric_limits<int64_t>::max()};
+  int64_t element_size_;
   obs::Counter* obs_reads_;
   obs::Counter* obs_writes_;
   mutable std::atomic<int64_t> reads_{0};
   mutable std::atomic<int64_t> writes_{0};
-  mutable std::atomic<int64_t> bytes_read_{0};
-  mutable std::atomic<int64_t> bytes_written_{0};
 };
 
 class StripeIoEngine {
@@ -210,6 +203,13 @@ class StripeIoEngine {
   DiskHandle& disk(int d) { return *disks_[static_cast<size_t>(d)]; }
   const DiskHandle& disk(int d) const {
     return *disks_[static_cast<size_t>(d)];
+  }
+  // Every disk's fault decorator, by disk id: what the health monitor
+  // watches (each lives as long as the engine).
+  std::vector<const FaultInjectingDevice*> devices() const {
+    std::vector<const FaultInjectingDevice*> out;
+    for (const auto& h : disks_) out.push_back(h->device_.get());
+    return out;
   }
 
   // Batched element I/O: coalesced into ranged vectored transfers per
@@ -250,9 +250,9 @@ class StripeIoEngine {
   void fail_disk(int d) { disk(d).faults().fail(); }
   void replace_disk(int d);
 
-  // Routes per-op outcomes (success latency, transients, fail-stops) into
-  // the health monitor. Optional; set once right after construction,
-  // before any I/O.
+  // Routes per-op outcomes (transients, checksum mismatches, fail-stops)
+  // into the health monitor. Optional; set once right after
+  // construction, before any I/O.
   void set_health_monitor(HealthMonitor* monitor) { monitor_ = monitor; }
 
   // Flushes every non-failed device (fsync for FileDisk). Returns the
@@ -297,16 +297,18 @@ class StripeIoEngine {
   template <typename Op, typename Run>
   void run_disk_groups(std::span<const Op> ops, Run&& run);
   // Runs the transfer `io` (a callable returning IoResult), retrying
-  // transients within the budget, and reports the outcome to the health
-  // monitor. It reads no clock: a success is reported without latency.
+  // transients within the budget. A success costs the health monitor
+  // nothing (its window reads the device's op count); a fail-stop is
+  // reported with the device generation the attempt ran on.
   template <typename Io>
   IoResult with_retries(FaultInjectingDevice& dev, uint64_t op_id,
                         Io&& io) const;
-  // One transient outcome of attempt `attempt`: counts it, then either
-  // sleeps the backoff and returns true (retry) or, past the budget,
-  // fail-stops the device and returns false.
+  // One transient outcome of attempt `attempt`, which ran on the device
+  // of generation `gen`: counts it, then either sleeps the backoff and
+  // returns true (retry) or, past the budget, fail-stops that device and
+  // returns false.
   bool retry_transient(FaultInjectingDevice& dev, uint64_t op_id,
-                       int attempt) const;
+                       int attempt, uint64_t gen) const;
   void backoff_sleep(int disk, int attempt) const;
 
   size_t disk_size_;

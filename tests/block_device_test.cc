@@ -13,6 +13,7 @@
 #include <sys/vfs.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -25,9 +26,12 @@
 #include "raid/block_device.h"
 #include "raid/fault_injection.h"
 #include "raid/file_disk.h"
+#include "raid/health_monitor.h"
 #include "raid/mem_disk.h"
 #include "raid/raid6_array.h"
+#include "raid/stripe_io_engine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dcode::raid {
 namespace {
@@ -309,6 +313,14 @@ TEST(FaultInjectionTest, FailStopUntilReplaced) {
   EXPECT_EQ(out, std::vector<uint8_t>(256, 0));  // blank replacement
   EXPECT_THROW(disk.replace(std::make_unique<MemDisk>(7, 512)),
                std::logic_error);  // size mismatch
+
+  // A retry loop that ran on the replaced device fails nothing; one that
+  // ran on the replacement fails it.
+  ASSERT_EQ(disk.generation(), 1u);
+  disk.fail_if_generation(0);
+  EXPECT_FALSE(disk.failed());
+  disk.fail_if_generation(1);
+  EXPECT_TRUE(disk.failed());
 }
 
 TEST(FaultInjectionTest, TransientErrorsDrainThenHeal) {
@@ -412,6 +424,47 @@ TEST(EngineRetryTest, TransientBurstHealsWithinBudgetElseEscalates) {
   // Degraded reads keep working afterwards too.
   array->read(0, out);
   EXPECT_EQ(out, data);
+}
+
+// Retry exhaustion fails the device its attempts ran on, not whatever the
+// slot holds by then. Here the last attempt's transient is the one that
+// reaches the monitor's fail threshold, and the escalation replaces the
+// device before the engine finds the retry budget spent.
+TEST(EngineRetryTest, ExhaustionFailsOnlyTheDeviceItRanOn) {
+  static constexpr size_t kElem = 64;
+  static constexpr int64_t kBudget = 3;  // retries; 4 attempts per op
+  ThreadPool pool(1);
+  ArrayOptions opts;
+  StripeIoEngine engine(2, 4 * kElem, kElem, /*rows=*/1, pool, nullptr,
+                        nullptr, opts);
+  obs::Registry reg;
+  HealthMonitor mon(engine.devices(), reg);
+  engine.set_health_monitor(&mon);
+  int replaced = 0;
+  mon.set_escalation_callback([&](int d) {
+    engine.replace_disk(d);
+    ++replaced;
+  });
+  std::vector<uint8_t> buf(kElem);
+  // Bursts the retries heal, up to one op's attempts short of the
+  // threshold.
+  const int64_t lead = HealthMonitor::kFailTransients - (kBudget + 1);
+  for (int64_t tally = 0; tally < lead;) {
+    const int64_t burst = std::min(kBudget, lead - tally);
+    engine.disk(0).faults().inject_transient_errors(burst);
+    engine.read_element(0, 0, 0, buf.data(), /*verify=*/false);
+    tally += burst;
+  }
+  ASSERT_EQ(mon.transients_in_window(0), lead);
+  ASSERT_EQ(replaced, 0);
+
+  engine.disk(0).faults().inject_transient_errors(kBudget + 1);
+  EXPECT_THROW(engine.read_element(0, 0, 0, buf.data(), /*verify=*/false),
+               DiskFailedError);
+  EXPECT_EQ(replaced, 1);
+  EXPECT_EQ(engine.disk(0).faults().generation(), 1u);
+  EXPECT_FALSE(engine.disk(0).failed());  // the replacement keeps serving
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 1);
 }
 
 // The persistence satellite: a file-backed array crashes mid-write,

@@ -21,9 +21,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -597,9 +601,9 @@ TEST(ConcurrentFailover, ThrottledRebuildServesReadsAroundTheWatermark) {
 }
 
 // A transfer that fail-stopped on the dead disk can report after a spare
-// has replaced it. That late report speaks for the old device: the spare
-// keeps its rebuild (before, it was failed in turn and the next spare
-// taken). The spare failing for real is still a new episode.
+// has replaced it. That late report names the old device's generation:
+// the spare keeps its rebuild (before, it was failed in turn and the next
+// spare taken). The spare failing for real is still a new episode.
 TEST(ConcurrentFailover, LateFailStopFromTheReplacedDiskSparesTheSpare) {
   ArrayOptions opts;
   opts.background_rebuild = true;
@@ -616,8 +620,9 @@ TEST(ConcurrentFailover, LateFailStopFromTheReplacedDiskSparesTheSpare) {
 
   array.fail_disk(3);
   ASSERT_EQ(array.health().state(3), DiskHealth::kRebuilding);
+  ASSERT_EQ(array.disk(3).faults().generation(), 1u);
   // The engine's report for a transfer that failed on the old device.
-  array.health().report_fail_stop(3);
+  array.health().report_fail_stop(3, /*generation=*/0);
   EXPECT_FALSE(array.disk(3).failed());
   EXPECT_EQ(array.health().state(3), DiskHealth::kRebuilding);
   EXPECT_EQ(array.hot_spares(), 1);
@@ -635,6 +640,129 @@ TEST(ConcurrentFailover, LateFailStopFromTheReplacedDiskSparesTheSpare) {
   std::vector<uint8_t> out(blob.size());
   array.read(0, out);
   EXPECT_EQ(out, blob);
+}
+
+// The same late report, landing after the spare's rebuild has finished:
+// it still names the replaced device, so the rebuilt disk keeps serving
+// instead of costing the second spare and a whole second rebuild.
+TEST(ConcurrentFailover, LateFailStopAfterTheRebuildFinishedSparesTheDisk) {
+  ArrayOptions opts;
+  opts.background_rebuild = true;
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, 12, 2, &reg, opts);
+  array.add_hot_spares(2);
+
+  Pcg32 rng(29);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.fail_disk(3);
+  ASSERT_TRUE(array.wait_for_rebuild());
+  ASSERT_EQ(array.health().state(3), DiskHealth::kHealthy);
+  array.health().report_fail_stop(3, /*generation=*/0);
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_FALSE(array.disk(3).failed());
+  EXPECT_EQ(array.health().state(3), DiskHealth::kHealthy);
+  EXPECT_EQ(array.hot_spares(), 1);
+  EXPECT_EQ(reg.counter("raid.spare_promotions").value(), 1);
+  EXPECT_EQ(array.disk(3).faults().generation(), 1u);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+}
+
+// A backend whose first write waits until the test lets it go: the
+// rebuild pass's write of stripe 0 to a spare, held in flight.
+class HeldFirstWriteDisk : public BlockDevice {
+ public:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool released = false;
+    void release() {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+      cv.notify_all();
+    }
+  };
+  HeldFirstWriteDisk(std::unique_ptr<BlockDevice> inner, Gate& gate)
+      : BlockDevice(inner->id(), inner->size()),
+        inner_(std::move(inner)),
+        gate_(gate) {}
+  std::string_view backend_name() const override {
+    return inner_->backend_name();
+  }
+  uint32_t capabilities() const override { return inner_->capabilities(); }
+
+ protected:
+  IoResult do_read(uint64_t offset, std::span<uint8_t> out) override {
+    return inner_->read(offset, out);
+  }
+  IoResult do_write(uint64_t offset, std::span<const uint8_t> in) override {
+    std::unique_lock<std::mutex> lock(gate_.mu);
+    if (!gate_.held) {
+      gate_.held = true;
+      gate_.cv.notify_all();
+      gate_.cv.wait(lock, [&] { return gate_.released; });
+    }
+    lock.unlock();
+    return inner_->write(offset, in);
+  }
+
+ private:
+  std::unique_ptr<BlockDevice> inner_;
+  Gate& gate_;
+};
+
+// A spare that fails while the pass is writing its stripe 0: the next
+// spare's promotion resets the watermark to 0 before that write lands,
+// so a watermark CAS alone would take the pass's stripe 0 (written to the
+// replaced spare) as rebuilt on the blank one. The pass advances only the
+// device generation it started on, and the next pass rebuilds stripe 0.
+TEST(ConcurrentFailover, SpareFailingMidStripeZeroLeavesNoStripeBlank) {
+  auto layout = codes::make_layout("dcode", 7);
+  const int disks = layout->cols();
+  HeldFirstWriteDisk::Gate gate;
+  std::atomic<int> created{0};
+  DeviceFactory base = default_device_factory();
+  ArrayOptions opts;
+  opts.background_rebuild = true;
+  opts.device_factory = [&](int id,
+                            size_t size) -> std::unique_ptr<BlockDevice> {
+    const int n = created.fetch_add(1);
+    if (n == disks) {  // the first spare: hold its first write
+      return std::make_unique<HeldFirstWriteDisk>(base(id, size), gate);
+    }
+    // The second spare is built inside its promotion, after the watermark
+    // reset and before the swap, which waits for the held write.
+    if (n == disks + 1) gate.release();
+    return base(id, size);
+  };
+  obs::Registry reg;
+  Raid6Array array(std::move(layout), kElem, 12, 2, &reg, opts);
+  array.add_hot_spares(2);
+  Pcg32 rng(31);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.fail_disk(3);
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    gate.cv.wait(lock, [&] { return gate.held; });
+  }
+  array.fail_disk(3);  // the first spare, mid-write
+  gate.release();      // in case no second promotion let the write go
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_EQ(reg.counter("raid.spare_promotions").value(), 2);
+  EXPECT_EQ(array.health().state(3), DiskHealth::kHealthy);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+  EXPECT_EQ(reg.counter("raid.integrity.read_fallbacks").value(), 0);
+  EXPECT_EQ(array.scrub(), 0);
 }
 
 // A failure discovered by a foreground op is escalated on that op's

@@ -24,12 +24,57 @@ namespace dcode::raid {
 namespace {
 
 TEST(DegradedWrite, NoFailuresEqualsHealthyPlan) {
+  // With nothing lost, a partial-stripe write is the healthy RMW plan.
   auto layout = codes::make_layout("dcode", 7);
   AddressMap map(*layout);
   IoPlanner planner(map);
   std::vector<int> none;
-  EXPECT_EQ(planner.plan_degraded_write(3, 9, none).total(),
-            planner.plan_write(3, 9).total());
+  const IoPlan plan = planner.plan_degraded_write(3, 9, none);
+  const IoPlan rmw = planner.plan_write(3, 9, WritePolicy::kReadModifyWrite);
+  EXPECT_EQ(plan.reads(), rmw.reads());
+  EXPECT_EQ(plan.writes(), rmw.writes());
+  EXPECT_EQ(plan.total(), rmw.total());
+}
+
+// The plan with no failed disk is what the array runs on a healthy stripe
+// (RMW for a partial stripe, the encode for a whole one), not plan_write's
+// cheaper-of choice: on D-Code p=7 (35 data elements per stripe), kAuto
+// plans 20 elements from the start as RCW's 15 reads + 31 writes and 13
+// as 22 + 23, where the array reads and writes 31 + 31 and 23 + 23.
+TEST(DegradedWrite, NoFailuresPlansWhatTheArrayRuns) {
+  constexpr size_t kElem = 128;
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, 2, 1);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  Pcg32 rng(11);
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+  AddressMap map(array.layout());
+  IoPlanner planner(map);
+  const std::vector<int> none;
+  struct Case {
+    int len;
+    int64_t reads;
+    int64_t writes;
+  };
+  for (const Case& c : {Case{20, 31, 31}, Case{13, 23, 23}, Case{9, 17, 17},
+                        Case{35, 0, 49}}) {
+    SCOPED_TRACE("len " + std::to_string(c.len));
+    const IoPlan plan = planner.plan_degraded_write(0, c.len, none);
+    EXPECT_EQ(plan.reads(), c.reads);
+    EXPECT_EQ(plan.writes(), c.writes);
+    std::vector<uint8_t> fresh(static_cast<size_t>(c.len) * kElem);
+    rng.fill_bytes(fresh.data(), fresh.size());
+    array.reset_stats();
+    array.write(0, fresh);
+    int64_t reads = 0;
+    int64_t writes = 0;
+    for (int d = 0; d < array.layout().cols(); ++d) {
+      reads += array.disk(d).reads();
+      writes += array.disk(d).writes();
+    }
+    EXPECT_EQ(reads, c.reads);
+    EXPECT_EQ(writes, c.writes);
+  }
 }
 
 TEST(DegradedWrite, PlansNeverTouchFailedDisks) {

@@ -1,31 +1,75 @@
 // HealthMonitor unit tests: the deterministic state machine that decides
 // when a noisy (or lying) disk becomes a dead one, plus the array-level
 // wiring that feeds verify-on-read checksum mismatches into it. A seeded
-// reference model pins the count-based window call by call, and a
-// concurrent case drives the lock-free success path against a locked
-// entry point.
+// reference model pins the window, which ages by the devices' own
+// transfer counts, call by call; a concurrent case runs device transfers
+// against a locked entry point; and fail-stop reports are checked
+// against the device generation they name.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "codes/registry.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "raid/address_map.h"
+#include "raid/fault_injection.h"
 #include "raid/health_monitor.h"
+#include "raid/mem_disk.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
 
 namespace dcode::raid {
 namespace {
 
+constexpr int64_t kWindow = HealthMonitor::kWindowTransfers;
+constexpr int64_t kSuspectTransients = HealthMonitor::kSuspectTransients;
+constexpr int64_t kFailTransients = HealthMonitor::kFailTransients;
+constexpr int64_t kSuspectMismatches =
+    HealthMonitor::kSuspectChecksumMismatches;
+
+// The devices a monitor watches, one fault decorator over a small MemDisk
+// per slot. transfer() runs device ops the way every engine attempt does;
+// nothing tells the monitor about them.
+class Slots {
+ public:
+  explicit Slots(int n) {
+    for (int d = 0; d < n; ++d) {
+      devices_.push_back(std::make_unique<FaultInjectingDevice>(blank(d)));
+    }
+  }
+  static std::unique_ptr<BlockDevice> blank(int d) {
+    return std::make_unique<MemDisk>(d, 4096);
+  }
+  std::vector<const FaultInjectingDevice*> views() const {
+    std::vector<const FaultInjectingDevice*> out;
+    for (const auto& dev : devices_) out.push_back(dev.get());
+    return out;
+  }
+  FaultInjectingDevice& operator[](int d) {
+    return *devices_[static_cast<size_t>(d)];
+  }
+  void transfer(int d, int64_t n = 1) {
+    uint8_t byte = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      (void)(*this)[d].read(0, {&byte, 1});
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<FaultInjectingDevice>> devices_;
+};
+
 TEST(HealthMonitor, StartsHealthyEverywhere) {
   obs::Registry reg;
-  HealthMonitor mon(5, {}, reg);
+  Slots slots(5);
+  HealthMonitor mon(slots.views(), reg);
   EXPECT_EQ(mon.disk_count(), 5);
   for (int d = 0; d < 5; ++d) {
     EXPECT_EQ(mon.state(d), DiskHealth::kHealthy);
@@ -37,23 +81,22 @@ TEST(HealthMonitor, StartsHealthyEverywhere) {
 
 TEST(HealthMonitor, TransientBudgetWalksHealthySuspectFailed) {
   obs::Registry reg;
-  HealthPolicy policy;
-  policy.suspect_transients = 3;
-  policy.fail_transients = 6;
-  HealthMonitor mon(3, policy, reg);
+  Slots slots(3);
+  HealthMonitor mon(slots.views(), reg);
   std::vector<int> escalated;
   mon.set_escalation_callback([&](int d) { escalated.push_back(d); });
 
-  mon.record_transient(1);
-  mon.record_transient(1);
+  for (int64_t i = 1; i < kSuspectTransients; ++i) mon.record_transient(1);
   EXPECT_EQ(mon.state(1), DiskHealth::kHealthy);
   mon.record_transient(1);
   EXPECT_EQ(mon.state(1), DiskHealth::kSuspect);
   EXPECT_EQ(reg.counter("raid.health.suspects").value(), 1);
   EXPECT_TRUE(escalated.empty());
 
-  mon.record_transient(1);
-  mon.record_transient(1);
+  for (int64_t i = kSuspectTransients + 1; i < kFailTransients; ++i) {
+    mon.record_transient(1);
+  }
+  EXPECT_EQ(mon.state(1), DiskHealth::kSuspect);
   mon.record_transient(1);
   EXPECT_EQ(mon.state(1), DiskHealth::kFailed);
   EXPECT_EQ(escalated, std::vector<int>({1}));
@@ -68,54 +111,33 @@ TEST(HealthMonitor, TransientBudgetWalksHealthySuspectFailed) {
 
 TEST(HealthMonitor, WindowDecayForgivesOldTransients) {
   obs::Registry reg;
-  HealthPolicy policy;
-  policy.window_ops = 8;
-  policy.suspect_transients = 4;
-  policy.fail_transients = 0;  // never fail on transients here
-  HealthMonitor mon(1, policy, reg);
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
 
   mon.record_transient(0);
   mon.record_transient(0);
   mon.record_transient(0);
   EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
   EXPECT_EQ(mon.transients_in_window(0), 3);
-  // Clean traffic fills the window and halves the tally: the burst fades
+  // Clean transfers fill the window and halve the tally: the burst fades
   // instead of accumulating toward suspect forever.
-  for (int i = 0; i < 8; ++i) mon.record_success(0, 1'000);
-  EXPECT_LT(mon.transients_in_window(0), 3);
+  slots.transfer(0, kWindow - 1);
+  EXPECT_EQ(mon.transients_in_window(0), 3);
+  slots.transfer(0);
+  EXPECT_EQ(mon.transients_in_window(0), 1);
   mon.record_transient(0);
   EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
 }
 
-TEST(HealthMonitor, SlowOpsEscalateWhenLatencyTrackingEnabled) {
-  obs::Registry reg;
-  HealthPolicy policy;
-  policy.slow_op_ns = 1'000'000;
-  policy.suspect_slow_ops = 2;
-  policy.fail_slow_ops = 4;
-  HealthMonitor mon(2, policy, reg);
-  int fired = 0;
-  mon.set_escalation_callback([&](int) { ++fired; });
-
-  mon.record_success(0, 500);  // fast: not slow
-  EXPECT_EQ(mon.slow_ops_in_window(0), 0);
-  mon.record_success(0, 2'000'000);
-  mon.record_success(0, 2'000'000);
-  EXPECT_EQ(mon.state(0), DiskHealth::kSuspect);
-  mon.record_success(0, 2'000'000);
-  mon.record_success(0, 2'000'000);
-  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(HealthMonitor, FailStopFiresOncePerEpisodeAndRecoveryOpensANewOne) {
   obs::Registry reg;
-  HealthMonitor mon(2, {}, reg);
+  Slots slots(2);
+  HealthMonitor mon(slots.views(), reg);
   int fired = 0;
   mon.set_escalation_callback([&](int) { ++fired; });
 
-  mon.report_fail_stop(0);
-  mon.report_fail_stop(0);  // same episode
+  mon.report_fail_stop(0, 0);
+  mon.report_fail_stop(0, 0);  // same episode
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
 
@@ -130,7 +152,7 @@ TEST(HealthMonitor, FailStopFiresOncePerEpisodeAndRecoveryOpensANewOne) {
   EXPECT_EQ(reg.counter("raid.health.recoveries").value(), 1);
   EXPECT_EQ(mon.transients_in_window(0), 0);
 
-  mon.report_fail_stop(0);  // new episode after recovery
+  mon.report_fail_stop(0, 0);  // new episode after recovery
   EXPECT_EQ(fired, 2);
 }
 
@@ -138,19 +160,76 @@ TEST(HealthMonitor, EscalationCallbackMayReenterTheMonitor) {
   // The array's callback promotes a spare and calls mark_rebuilding from
   // inside the escalation — must not deadlock on the per-disk lock.
   obs::Registry reg;
-  HealthMonitor mon(1, {}, reg);
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
   mon.set_escalation_callback([&](int d) { mon.mark_rebuilding(d); });
-  mon.report_fail_stop(0);
+  mon.report_fail_stop(0, 0);
   EXPECT_EQ(mon.state(0), DiskHealth::kRebuilding);
 }
 
+// A fail-stop report names the device generation its transfer ran on. One
+// naming a device the slot has since replaced is dropped while the
+// replacement works, and escalates once the replacement has failed too:
+// a failed spare never goes without an episode.
+TEST(HealthMonitor, StaleFailStopEscalatesOnlyWhenTheCurrentDeviceFailed) {
+  obs::Registry reg;
+  Slots slots(2);
+  HealthMonitor mon(slots.views(), reg);
+  int fired = 0;
+  mon.set_escalation_callback([&](int) { ++fired; });
+
+  slots[0].replace(Slots::blank(0));
+  ASSERT_EQ(slots[0].generation(), 1u);
+  mon.report_fail_stop(0, 0);
+  EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 0);
+
+  slots[0].fail();
+  mon.report_fail_stop(0, 0);
+  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
+  EXPECT_EQ(fired, 1);
+  mon.report_fail_stop(0, 1);  // the spare's own report: same episode
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 1);
+  EXPECT_EQ(mon.state(1), DiskHealth::kHealthy);
+}
+
+// Every state change lands in the flight recorder as a health_transition
+// event: disk, old state, new state.
+TEST(HealthMonitor, TransitionsAreFlightRecorded) {
+  const int64_t since =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  obs::Registry reg;
+  Slots slots(7);
+  HealthMonitor mon(slots.views(), reg);
+  for (int64_t i = 0; i < kFailTransients; ++i) mon.record_transient(6);
+  ASSERT_EQ(mon.state(6), DiskHealth::kFailed);
+
+  std::vector<obs::FlightEvent> events;
+  for (const obs::FlightEvent& e : obs::FlightRecorder::global().snapshot()) {
+    if (e.kind == obs::FlightEventKind::kHealthTransition && e.disk == 6 &&
+        e.ts_ns >= since) {
+      events.push_back(e);
+    }
+  }
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].a, static_cast<int64_t>(DiskHealth::kHealthy));
+  EXPECT_EQ(events[0].b, static_cast<int64_t>(DiskHealth::kSuspect));
+  EXPECT_EQ(events[1].a, static_cast<int64_t>(DiskHealth::kSuspect));
+  EXPECT_EQ(events[1].b, static_cast<int64_t>(DiskHealth::kFailed));
+}
+
 // The checksum channel: a disk that returns wrong bytes while reporting
-// success. The default policy marks it suspect at two mismatches and
-// never fails it (the integrity paths re-serve the data from parity).
+// success. The policy marks it suspect at two mismatches and never fails
+// it (the integrity paths re-serve the data from parity).
 TEST(HealthMonitor, TwoChecksumMismatchesMarkTheDiskSuspect) {
   obs::Registry reg;
-  HealthMonitor mon(2, {}, reg);
-  ASSERT_EQ(mon.policy().suspect_checksum_mismatches, 2);
+  Slots slots(2);
+  HealthMonitor mon(slots.views(), reg);
+  ASSERT_EQ(kSuspectMismatches, 2);
   mon.record_checksum_mismatch(1);
   EXPECT_EQ(mon.state(1), DiskHealth::kHealthy);
   mon.record_checksum_mismatch(1);
@@ -163,8 +242,8 @@ TEST(HealthMonitor, TwoChecksumMismatchesMarkTheDiskSuspect) {
 
 TEST(HealthMonitor, ChecksumMismatchesNeverFailTheDiskByDefault) {
   obs::Registry reg;
-  HealthMonitor mon(1, {}, reg);
-  ASSERT_EQ(mon.policy().fail_checksum_mismatches, 0);
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
   int fired = 0;
   mon.set_escalation_callback([&](int) { ++fired; });
   for (int i = 0; i < 1000; ++i) mon.record_checksum_mismatch(0);
@@ -173,79 +252,80 @@ TEST(HealthMonitor, ChecksumMismatchesNeverFailTheDiskByDefault) {
   EXPECT_EQ(reg.counter("raid.health.escalations").value(), 0);
 }
 
-TEST(HealthMonitor, NthChecksumMismatchFiresTheEscalationOnce) {
-  obs::Registry reg;
-  HealthPolicy policy;
-  policy.fail_checksum_mismatches = 5;
-  HealthMonitor mon(1, policy, reg);
-  int fired = 0;
-  mon.set_escalation_callback([&](int) { ++fired; });
-  for (int i = 0; i < 4; ++i) mon.record_checksum_mismatch(0);
-  EXPECT_EQ(mon.state(0), DiskHealth::kSuspect);
-  EXPECT_EQ(fired, 0);
-  mon.record_checksum_mismatch(0);
-  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
-  EXPECT_EQ(fired, 1);
-  // Further mismatches belong to the same episode.
-  for (int i = 0; i < 10; ++i) mon.record_checksum_mismatch(0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 1);
-}
-
 TEST(HealthMonitor, WindowDecayHalvesTheChecksumTally) {
   obs::Registry reg;
-  HealthPolicy policy;
-  policy.window_ops = 8;
-  HealthMonitor mon(1, policy, reg);
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
   for (int i = 0; i < 4; ++i) mon.record_checksum_mismatch(0);
   EXPECT_EQ(mon.checksum_mismatches_in_window(0), 4);
-  // Four successes fill the eight-outcome window: every tally halves.
-  for (int i = 0; i < 4; ++i) mon.record_success(0, 1'000);
+  // A window of transfers: every tally halves.
+  slots.transfer(0, kWindow);
   EXPECT_EQ(mon.checksum_mismatches_in_window(0), 2);
 }
 
-// A plain model of one disk under the count-based window: every outcome
-// ages the window, a full window halves the count and every tally, and
-// thresholds move the state. Single-threaded calls into HealthMonitor
-// must match it exactly, call by call.
+// reset_stats() zeroes a device's op counts (DiskHandle::reset_stats
+// calls reset_op_stats() on the decorator). The monitor rebases on the
+// lower count: the tallies do not halve for it, and the window goes on
+// aging from there instead of waiting for the count to climb back.
+TEST(HealthMonitor, ResetStatsMidWindowNeitherHalvesNorWedges) {
+  obs::Registry reg;
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
+  slots.transfer(0, 10 * kWindow);
+  EXPECT_EQ(mon.transients_in_window(0), 0);
+  for (int i = 0; i < 3; ++i) mon.record_transient(0);
+  slots.transfer(0, kWindow / 4);
+  EXPECT_EQ(mon.transients_in_window(0), 3);
+
+  slots[0].reset_op_stats();
+  slots.transfer(0, 5);
+  EXPECT_EQ(mon.transients_in_window(0), 3);
+  // The window stood three quarters full: half a window more fills it
+  // once.
+  slots.transfer(0, kWindow / 2);
+  EXPECT_EQ(mon.transients_in_window(0), 1);
+  EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
+}
+
+// A plain model of one slot: every device transfer ages the window one
+// step, a full window halves the count and every tally, and a new
+// transient or mismatch is held against the thresholds. The monitor reads
+// the device's count only when it needs the window, so it catches up
+// many transfers at once; single-threaded, it must match the model
+// exactly, call by call.
 struct WindowModel {
-  HealthPolicy policy;
   DiskHealth state = DiskHealth::kHealthy;
   int64_t ops = 0;
   int64_t transients = 0;
-  int64_t slow_ops = 0;
   int64_t mismatches = 0;
   int fired = 0;  // escalation callbacks
 
-  void age() {
-    if (++ops < policy.window_ops) return;
+  void transfer() {
+    if (++ops < kWindow) return;
     ops /= 2;
     transients /= 2;
-    slow_ops /= 2;
     mismatches /= 2;
-  }
-  static bool over(int threshold, int64_t tally) {
-    return threshold > 0 && tally >= threshold;
   }
   void evaluate(int64_t* suspects, int64_t* escalations) {
     if (state == DiskHealth::kFailed || state == DiskHealth::kRebuilding) {
       return;
     }
-    if (over(policy.fail_transients, transients) ||
-        over(policy.fail_slow_ops, slow_ops) ||
-        over(policy.fail_checksum_mismatches, mismatches)) {
-      state = DiskHealth::kFailed;
-      ++*escalations;
-      ++fired;
+    if (transients >= kFailTransients) {
+      fail(escalations);
       return;
     }
     if (state == DiskHealth::kHealthy &&
-        (over(policy.suspect_transients, transients) ||
-         over(policy.suspect_slow_ops, slow_ops) ||
-         over(policy.suspect_checksum_mismatches, mismatches))) {
+        (transients >= kSuspectTransients ||
+         mismatches >= kSuspectMismatches)) {
       state = DiskHealth::kSuspect;
       ++*suspects;
     }
+  }
+  void fail(int64_t* escalations) {
+    if (state == DiskHealth::kFailed) return;
+    state = DiskHealth::kFailed;
+    ++*escalations;
+    ++fired;
   }
 };
 
@@ -253,115 +333,101 @@ bool matches(const HealthMonitor& mon, int d, const WindowModel& m,
              int fired) {
   return mon.state(d) == m.state &&
          mon.transients_in_window(d) == m.transients &&
-         mon.slow_ops_in_window(d) == m.slow_ops &&
          mon.checksum_mismatches_in_window(d) == m.mismatches &&
          fired == m.fired;
 }
 
 TEST(HealthMonitor, RandomSequencesMatchTheCountBasedWindowModel) {
-  // Latency tracking off (the array's policy: a success takes the
-  // lock-free path) and on (every success is locked), each with
-  // thresholds low enough, and transients and mismatches bursty enough,
-  // that the disks walk every state.
-  for (const int64_t slow_op_ns : {int64_t{0}, int64_t{1'000}}) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      SCOPED_TRACE("slow_op_ns " + std::to_string(slow_op_ns) + " seed " +
-                   std::to_string(seed));
-      HealthPolicy policy;
-      policy.window_ops = 8;
-      policy.suspect_transients = 3;
-      policy.fail_transients = 6;
-      policy.slow_op_ns = slow_op_ns;
-      policy.suspect_slow_ops = 3;
-      policy.fail_slow_ops = 5;
-      policy.suspect_checksum_mismatches = 2;
-      policy.fail_checksum_mismatches = 4;
-      obs::Registry reg;
-      HealthMonitor mon(2, policy, reg);
-      std::vector<int> fired(2, 0);
-      mon.set_escalation_callback([&](int d) { ++fired[d]; });
-      std::vector<WindowModel> model(2);
-      for (WindowModel& m : model) m.policy = policy;
-      int64_t suspects = 0;
-      int64_t escalations = 0;
-      int64_t recoveries = 0;
-      Pcg32 rng(seed);
-      int calls = 0;
-      while (calls < 4000) {
-        const int d = static_cast<int>(rng.next_below(2));
-        WindowModel& m = model[static_cast<size_t>(d)];
-        const uint32_t pick = rng.next_below(100);
-        const int burst = 1 + static_cast<int>(rng.next_below(4));
-        for (int b = 0; b < (pick < 70 ? 1 : burst); ++b, ++calls) {
-          std::string what;
-          if (pick < 70) {
-            const auto latency = static_cast<int64_t>(rng.next_below(2'000));
-            what = "success " + std::to_string(latency);
-            mon.record_success(d, latency);
-            m.age();
-            if (slow_op_ns > 0 && latency >= slow_op_ns) {
-              ++m.slow_ops;
-              m.evaluate(&suspects, &escalations);
-            }
-          } else if (pick < 85) {
-            what = "transient";
-            mon.record_transient(d);
-            m.age();
-            ++m.transients;
-            m.evaluate(&suspects, &escalations);
-          } else if (pick < 95) {
-            what = "checksum mismatch";
-            mon.record_checksum_mismatch(d);
-            m.age();
-            ++m.mismatches;
-            m.evaluate(&suspects, &escalations);
-          } else {
-            what = "mark healthy";
-            mon.mark_healthy(d);
-            if (m.state != DiskHealth::kHealthy) ++recoveries;
-            m.state = DiskHealth::kHealthy;
-            m.ops = m.transients = m.slow_ops = m.mismatches = 0;
-          }
-          ASSERT_TRUE(matches(mon, d, m, fired[static_cast<size_t>(d)]))
-              << "call " << calls << " on disk " << d << ": " << what
-              << "; state " << to_string(mon.state(d)) << " vs "
-              << to_string(m.state) << ", transients "
-              << mon.transients_in_window(d) << " vs " << m.transients
-              << ", slow " << mon.slow_ops_in_window(d) << " vs "
-              << m.slow_ops << ", mismatches "
-              << mon.checksum_mismatches_in_window(d) << " vs "
-              << m.mismatches << ", callbacks "
-              << fired[static_cast<size_t>(d)] << " vs " << m.fired;
+  // Runs of clean transfers (now and then several windows long, which the
+  // monitor catches up in one read), bursts of transients and mismatches
+  // (each on a transfer of its own, as the engine's attempts are), rare
+  // fail-stops and recoveries: dense enough that the disks walk every
+  // state.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    obs::Registry reg;
+    Slots slots(2);
+    HealthMonitor mon(slots.views(), reg);
+    std::vector<int> fired(2, 0);
+    mon.set_escalation_callback([&](int d) { ++fired[d]; });
+    std::vector<WindowModel> model(2);
+    int64_t suspects = 0;
+    int64_t escalations = 0;
+    int64_t recoveries = 0;
+    Pcg32 rng(seed);
+    int calls = 0;
+    while (calls < 4000) {
+      const int d = static_cast<int>(rng.next_below(2));
+      WindowModel& m = model[static_cast<size_t>(d)];
+      const uint32_t pick = rng.next_below(100);
+      const int burst = 1 + static_cast<int>(rng.next_below(5));
+      for (int b = 0; b < (pick < 60 ? 1 : burst); ++b, ++calls) {
+        std::string what;
+        if (pick < 60) {
+          const int64_t n =
+              1 + rng.next_below(rng.next_below(10) == 0 ? 3 * kWindow : 16);
+          what = std::to_string(n) + " transfers";
+          slots.transfer(d, n);
+          for (int64_t i = 0; i < n; ++i) m.transfer();
+        } else if (pick < 82) {
+          what = "transient";
+          slots.transfer(d);
+          m.transfer();
+          mon.record_transient(d);
+          ++m.transients;
+          m.evaluate(&suspects, &escalations);
+        } else if (pick < 95) {
+          what = "checksum mismatch";
+          slots.transfer(d);
+          m.transfer();
+          mon.record_checksum_mismatch(d);
+          ++m.mismatches;
+          m.evaluate(&suspects, &escalations);
+        } else if (pick < 97) {
+          what = "fail-stop";
+          mon.report_fail_stop(d, slots[d].generation());
+          m.fail(&escalations);
+        } else {
+          what = "mark healthy";
+          mon.mark_healthy(d);
+          if (m.state != DiskHealth::kHealthy) ++recoveries;
+          m.state = DiskHealth::kHealthy;
+          m.ops = m.transients = m.mismatches = 0;
         }
+        ASSERT_TRUE(matches(mon, d, m, fired[static_cast<size_t>(d)]))
+            << "call " << calls << " on disk " << d << ": " << what
+            << "; state " << to_string(mon.state(d)) << " vs "
+            << to_string(m.state) << ", transients "
+            << mon.transients_in_window(d) << " vs " << m.transients
+            << ", mismatches " << mon.checksum_mismatches_in_window(d)
+            << " vs " << m.mismatches << ", callbacks "
+            << fired[static_cast<size_t>(d)] << " vs " << m.fired;
       }
-      EXPECT_EQ(reg.counter("raid.health.suspects").value(), suspects);
-      EXPECT_EQ(reg.counter("raid.health.escalations").value(), escalations);
-      EXPECT_EQ(reg.counter("raid.health.recoveries").value(), recoveries);
-      EXPECT_GT(suspects, 0);
-      EXPECT_GT(escalations, 0);
     }
+    EXPECT_EQ(reg.counter("raid.health.suspects").value(), suspects);
+    EXPECT_EQ(reg.counter("raid.health.escalations").value(), escalations);
+    EXPECT_EQ(reg.counter("raid.health.recoveries").value(), recoveries);
+    EXPECT_GT(suspects, 0);
+    EXPECT_GT(escalations, 0);
   }
 }
 
 TEST(HealthMonitor, ConcurrentSuccessesStillAgeTheWindow) {
-  // Four threads of lock-free successes against one thread of locked
-  // transients on the same disk: the transients must still turn the disk
-  // suspect, and once they stop, the successes alone must decay the
+  // Four threads of device transfers against one thread of locked
+  // transients on the same slot: the transients must still turn the disk
+  // suspect, and once they stop, the transfers alone must decay the
   // tally to zero.
   obs::Registry reg;
-  HealthPolicy policy;
-  policy.window_ops = 1024;
-  policy.suspect_transients = 4;
-  policy.fail_transients = 0;
-  HealthMonitor mon(1, policy, reg);
+  Slots slots(1);
+  HealthMonitor mon(slots.views(), reg);
   std::atomic<bool> stop{false};
   std::atomic<int> started{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&] {
-      mon.record_success(0, 0);
+      slots.transfer(0);
       started.fetch_add(1);
-      while (!stop.load(std::memory_order_relaxed)) mon.record_success(0, 0);
+      while (!stop.load(std::memory_order_relaxed)) slots.transfer(0);
     });
   }
   while (started.load() < 4) std::this_thread::yield();
