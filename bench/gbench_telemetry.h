@@ -1,11 +1,14 @@
 // Glue that gives the google-benchmark binaries the same `--json <path>`
-// telemetry contract as the table-style benches: a ConsoleReporter
-// subclass mirrors every finished run into a bench::Telemetry document,
-// and run_gbench_with_telemetry() replaces BENCHMARK_MAIN().
+// telemetry contract as the table-style benches: a reporter mirrors every
+// finished run into a bench::Telemetry document and hands everything on
+// to the display reporter google-benchmark would have chosen itself, so
+// --benchmark_format and --benchmark_color keep working.
+// run_gbench_with_telemetry() replaces BENCHMARK_MAIN().
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,9 +17,17 @@
 
 namespace dcode::bench {
 
-class TelemetryReporter : public benchmark::ConsoleReporter {
+class TelemetryReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit TelemetryReporter(Telemetry* telemetry) : telemetry_(telemetry) {}
+  // Construct after benchmark::Initialize: the display reporter reads the
+  // parsed flags.
+  explicit TelemetryReporter(Telemetry* telemetry)
+      : telemetry_(telemetry),
+        display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -34,11 +45,14 @@ class TelemetryReporter : public benchmark::ConsoleReporter {
                         labels);
       }
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
  private:
   Telemetry* telemetry_;
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
 };
 
 // Drop-in replacement for BENCHMARK_MAIN()'s body. Strips --json before

@@ -20,28 +20,35 @@ int64_t steady_ns() {
 }
 
 // kind in the low 16 bits, disk+1 in the next 16 (so disk -1 encodes as
-// 0 and any non-negative disk survives the round trip).
-int64_t pack_meta(FlightEventKind kind, int disk) {
+// 0 and any non-negative disk survives the round trip), the recording
+// thread's tid in the high 32.
+int64_t pack_meta(FlightEventKind kind, int disk, int tid) {
   uint32_t d = disk < 0 ? 0u : static_cast<uint32_t>(disk) + 1u;
   return static_cast<int64_t>(static_cast<uint64_t>(kind) |
-                              (static_cast<uint64_t>(d & 0xffffu) << 16));
+                              (static_cast<uint64_t>(d & 0xffffu) << 16) |
+                              (static_cast<uint64_t>(static_cast<uint32_t>(tid))
+                               << 32));
 }
 
-void unpack_meta(int64_t meta, FlightEventKind* kind, int* disk) {
+void unpack_meta(int64_t meta, FlightEvent* e) {
   auto m = static_cast<uint64_t>(meta);
-  *kind = static_cast<FlightEventKind>(m & 0xffffu);
+  e->kind = static_cast<FlightEventKind>(m & 0xffffu);
   uint32_t d = static_cast<uint32_t>((m >> 16) & 0xffffu);
-  *disk = d == 0 ? -1 : static_cast<int>(d - 1);
+  e->disk = d == 0 ? -1 : static_cast<int>(d - 1);
+  e->tid = static_cast<int>(static_cast<uint32_t>(m >> 32));
 }
 
-// Thread-local ring cache. Keyed by a never-reused recorder id so a
-// dangling cache entry from a destroyed recorder can never be mistaken
-// for a live one.
+// Thread-local ring cache (the hot path; trivially destructible). Keyed
+// by a never-reused recorder id so a dangling cache entry from a
+// destroyed recorder can never be mistaken for a live one.
 struct RingCache {
   uint64_t recorder_id = 0;
   void* ring = nullptr;
+  int tid = 0;
 };
 thread_local RingCache tl_ring_cache;
+// Set once the thread has returned its rings: later events are dropped.
+thread_local bool tl_rings_returned = false;
 
 std::atomic<uint64_t> g_next_recorder_id{1};
 
@@ -70,6 +77,28 @@ const char* to_string(FlightEventKind kind) {
 FlightRecorder::Ring::Ring(size_t slot_count)
     : slots(new Slot[slot_count]) {}
 
+struct FlightRecorder::ThreadRings {
+  struct Held {
+    uint64_t recorder_id;
+    std::weak_ptr<RingPool> pool;
+    Ring* ring;
+  };
+  std::vector<Held> held;
+
+  ~ThreadRings() {
+    tl_rings_returned = true;
+    tl_ring_cache = {};
+    for (const Held& h : held) {
+      if (std::shared_ptr<RingPool> pool = h.pool.lock()) {
+        std::lock_guard<std::mutex> lock(pool->mu);
+        pool->idle.push_back(h.ring);
+      }
+    }
+  }
+};
+
+thread_local FlightRecorder::ThreadRings FlightRecorder::thread_rings_;
+
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder* r = [] {
     auto* rec = new FlightRecorder();  // leaked: outlives static teardown
@@ -95,27 +124,34 @@ FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() noexcept {
   if (tl_ring_cache.recorder_id == id_) {
     return static_cast<Ring*>(tl_ring_cache.ring);
   }
-  int tid = detail::this_thread_trace_id();
+  if (tl_rings_returned) return nullptr;
   Ring* ring = nullptr;
   try {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    // A thread that bounced between recorders (tests) finds its old ring
-    // again instead of growing the list.
-    for (const auto& r : rings_) {
-      if (r->tid == tid) {
-        ring = r.get();
-        break;
-      }
+    std::vector<ThreadRings::Held>& held = thread_rings_.held;
+    std::erase_if(held, [](const ThreadRings::Held& h) {
+      return h.pool.expired();  // its recorder is gone
+    });
+    // A thread that bounced between recorders (tests) takes its ring in
+    // this one back up.
+    for (const ThreadRings::Held& h : held) {
+      if (h.recorder_id == id_) ring = h.ring;
     }
     if (ring == nullptr) {
-      rings_.push_back(std::make_unique<Ring>(mask_ + 1));
-      ring = rings_.back().get();
-      ring->tid = tid;
+      held.reserve(held.size() + 1);
+      std::lock_guard<std::mutex> lock(pool_->mu);
+      if (pool_->idle.empty()) {
+        pool_->rings.push_back(std::make_unique<Ring>(mask_ + 1));
+        ring = pool_->rings.back().get();
+      } else {
+        ring = pool_->idle.back();  // an exited thread's
+        pool_->idle.pop_back();
+      }
+      held.push_back({id_, pool_, ring});
     }
   } catch (...) {
     return nullptr;  // allocation failure: drop the event, never throw
   }
-  tl_ring_cache = {id_, ring};
+  tl_ring_cache = {id_, ring, detail::this_thread_trace_id()};
   return ring;
 }
 
@@ -129,26 +165,31 @@ void FlightRecorder::record(FlightEventKind kind, uint64_t op_id, int disk,
   s.seq.store(2 * i + 1, std::memory_order_relaxed);  // odd: being written
   s.ts_ns.store(steady_ns(), std::memory_order_relaxed);
   s.op_id.store(op_id, std::memory_order_relaxed);
-  s.meta.store(pack_meta(kind, disk), std::memory_order_relaxed);
+  s.meta.store(pack_meta(kind, disk, tl_ring_cache.tid),
+               std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);
   s.seq.store(2 * i + 2, std::memory_order_release);  // even: stable
   r->head.store(i + 1, std::memory_order_release);
 }
 
+size_t FlightRecorder::ring_count() const {
+  std::lock_guard<std::mutex> lock(pool_->mu);
+  return pool_->rings.size();
+}
+
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  for (const auto& r : rings_) {
+  std::lock_guard<std::mutex> lock(pool_->mu);
+  for (const auto& r : pool_->rings) {
     for (size_t j = 0; j <= mask_; ++j) {
       const Slot& s = r->slots[j];
       uint64_t s1 = s.seq.load(std::memory_order_acquire);
       if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
       FlightEvent e;
       e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-      e.tid = r->tid;
       e.op_id = s.op_id.load(std::memory_order_relaxed);
-      unpack_meta(s.meta.load(std::memory_order_relaxed), &e.kind, &e.disk);
+      unpack_meta(s.meta.load(std::memory_order_relaxed), &e);
       e.a = s.a.load(std::memory_order_relaxed);
       e.b = s.b.load(std::memory_order_relaxed);
       uint64_t s2 = s.seq.load(std::memory_order_acquire);

@@ -14,9 +14,13 @@
 //     (dump/snapshot) accepts a slot only if it observes the same even
 //     sequence before and after reading the fields — torn slots are
 //     simply skipped. The dump is a diagnostic sample, not an audit log.
-//   - Rings are registered in a mutex-guarded list and kept alive after
-//     their thread exits, so a dump can still show what a dead worker
-//     did last.
+//   - A thread's ring goes back to its recorder when the thread exits,
+//     and the next thread to record takes it over, so a recorder holds
+//     as many rings as it has had recording threads alive at once, not
+//     one per thread it ever saw. Each slot names the thread that wrote
+//     it, so a dump still shows what a dead worker did last until the
+//     ring's next owner overwrites it. A thread that outlives its
+//     recorder drops its ring unreturned.
 #pragma once
 
 #include <atomic>
@@ -114,30 +118,48 @@ class FlightRecorder {
 
   size_t capacity_per_thread() const { return mask_ + 1; }
 
+  // Rings allocated so far: the most threads that held one at once.
+  size_t ring_count() const;
+
  private:
   struct Slot {
     std::atomic<uint64_t> seq{0};  // even = stable, odd = being written
     std::atomic<int64_t> ts_ns{0};
     std::atomic<uint64_t> op_id{0};
-    std::atomic<int64_t> meta{0};  // kind (16) | disk+1 (16) | unused
+    std::atomic<int64_t> meta{0};  // kind (16) | disk+1 (16) | tid (32)
     std::atomic<int64_t> a{0};
     std::atomic<int64_t> b{0};
   };
 
-  struct Ring {
+  // A line of its own: a reused ring was allocated by a thread that has
+  // exited, whose heap arena may now serve another thread, and `head` is
+  // written on every event.
+  struct alignas(64) Ring {
     explicit Ring(size_t slots);
     std::atomic<uint64_t> head{0};  // next logical index; owner-written
-    int tid = 0;
     std::unique_ptr<Slot[]> slots;
   };
+
+  // Every ring the recorder made. The recorder owns it; each thread that
+  // holds a ring keeps a weak_ptr, so a thread exiting after the recorder
+  // was destroyed finds nothing to return its ring to.
+  struct RingPool {
+    std::mutex mu;
+    std::vector<std::unique_ptr<Ring>> rings;
+    std::vector<Ring*> idle;  // rings no live thread holds
+  };
+
+  // The rings the calling thread holds, one per recorder it recorded
+  // into; its destructor returns them at thread exit.
+  struct ThreadRings;
+  static thread_local ThreadRings thread_rings_;
 
   Ring* ring_for_this_thread() noexcept;
 
   std::atomic<bool> enabled_{true};
   uint64_t id_ = 0;  // never-reused instance id (thread cache key)
   size_t mask_;      // slots per ring - 1 (power of two)
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // kept past thread exit
+  std::shared_ptr<RingPool> pool_ = std::make_shared<RingPool>();
 
   mutable std::mutex dump_mu_;
   std::string dump_path_;

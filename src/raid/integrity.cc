@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -93,6 +94,7 @@ ChecksumStore::ChecksumStore(int64_t elements)
 }
 
 ChecksumStore::~ChecksumStore() {
+  if (map_ != nullptr) ::munmap(map_, map_bytes_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -108,11 +110,14 @@ ChecksumStore::Snapshot ChecksumStore::load(int64_t element) const {
   for (;;) {
     const uint64_t s1 = r.seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;  // writer mid-update; spin (writers are brief)
+    // Acquire loads keep the re-check after them, and one that reads a
+    // later writer's release store also sees that writer's odd seq, so the
+    // re-check fails (Boehm's seqlock recipe; no fence, which TSan cannot
+    // see).
     Snapshot out;
-    out.sum = r.sum.load(std::memory_order_relaxed);
-    out.prev = r.prev.load(std::memory_order_relaxed);
-    out.tag = r.tag.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    out.sum = r.sum.load(std::memory_order_acquire);
+    out.prev = r.prev.load(std::memory_order_acquire);
+    out.tag = r.tag.load(std::memory_order_acquire);
     if (r.seq.load(std::memory_order_relaxed) == s1) return out;
   }
 }
@@ -122,12 +127,11 @@ void ChecksumStore::store_locked(int64_t element, uint64_t sum, uint64_t prev,
   Record& r = recs_[static_cast<size_t>(element)];
   const uint64_t s = r.seq.load(std::memory_order_relaxed);
   r.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  r.sum.store(sum, std::memory_order_relaxed);
-  r.prev.store(prev, std::memory_order_relaxed);
-  r.tag.store(tag, std::memory_order_relaxed);
+  r.sum.store(sum, std::memory_order_release);
+  r.prev.store(prev, std::memory_order_release);
+  r.tag.store(tag, std::memory_order_release);
   r.seq.store(s + 2, std::memory_order_release);
-  if (fd_ >= 0) persist(element, sum, prev, tag, s + 2);
+  if (map_ != nullptr) persist(element, sum, prev, tag, s + 2);
 }
 
 void ChecksumStore::record(int64_t element, uint64_t sum, int64_t stripe,
@@ -164,9 +168,11 @@ IntegrityVerdict ChecksumStore::classify(int64_t element,
   if (payload_sum == snap.sum) return IntegrityVerdict::kOk;
   if (snap.prev != 0 && payload_sum == snap.prev)
     return IntegrityVerdict::kStale;
-  // Mismatch path only (rare): is this payload some *other* element's
-  // current content? Then the write that produced it was misdirected.
-  for (int64_t e = 0; e < elements_; ++e) {
+  // Mismatch path only (rare): is this payload a nearby element's current
+  // content? Then the write that produced it was misdirected.
+  const int64_t first = std::max<int64_t>(0, element - kMisdirectWindow);
+  const int64_t last = std::min(elements_ - 1, element + kMisdirectWindow);
+  for (int64_t e = first; e <= last; ++e) {
     if (e == element) continue;
     const Snapshot other = load(e);
     if (other.tracked() && other.sum == payload_sum)
@@ -183,51 +189,54 @@ void ChecksumStore::invalidate_all() {
 }
 
 void ChecksumStore::attach_file(const std::string& path) {
-  DCODE_CHECK(fd_ < 0, "ChecksumStore already has a sidecar attached");
+  DCODE_CHECK(map_ == nullptr, "ChecksumStore already has a sidecar attached");
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
     throw std::runtime_error("integrity sidecar open failed: " + path);
   }
-  // Every sidecar access is a 40-byte slot write or the chunked reload
-  // scan below; readahead's large folios would tax each slot write (see
-  // raid/file_disk.h). A hint only, so a failure changes nothing else.
+  auto fail = [&](const char* what) {
+    ::close(fd);
+    throw std::runtime_error(std::string("integrity sidecar ") + what + ": " +
+                             path);
+  };
+  // The reload scan below is the only read of the file; it batches its
+  // own reads, and readahead's large folios would tax each slot store
+  // (see raid/file_disk.h). A hint only, so a failure changes nothing else.
   (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_RANDOM);
-  const int64_t want_size =
-      kHeaderBytes + elements_ * 2 * static_cast<int64_t>(kSlotBytes);
+  const size_t want_size = static_cast<size_t>(
+      kHeaderBytes + elements_ * 2 * static_cast<int64_t>(kSlotBytes));
   const off_t cur = ::lseek(fd, 0, SEEK_END);
   if (cur == 0) {
-    // Fresh sidecar: header + zeroed (sparse) slot area. A zero slot has
-    // seq 0 and a wrong self-checksum, i.e. invalid by construction.
+    // Fresh sidecar: the header first, so a crash before the allocation
+    // below leaves a file that reopens. The slot area reads as zeros, and
+    // a zero slot has seq 0 and a wrong self-checksum: invalid.
     uint8_t hdr[kHeaderBytes] = {};
     std::memcpy(hdr, &kSidecarMagic, 8);
     std::memcpy(hdr + 8, &kSidecarVersion, 4);
     const uint64_t n = static_cast<uint64_t>(elements_);
     std::memcpy(hdr + 16, &n, 8);
-    if (!detail::pwrite_fully(fd, hdr, sizeof(hdr), 0) ||
-        ::ftruncate(fd, static_cast<off_t>(want_size)) != 0) {
-      ::close(fd);
-      throw std::runtime_error("integrity sidecar init failed: " + path);
-    }
+    if (!detail::pwrite_fully(fd, hdr, sizeof(hdr), 0)) fail("init failed");
   } else {
     uint8_t hdr[kHeaderBytes] = {};
     uint64_t magic = 0, n = 0;
     uint32_t version = 0;
     if (!detail::pread_fully(fd, hdr, sizeof(hdr), 0)) {
-      ::close(fd);
-      throw std::runtime_error("integrity sidecar header unreadable: " + path);
+      fail("header unreadable");
     }
     std::memcpy(&magic, hdr, 8);
     std::memcpy(&version, hdr + 8, 4);
     std::memcpy(&n, hdr + 16, 8);
     if (magic != kSidecarMagic || version != kSidecarVersion ||
         n != static_cast<uint64_t>(elements_)) {
-      ::close(fd);
-      throw std::runtime_error("integrity sidecar format mismatch: " + path);
+      fail("format mismatch");
     }
-    if (::ftruncate(fd, static_cast<off_t>(want_size)) != 0) {
-      ::close(fd);
-      throw std::runtime_error("integrity sidecar resize failed: " + path);
-    }
+  }
+  // Every block before the mapping: a store into a hole needs a block,
+  // and on a full file system that page fault would be SIGBUS.
+  if (::posix_fallocate(fd, 0, static_cast<off_t>(want_size)) != 0) {
+    fail("allocation failed");
+  }
+  if (cur != 0) {
     // Adopt the newer valid slot of each element; torn or misplaced
     // slots fail their seeded self-checksum and are ignored. Without
     // readahead the scan must batch its own reads: whole slot pairs,
@@ -258,8 +267,14 @@ void ChecksumStore::attach_file(const std::string& path) {
       }
     }
   }
+  void* map = ::mmap(nullptr, want_size, PROT_READ | PROT_WRITE, MAP_SHARED,
+                     fd, 0);
+  if (map == MAP_FAILED) fail("map failed");
+  // Stores fault pages in one at a time; no fault should read ahead.
+  (void)::madvise(map, want_size, MADV_RANDOM);
   fd_ = fd;
-  path_ = path;
+  map_ = static_cast<uint8_t*>(map);
+  map_bytes_ = want_size;
 }
 
 void ChecksumStore::persist(int64_t element, uint64_t sum, uint64_t prev,
@@ -267,17 +282,15 @@ void ChecksumStore::persist(int64_t element, uint64_t sum, uint64_t prev,
   SlotImage s{seq, sum, prev, tag, 0};
   s.self = slot_self_checksum(s, element);
   // Alternate slots by write number so the previous good record survives
-  // a torn write to the one being replaced.
+  // a store torn by the process's death.
   const int slot = static_cast<int>((seq / 2) & 1);
-  // A failed sidecar write is deliberately non-fatal: the in-memory
-  // record stays authoritative for this run, and on reload the stale
-  // slot just loses to the other or reports untracked — integrity
-  // degrades to "unverified", never to "wrong".
-  (void)detail::pwrite_fully(fd_, &s, sizeof(s), slot_offset(element, slot));
+  std::memcpy(map_ + slot_offset(element, slot), &s, sizeof(s));
 }
 
 void ChecksumStore::flush() {
-  if (fd_ >= 0) ::fdatasync(fd_);
+  if (map_ == nullptr) return;
+  (void)::msync(map_, map_bytes_, MS_SYNC);
+  (void)::fdatasync(fd_);
 }
 
 }  // namespace dcode::raid

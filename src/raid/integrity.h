@@ -24,8 +24,10 @@
 //   h == sum                     kOk           payload is current
 //   tag == 0                     kUntracked    element never written
 //   h == prev                    kStale        lost / stale write
-//   h == some other element's    kMisdirected  write landed on the
-//        current sum on this device            wrong LBA
+//   h == the current sum of      kMisdirected  write landed on the
+//        another element within                wrong LBA
+//        kMisdirectWindow records
+//        on this device
 //   otherwise                    kCorrupt      torn write or bit rot
 //
 // The store is updated strictly *after* the device acknowledges a write
@@ -42,9 +44,18 @@
 // record that ends up at the wrong element offset always fails its seed
 // check (the CRC register starts at ~index, and distinct start registers
 // give distinct CRCs of the same 32 bytes).
-// Crash consistency therefore needs no ordering guarantees from the
-// filesystem beyond single-pwrite atomicity *per byte*: any prefix of a
-// slot write leaves a bad self-checksum, never a wrong-but-valid record.
+//
+// attach_file allocates every block of the sidecar (posix_fallocate) and
+// then maps it MAP_SHARED, so a record reaches the file as a 40-byte
+// store into the page cache, with no syscall. Stores survive the
+// process's death; they survive power loss only after flush() (msync,
+// then fdatasync). Crash consistency needs no ordering guarantees from
+// the filesystem or the CPU: a process killed mid-store leaves some
+// bytes of one slot new and the rest old, which fails the slot's
+// self-checksum, never a wrong-but-valid record, and the other slot is
+// untouched. Allocation before mapping means no store can fault on a
+// full file system. What the mapping costs: an I/O error while a
+// sidecar page is read back in raises SIGBUS and ends the process.
 #pragma once
 
 #include <array>
@@ -164,15 +175,25 @@ class ChecksumStore {
   // Classifies a payload hash against this disk's records (table above).
   IntegrityVerdict classify(int64_t element, uint64_t payload_sum) const;
 
+  // classify() looks for a misdirected write's payload among the records
+  // this many elements either side of the element, not the whole device:
+  // 9 stripes each way for a 7-row code such as D-Code p=7, wider than the
+  // few-element slips of firmware misdirection, and a bounded cost per
+  // mismatch. A payload matching only a farther record reads kCorrupt; the
+  // repair is the same.
+  static constexpr int64_t kMisdirectWindow = 64;
+
   // Forgets everything (disk replaced with a blank: no history survives).
   void invalidate_all();
 
   // --- persistence (FileDisk sidecars) ---------------------------------
   // Attaches (creating or loading) a sidecar file. Existing valid slots
-  // populate the in-memory records; subsequent record/resync calls write
-  // through. Throws std::runtime_error on open/format errors.
+  // populate the in-memory records; the file is then allocated in full
+  // and mapped, and subsequent record/resync calls store through the
+  // mapping. Throws std::runtime_error on open/format/allocation errors.
   void attach_file(const std::string& path);
-  bool persistent() const { return fd_ >= 0; }
+  bool persistent() const { return map_ != nullptr; }
+  // Makes every record stored so far durable: msync, then fdatasync.
   void flush();
 
   // Raw slot access for crash/torn-slot tests: byte offset of (element,
@@ -215,7 +236,8 @@ class ChecksumStore {
   std::unique_ptr<Record[]> recs_;
   mutable std::array<WriterSlot, kWriterSlots> writers_;
   int fd_ = -1;
-  std::string path_;
+  uint8_t* map_ = nullptr;  // the whole sidecar, MAP_SHARED
+  size_t map_bytes_ = 0;
 };
 
 }  // namespace dcode::raid

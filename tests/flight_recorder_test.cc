@@ -14,6 +14,7 @@
 #include "codes/registry.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
 
@@ -157,6 +158,31 @@ TEST(FlightRecorder, ConcurrentRecordAndDumpStress) {
   // guarantee the concurrent rounds could only sample.
   check_events(rec.snapshot());
   EXPECT_GT(total_seen, 0);
+}
+
+// Short-lived threads (a background rebuild pass, a bench set-up's fill)
+// must not each leave a ring behind: a joined thread's ring serves the
+// next one, and until it is overwritten still names who wrote it.
+TEST(FlightRecorder, RingsOfExitedThreadsAreReused) {
+  FlightRecorder rec(64);
+  const int64_t events = 3 * static_cast<int64_t>(rec.capacity_per_thread());
+  for (int t = 0; t < 64; ++t) {
+    int tid = -1;
+    std::thread thread([&] {
+      tid = detail::this_thread_trace_id();
+      for (int64_t i = 0; i < events; ++i) {
+        rec.record(FlightEventKind::kCustom, 0, -1, t, i);
+      }
+    });
+    thread.join();
+    bool last_seen = false;
+    for (const FlightEvent& e : rec.snapshot()) {
+      EXPECT_EQ(e.tid, tid) << "thread " << t;
+      last_seen |= e.a == t && e.b == events - 1;
+    }
+    EXPECT_TRUE(last_seen) << "thread " << t;
+  }
+  EXPECT_LE(rec.ring_count(), 2u);
 }
 
 // End-to-end: an array with a (deliberately absurd) slow-op threshold of

@@ -2,7 +2,8 @@
 // check values + every backend against a bitwise reference), write-
 // identity tags and their stripe limit, ChecksumStore classification and
 // sidecar persistence (dual-slot torn-write recovery, format version,
-// misplaced slots), the wrong-path write fault models, verify-on-read
+// misplaced slots, allocation before mapping, a process killed mid-
+// record), the wrong-path write fault models, verify-on-read
 // serving correct data from parity, and the scrub contracts only the
 // checksum channel can honor — repairing family-disagreement stripes
 // parity-only scrub must refuse, localizing through degraded stripes, and
@@ -10,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -215,6 +220,39 @@ TEST(ChecksumStore, ClassifiesEveryVerdict) {
   EXPECT_EQ(tag_generation(s.tag), 2u);
 }
 
+// The misdirect search covers kMisdirectWindow records either side of the
+// element: a slip inside reads misdirected, one beyond reads corrupt.
+TEST(ChecksumStore, MisdirectSearchIsBoundedToItsWindow) {
+  constexpr int64_t kWindow = ChecksumStore::kMisdirectWindow;
+  constexpr int64_t kElems = 4 * kWindow;
+  constexpr int64_t kVictim = 2 * kWindow;
+  ChecksumStore store(kElems);
+  auto sum_of = [](int64_t e) { return 0x1000 + static_cast<uint64_t>(e); };
+  for (int64_t e = 0; e < kElems; ++e) store.record(e, sum_of(e), e / 7, 0, 0);
+  for (int64_t slip : {int64_t{1}, int64_t{7}, kWindow}) {
+    EXPECT_EQ(store.classify(kVictim, sum_of(kVictim + slip)),
+              IntegrityVerdict::kMisdirected)
+        << "slip +" << slip;
+    EXPECT_EQ(store.classify(kVictim, sum_of(kVictim - slip)),
+              IntegrityVerdict::kMisdirected)
+        << "slip -" << slip;
+  }
+  for (int64_t slip : {kWindow + 1, 2 * kWindow - 1}) {
+    EXPECT_EQ(store.classify(kVictim, sum_of(kVictim + slip)),
+              IntegrityVerdict::kCorrupt)
+        << "slip +" << slip;
+    EXPECT_EQ(store.classify(kVictim, sum_of(kVictim - slip)),
+              IntegrityVerdict::kCorrupt)
+        << "slip -" << slip;
+  }
+  // The window is clipped at the device's ends.
+  EXPECT_EQ(store.classify(0, sum_of(kWindow)), IntegrityVerdict::kMisdirected);
+  EXPECT_EQ(store.classify(kElems - 1, sum_of(kElems - 1 - kWindow)),
+            IntegrityVerdict::kMisdirected);
+  EXPECT_EQ(store.classify(kElems - 1, sum_of(kElems - 2 - kWindow)),
+            IntegrityVerdict::kCorrupt);
+}
+
 TEST(ChecksumStore, ResyncClearsStaleHistory) {
   ChecksumStore store(4);
   store.record(2, 10, 1, 2, 0);
@@ -231,12 +269,14 @@ TEST(ChecksumStore, ResyncClearsStaleHistory) {
   EXPECT_EQ(store.classify(2, 20), IntegrityVerdict::kUntracked);
 }
 
-// The per-record seqlock, checked by what readers see rather than by a
-// race detector (TSan does not model its fences): while one writer per
-// element records a known sequence of sums, every snapshot a concurrent
-// reader loads must be one a writer stored, whole — sum f(k), prev
-// f(k-1), and a tag of generation k carrying the element's identity —
-// and an element's generation never goes back.
+// The per-record seqlock, checked by what readers see as well as by TSan:
+// while one writer per element records a known sequence of sums, every
+// snapshot a concurrent reader loads must be one a writer stored, whole —
+// sum f(k), prev f(k-1), and a tag of generation k carrying the element's
+// identity — and an element's generation never goes back. Writer 0 waits
+// half-way until a reader has loaded a record from the middle of a
+// sequence, so the loads overlap the writes however the threads are
+// scheduled.
 TEST(ChecksumStore, ConcurrentLoadsSeeOnlyWholeRecords) {
   constexpr int kElements = 4;
   constexpr int kWriters = 2;
@@ -252,12 +292,16 @@ TEST(ChecksumStore, ConcurrentLoadsSeeOnlyWholeRecords) {
   auto role_of = [](int e) { return e % 3; };
 
   std::atomic<int> writers_left{kWriters};
+  std::atomic<bool> mid_seen{false};
   std::atomic<int64_t> bad{0};
   std::atomic<int64_t> loads{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       for (uint32_t k = 1; k <= kRecords; ++k) {
+        if (w == 0 && k == kRecords / 2 + 1) {
+          while (!mid_seen.load()) std::this_thread::yield();
+        }
         for (int e = w; e < kElements; e += kWriters) {
           store.record(e, sum_of(e, k), stripe_of(e), row_of(e), role_of(e));
         }
@@ -276,6 +320,7 @@ TEST(ChecksumStore, ConcurrentLoadsSeeOnlyWholeRecords) {
         const uint32_t k = tag_generation(s.tag);
         if (k < last[e]) ++wrong;
         last[e] = k;
+        if (k > 0 && k < kRecords) mid_seen.store(true);
         if (k == 0) {
           wrong += s.tag != 0 || s.sum != 0 || s.prev != 0;
           return;
@@ -556,6 +601,165 @@ TEST(ChecksumStoreSidecar, ReloadAcrossScanChunksAdoptsEveryNewestSlot) {
         << "element " << e;
     ASSERT_EQ(tag_stripe(s.tag), e / 5) << "element " << e;
   }
+}
+
+// A store into an unallocated page would need a block when the page is
+// written back, and on a full file system the fault is SIGBUS: attach_file
+// allocates the whole sidecar before mapping it, fresh or reopened.
+TEST(ChecksumStoreSidecar, SidecarIsAllocatedBeforeItIsMapped) {
+  const std::string dir = fresh_dir("alloc");
+  const std::string path = dir + "/disk0.sum";
+  constexpr int64_t kElems = 4096;
+  const int64_t want_size = ChecksumStore::slot_offset(kElems, 0);
+  auto expect_allocated = [&](const char* when) {
+    struct stat st {};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0) << when;
+    EXPECT_EQ(st.st_size, want_size) << when;
+    EXPECT_GE(static_cast<int64_t>(st.st_blocks) * 512, st.st_size) << when;
+  };
+  {
+    ChecksumStore store(kElems);
+    store.attach_file(path);
+    expect_allocated("fresh");
+    store.record(5, 0x55, 0, 5, 0);
+  }
+  // Keep the header and element 5's slots; the rest becomes a hole once
+  // the file grows back.
+  ASSERT_EQ(::truncate(path.c_str(), ChecksumStore::slot_offset(6, 0)), 0);
+  ChecksumStore reopened(kElems);
+  reopened.attach_file(path);
+  expect_allocated("reopened");
+  EXPECT_EQ(reopened.load(5).sum, 0x55u);
+  std::filesystem::remove_all(dir);
+}
+
+// A record is a store into the shared mapping of the file, so any reader
+// of the file sees it at once, with no flush() and the store still alive.
+TEST(ChecksumStoreSidecar, RecordsReachTheFileWithoutFlush) {
+  const std::string dir = fresh_dir("noflush");
+  const std::string path = dir + "/disk0.sum";
+  constexpr int64_t kElems = 300;
+  ChecksumStore store(kElems);
+  store.attach_file(path);
+  Pcg32 rng(17);
+  for (int64_t e = 0; e < kElems; ++e) {
+    for (int64_t k = 0; k <= e % 3; ++k) {
+      store.record(e, rng.next_u64() | 1, e / 7, static_cast<int>(e % 7), 0);
+    }
+  }
+  ChecksumStore other(kElems);
+  other.attach_file(path);
+  for (int64_t e = 0; e < kElems; ++e) {
+    const ChecksumStore::Snapshot want = store.load(e);
+    const ChecksumStore::Snapshot got = other.load(e);
+    ASSERT_EQ(got.sum, want.sum) << "element " << e;
+    ASSERT_EQ(got.prev, want.prev) << "element " << e;
+    ASSERT_EQ(got.tag, want.tag) << "element " << e;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A process killed at any instant leaves, for every element, the last
+// record it reported done or the one it was storing, never a torn or
+// foreign one. Strictly one child at a time; the child starts no thread.
+TEST(ChecksumStoreSidecar, SurvivesSigkillMidRecord) {
+  constexpr int64_t kElems = 300;
+  // Each step reports 4 bytes; 12 001 reports fit a default 64 KiB pipe.
+  // A smaller pipe only blocks the child until the kill, which is valid.
+  constexpr uint32_t kSteps = 12000;
+  constexpr int kKills = 32;
+  const std::string dir = fresh_dir("sigkill");
+  struct Step {
+    int64_t element = 0;
+    uint64_t sum = 0;
+  };
+  auto apply = [](ChecksumStore& store, const Step& s) {
+    store.record(s.element, s.sum, s.element / 7,
+                 static_cast<int>(s.element % 7),
+                 static_cast<int>(s.element % 3));
+  };
+  auto same = [](const ChecksumStore::Snapshot& a,
+                 const ChecksumStore::Snapshot& b) {
+    return a.sum == b.sum && a.prev == b.prev && a.tag == b.tag;
+  };
+  Pcg32 delays(29);
+  int mid_run = 0;
+  for (int kill = 0; kill < kKills; ++kill) {
+    Pcg32 rng(1000 + static_cast<uint64_t>(kill));
+    std::vector<Step> steps(kSteps + 1);  // steps[0] unused: "attached"
+    for (uint32_t k = 1; k <= kSteps; ++k) {
+      steps[k] = {rng.next_below(kElems), rng.next_u64() | 1};
+    }
+    const std::string path = dir + "/kill" + std::to_string(kill) + ".sum";
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(fds[0]);
+      try {
+        ChecksumStore store(kElems);
+        store.attach_file(path);
+        for (uint32_t k = 0; k <= kSteps; ++k) {
+          if (k > 0) apply(store, steps[k]);
+          if (::write(fds[1], &k, sizeof(k)) !=
+              static_cast<ssize_t>(sizeof(k))) {
+            ::_exit(2);
+          }
+        }
+      } catch (...) {
+        ::_exit(3);
+      }
+      for (;;) ::pause();
+    }
+    ::close(fds[1]);
+    // The child is killed and reaped before any assertion can return.
+    const auto delay = std::chrono::microseconds(delays.next_below(2500));
+    uint32_t done = 0;
+    const bool attached = ::read(fds[0], &done, sizeof(done)) ==
+                          static_cast<ssize_t>(sizeof(done));
+    if (attached) std::this_thread::sleep_for(delay);
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    const pid_t reaped = ::waitpid(pid, &status, 0);
+    ASSERT_TRUE(attached) << "child " << kill << " never attached";
+    ASSERT_EQ(reaped, pid);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "child " << kill << " status " << status;
+    for (uint32_t k = 0;
+         ::read(fds[0], &k, sizeof(k)) == static_cast<ssize_t>(sizeof(k));) {
+      done = k;
+    }
+    ::close(fds[0]);
+    mid_run += done > 0 && done < kSteps;
+
+    ChecksumStore model(kElems);
+    for (uint32_t k = 1; k <= done; ++k) apply(model, steps[k]);
+    std::vector<ChecksumStore::Snapshot> want(kElems);
+    for (int64_t e = 0; e < kElems; ++e) {
+      want[static_cast<size_t>(e)] = model.load(e);
+    }
+    int64_t in_flight = -1;
+    ChecksumStore::Snapshot after{};
+    if (done < kSteps) {
+      in_flight = steps[done + 1].element;
+      apply(model, steps[done + 1]);
+      after = model.load(in_flight);
+    }
+    ChecksumStore reopened(kElems);
+    reopened.attach_file(path);
+    for (int64_t e = 0; e < kElems; ++e) {
+      const ChecksumStore::Snapshot got = reopened.load(e);
+      ASSERT_TRUE(same(got, want[static_cast<size_t>(e)]) ||
+                  (e == in_flight && same(got, after)))
+          << "kill " << kill << " after step " << done << ", element " << e
+          << ": sum " << got.sum << " generation "
+          << tag_generation(got.tag);
+    }
+    std::remove(path.c_str());
+  }
+  EXPECT_GT(mid_run, kKills / 2);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ChecksumStoreSidecar, PreadPwriteFullyHandleShortCounts) {
