@@ -2,8 +2,8 @@
 
 #include <deque>
 
+#include "codes/solve.h"
 #include "util/modmath.h"
-#include "xorops/xor_region.h"
 
 namespace dcode::codes {
 
@@ -15,7 +15,6 @@ ChainDecodeResult dcode_decode_two_disks(Stripe& stripe, int f1, int f2) {
   DCODE_CHECK(f1 >= 0 && f1 < layout.cols() && f2 >= 0 && f2 < layout.cols(),
               "failed disk out of range");
 
-  const size_t esize = stripe.element_size();
   const int n = layout.cols();
   ChainDecodeResult result;
 
@@ -70,7 +69,6 @@ ChainDecodeResult dcode_decode_two_disks(Stripe& stripe, int f1, int f2) {
   for (size_t qi = 0; qi < eqs.size(); ++qi)
     enqueue(static_cast<int>(qi), /*front=*/false);
 
-  std::vector<const uint8_t*> sources;
   while (!ready.empty()) {
     int qi = ready.front();
     ready.pop_front();
@@ -88,13 +86,7 @@ ChainDecodeResult dcode_decode_two_disks(Stripe& stripe, int f1, int f2) {
       }
     }
 
-    sources.clear();
-    if (target != q.parity) sources.push_back(stripe.at(q.parity));
-    for (const Element& e : q.sources) {
-      if (e != target) sources.push_back(stripe.at(e));
-    }
-    xorops::xor_many(stripe.at(target), sources, esize);
-    result.xor_ops += sources.size() - 1;
+    result.xor_ops += solve(q, target, stripe) - 1;
     result.sequence.push_back(ChainStep{target, qi});
 
     unknown[idx(target)] = 0;

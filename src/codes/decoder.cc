@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
+#include "codes/solve.h"
 #include "xorops/xor_region.h"
 
 namespace dcode::codes {
@@ -34,6 +34,20 @@ void for_each_member(const Equation& q, Fn&& fn) {
   for (const Element& e : q.sources) fn(e);
 }
 
+// Runs a peel schedule on `stripe`, one solve per step; succeeds when the
+// steps reach every lost element.
+DecodeResult peel(Stripe& stripe, const PeelSchedule& sched) {
+  const auto& eqs = stripe.layout().equations();
+  DecodeResult result;
+  for (const PeelStep& step : sched.steps) {
+    const Equation& q = eqs[static_cast<size_t>(step.equation)];
+    result.xor_ops += solve(q, step.target, stripe) - 1;
+    ++result.steps;
+  }
+  result.success = sched.unreached.empty();
+  return result;
+}
+
 }  // namespace
 
 std::vector<Element> elements_of_disks(const CodeLayout& layout,
@@ -47,64 +61,7 @@ std::vector<Element> elements_of_disks(const CodeLayout& layout,
 }
 
 DecodeResult peel_decode(Stripe& stripe, std::span<const Element> lost) {
-  const CodeLayout& layout = stripe.layout();
-  const size_t esize = stripe.element_size();
-  std::vector<int> unknown = unknown_map(layout, lost);
-  size_t remaining = lost.size();
-
-  DecodeResult result;
-  if (remaining == 0) {
-    result.success = true;
-    return result;
-  }
-
-  // Per-equation count of unresolved members; a count of 1 means solvable.
-  const auto& eqs = layout.equations();
-  std::vector<int> missing(eqs.size(), 0);
-  for (size_t qi = 0; qi < eqs.size(); ++qi) {
-    for_each_member(eqs[qi], [&](Element e) {
-      if (unknown_of(unknown, layout, e) >= 0) ++missing[qi];
-    });
-  }
-
-  std::vector<const uint8_t*> sources;
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
-    for (size_t qi = 0; qi < eqs.size(); ++qi) {
-      if (missing[qi] != 1) continue;
-      const Equation& q = eqs[qi];
-      // Find the single unresolved member and rebuild it from the others.
-      Element target{};
-      bool found = false;
-      for_each_member(q, [&](Element e) {
-        if (unknown_of(unknown, layout, e) >= 0) {
-          target = e;
-          found = true;
-        }
-      });
-      DCODE_ASSERT(found, "missing-count bookkeeping out of sync");
-
-      sources.clear();
-      for_each_member(q, [&](Element e) {
-        if (e != target) sources.push_back(stripe.at(e));
-      });
-      xorops::xor_many(stripe.at(target), sources, esize);
-      result.xor_ops += sources.size() - 1;
-      ++result.steps;
-
-      // Mark resolved everywhere.
-      unknown[static_cast<size_t>(target.row) * layout.cols() + target.col] =
-          -1;
-      for (int mq : layout.equations_containing(target.row, target.col)) {
-        --missing[static_cast<size_t>(mq)];
-      }
-      --remaining;
-      progress = true;
-    }
-  }
-  result.success = remaining == 0;
-  return result;
+  return peel(stripe, peel_schedule(stripe.layout(), lost));
 }
 
 DecodeResult ge_decode(Stripe& stripe, std::span<const Element> lost) {
@@ -194,54 +151,11 @@ DecodeResult ge_decode(Stripe& stripe, std::span<const Element> lost) {
 }
 
 DecodeResult hybrid_decode(Stripe& stripe, std::span<const Element> lost) {
-  const CodeLayout& layout = stripe.layout();
-  // Try pure peeling first (cheap, and optimal for the XOR codes).
-  // To avoid reconstructing twice, run peeling and track what it solved.
-  DecodeResult peeled = peel_decode(stripe, lost);
+  const PeelSchedule& sched = peel_schedule(stripe.layout(), lost);
+  const DecodeResult peeled = peel(stripe, sched);
   if (peeled.success) return peeled;
-
-  // Peeling mutated buffers of the elements it *did* solve; those are now
-  // valid, so re-run GE with only the still-unknown set. Recompute which
-  // elements remain unknown by replaying peeling's reachability without
-  // buffers.
-  std::vector<int> unknown = [&] {
-    std::vector<int> map(static_cast<size_t>(layout.rows()) * layout.cols(),
-                         -1);
-    int next = 0;
-    for (const Element& e : lost)
-      map[static_cast<size_t>(e.row) * layout.cols() + e.col] = next++;
-    return map;
-  }();
-  const auto& eqs = layout.equations();
-  std::vector<int> missing(eqs.size(), 0);
-  for (size_t qi = 0; qi < eqs.size(); ++qi) {
-    for_each_member(eqs[qi], [&](Element e) {
-      if (unknown[static_cast<size_t>(e.row) * layout.cols() + e.col] >= 0)
-        ++missing[qi];
-    });
-  }
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t qi = 0; qi < eqs.size(); ++qi) {
-      if (missing[qi] != 1) continue;
-      for_each_member(eqs[qi], [&](Element e) {
-        size_t idx = static_cast<size_t>(e.row) * layout.cols() + e.col;
-        if (unknown[idx] >= 0) {
-          unknown[idx] = -1;
-          for (int mq : layout.equations_containing(e.row, e.col))
-            --missing[static_cast<size_t>(mq)];
-          progress = true;
-        }
-      });
-    }
-  }
-  std::vector<Element> still_lost;
-  for (const Element& e : lost) {
-    if (unknown[static_cast<size_t>(e.row) * layout.cols() + e.col] >= 0)
-      still_lost.push_back(e);
-  }
-  DecodeResult ge = ge_decode(stripe, still_lost);
+  // The peeled elements are valid now; GE solves only the rest.
+  DecodeResult ge = ge_decode(stripe, sched.unreached);
   ge.xor_ops += peeled.xor_ops;
   ge.steps += peeled.steps;
   return ge;

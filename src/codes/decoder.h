@@ -5,7 +5,8 @@
 // from the surviving elements.
 //
 //  * Peeling: repeatedly find an equation with exactly one lost member and
-//    solve it with one fused XOR. O(equations) per round, optimal I/O, and
+//    solve it with one fused XOR — peel_schedule's steps, applied with
+//    solve (codes/solve.h). O(equations) per round, optimal I/O, and
 //    sufficient for every double *disk* failure of the pure XOR codes
 //    (D-Code, X-Code, RDP, H-Code, HDP).
 //  * Gaussian elimination over GF(2): treats lost elements as unknowns and
@@ -37,7 +38,8 @@ DecodeResult peel_decode(Stripe& stripe, std::span<const Element> lost);
 
 DecodeResult ge_decode(Stripe& stripe, std::span<const Element> lost);
 
-// Peeling first, GE for whatever peeling could not reach.
+// Peeling first, GE for whatever peeling could not reach (the schedule's
+// unreached elements).
 DecodeResult hybrid_decode(Stripe& stripe, std::span<const Element> lost);
 
 // Convenience: all elements on the given failed disks.
@@ -45,8 +47,8 @@ std::vector<Element> elements_of_disks(const CodeLayout& layout,
                                        std::span<const int> disks);
 
 // Dry-run feasibility check (no buffers touched): can `lost` be recovered?
-// Used by the exhaustive MDS tests and by planners that must know whether
-// a failure pattern is recoverable before issuing I/O.
+// The rank test behind ge_decode, kept as the oracle the exhaustive MDS
+// tests check every construction against.
 bool is_recoverable(const CodeLayout& layout, std::span<const Element> lost);
 
 }  // namespace dcode::codes

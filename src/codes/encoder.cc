@@ -1,21 +1,14 @@
 #include "codes/encoder.h"
 
-#include <vector>
-
-#include "xorops/xor_region.h"
+#include "codes/solve.h"
 
 namespace dcode::codes {
 
 void encode_equations(Stripe& stripe, std::span<const int> equation_indices) {
-  const CodeLayout& layout = stripe.layout();
-  const size_t esize = stripe.element_size();
-  std::vector<const uint8_t*> sources;
+  const auto& eqs = stripe.layout().equations();
   for (int qi : equation_indices) {
-    const Equation& q = layout.equations()[static_cast<size_t>(qi)];
-    sources.clear();
-    sources.reserve(q.sources.size());
-    for (const Element& e : q.sources) sources.push_back(stripe.at(e));
-    xorops::xor_many(stripe.at(q.parity), sources, esize);
+    const Equation& q = eqs[static_cast<size_t>(qi)];
+    solve(q, q.parity, stripe);
   }
 }
 

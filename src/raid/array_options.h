@@ -25,11 +25,10 @@ struct ArrayOptions {
   DeviceFactory device_factory;   // null => default_device_factory()
   bool coalesce = true;           // merge adjacent same-disk accesses
   bool parallel_user_io = true;   // fan per-disk runs across the pool
-  // When true, a failure that promotes a hot spare rebuilds on a
-  // background worker thread (rate-limited by rebuild_rate) while
-  // foreground I/O continues; when false, fail_disk() runs the same
-  // rebuild pass on its own thread before returning (the legacy
-  // behaviour).
+  // A failure that promotes a hot spare starts the rebuild worker. When
+  // true, the worker is rate-limited by rebuild_rate while foreground
+  // I/O continues; when false, it runs unthrottled and fail_disk() waits
+  // for it before returning.
   bool background_rebuild = false;
   // Background rebuild throttle in stripes/second; <= 0 = unthrottled.
   double rebuild_rate_stripes_per_sec = 0.0;

@@ -14,22 +14,25 @@
 // device was re-promoted mid-pass (watermark reset to 0); the
 // between-pass rescan then starts it over.
 //
-// The two callers differ only in pacing:
-//  * the background worker takes a window of one stripe and one token
-//    from the rebuild throttle per stripe, so it holds one stripe lock
-//    at a time, like any foreground writer;
-//  * rebuild() is not throttled. Its window is up to kWindowStripes
-//    consecutive stripes (never more than the lock table has slots, so
-//    each holds its own), split into one chunk per pool worker, so the
-//    pool is woken once per window rather than once per stripe. Pool
-//    tasks never take stripe locks (the thread running the pass holds
-//    them), so a writer holding a stripe lock while its own batch waits
-//    for pool workers cannot deadlock against the pass.
+// Every spare promotion starts the worker. Passes differ only in pacing:
+//  * a paced pass (the worker under ArrayOptions::background_rebuild)
+//    takes a window of one stripe and one token from the rebuild
+//    throttle per stripe, so it holds one stripe lock at a time, like
+//    any foreground writer;
+//  * an unpaced pass (rebuild(), and the worker without
+//    background_rebuild, which fail_disk() waits for) is not throttled.
+//    Its window is up to kWindowStripes consecutive stripes (never more
+//    than the lock table has slots, so each holds its own), split into
+//    one chunk per pool worker, so the pool is woken once per window
+//    rather than once per stripe. Pool tasks never take stripe locks
+//    (the thread running the pass holds them), so a writer holding a
+//    stripe lock while its own batch waits for pool workers cannot
+//    deadlock against the pass.
 //
 // Per stripe: when the only lost column is a target, read just the
 // elements its minimal-read recovery plan names (paper §III-D: 26 of
-// the 42 survivors for D-Code p=7) and rederive each lost element
-// through the equation the plan chose; otherwise read every survivor and
+// the 42 survivors for D-Code p=7) and solve each lost element through
+// the equation the plan chose; otherwise read every survivor and
 // erasure-decode. A survivor that fails verification sends the stripe
 // through the shared repair steps — raw re-read, classification, one
 // decode of dead ∪ condemned with re-verification — and the repaired
@@ -39,6 +42,7 @@
 #include <chrono>
 #include <optional>
 
+#include "codes/solve.h"
 #include "codes/stripe.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -107,7 +111,7 @@ void Raid6Array::rebuild() {
     rebuild_running_ = true;
     metrics_.rebuild_in_progress->set(1);
   }
-  run_rebuild_passes(/*background=*/false);
+  run_rebuild_passes(/*paced=*/false);
 }
 
 void Raid6Array::start_background_rebuild() {
@@ -123,7 +127,7 @@ void Raid6Array::background_rebuild_worker() {
   obs::Span span(obs::TraceLog::global(), "rebuild.background",
                  {{"stripes", stripes_}, {"code", layout_->name()}});
   try {
-    run_rebuild_passes(/*background=*/true);
+    run_rebuild_passes(options_.background_rebuild);
   } catch (const std::exception& e) {
     // Crash or unrecoverable loss: needs_rebuild stays set for a later
     // synchronous rebuild().
@@ -131,7 +135,7 @@ void Raid6Array::background_rebuild_worker() {
   }
 }
 
-void Raid6Array::run_rebuild_passes(bool background) {
+void Raid6Array::run_rebuild_passes(bool paced) {
   auto release_slot = [this] {  // caller holds rebuild_mu_
     rebuild_running_ = false;
     metrics_.rebuild_in_progress->set(0);
@@ -157,7 +161,7 @@ void Raid6Array::run_rebuild_passes(bool background) {
       }
     }
     try {
-      rebuild_pass(targets, background);
+      rebuild_pass(targets, paced);
     } catch (...) {
       std::lock_guard<std::mutex> lock(rebuild_mu_);
       release_slot();
@@ -168,7 +172,7 @@ void Raid6Array::run_rebuild_passes(bool background) {
 }
 
 void Raid6Array::rebuild_pass(const std::vector<int>& targets,
-                              bool background) {
+                              bool paced) {
   const CodeLayout& layout = *layout_;
   metrics_.rebuilds->inc();
   LatencyTimer timer(metrics_.rebuild_latency_ns);
@@ -183,17 +187,17 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
   }
   start = std::max<int64_t>(0, start);
   const int64_t window =
-      background ? 1
-                 : std::min<int64_t>(
-                       kWindowStripes,
-                       static_cast<int64_t>(stripe_locks_.slot_count()));
+      paced ? 1
+            : std::min<int64_t>(
+                  kWindowStripes,
+                  static_cast<int64_t>(stripe_locks_.slot_count()));
   const int64_t chunks = std::min<int64_t>(window, pool_.size());
   obs::Span span(obs::TraceLog::global(), "rebuild.pass",
                  {{"targets", static_cast<int64_t>(targets.size())},
                   {"start", start},
                   {"stripes", stripes_},
                   {"window", window},
-                  {"background", background},
+                  {"paced", paced},
                   {"code", layout.name()}});
 
   // Minimal-read plans by logical column. The array never rotates
@@ -214,7 +218,7 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
   for (int64_t first = start; first < stripes_; first += window) {
     if (stop_rebuild_.load(std::memory_order_relaxed)) return;
     const int64_t n = std::min(window, stripes_ - first);
-    if (background) {
+    if (paced) {
       const int64_t waited = rebuild_throttle_.acquire(1.0);
       if (waited > 0) metrics_.rebuild_throttle_wait_ns->observe(waited);
     }
@@ -310,8 +314,8 @@ int64_t Raid6Array::rebuild_stripe(int64_t stripe,
       reads = static_cast<int64_t>(w.rops.size());
       engine_.read_batch(w.rops);
       for (const Reconstruction& rec : plan.reconstructions) {
-        rederive(layout.equations()[static_cast<size_t>(rec.equation)],
-                 rec.target, w.s);
+        codes::solve(layout.equations()[static_cast<size_t>(rec.equation)],
+                     rec.target, w.s);
       }
     } else {
       reads = read_live_columns(stripe, w, /*verify=*/true);

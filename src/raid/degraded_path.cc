@@ -7,16 +7,15 @@
 #include <cstring>
 #include <vector>
 
+#include "codes/solve.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
 #include "raid/raid6_array.h"
-#include "xorops/xor_region.h"
 
 namespace dcode::raid {
 
 using codes::CodeLayout;
 using codes::Element;
-using codes::Equation;
 
 using ReadOp = StripeIoEngine::ReadOp;
 
@@ -90,21 +89,16 @@ uint8_t* Raid6Array::run_degraded_plan(int64_t stripe,
   }
   engine_.read_batch(rops);
 
-  std::vector<const uint8_t*>& members = t.members;
   for (const Reconstruction& rec : plan.reconstructions) {
-    const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
-    members.clear();
-    auto fold = [&](const Element& m) {
-      if (m == rec.target) return;
+    auto member = [&](const Element& m) {
       const Cell& c = at(m);
-      DCODE_CHECK(c.filled, "planner promised this member was read");
-      members.push_back(c.p);
+      DCODE_CHECK(c.filled || m == rec.target,
+                  "planner promised this member was read");
+      return c.p;
     };
-    fold(q.parity);
-    for (const Element& m : q.sources) fold(m);
-    Cell& dst = at(rec.target);
-    xorops::xor_many(dst.p, members, element_size_);
-    dst.filled = true;
+    codes::solve(layout.equations()[static_cast<size_t>(rec.equation)],
+                 rec.target, member, element_size_);
+    at(rec.target).filled = true;
   }
   metrics_.elements_reconstructed->inc(
       static_cast<int64_t>(plan.reconstructions.size()));

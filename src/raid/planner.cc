@@ -1,8 +1,9 @@
 #include "raid/planner.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
+
+#include "codes/solve.h"
 
 namespace dcode::raid {
 
@@ -37,74 +38,6 @@ std::vector<StripeSlice> slice_by_stripe(const AddressMap& map, int64_t start,
     slices.back().elements.push_back(loc.element);
   }
   return slices;
-}
-
-// A dry-run peeling schedule for a set of failed columns: for every
-// recoverable lost element, the equation that rebuilds it and its
-// position in peeling order (dependencies always come earlier). Elements
-// peeling cannot reach keep step -1.
-struct PeelSchedule {
-  // Indexed by cell (row * cols + col): equation used, or -1.
-  std::vector<int> equation;
-  // Resolution order as cell indices.
-  std::vector<int> order;
-  bool complete = false;  // every lost element reachable
-};
-
-PeelSchedule build_peel_schedule(const CodeLayout& layout,
-                                 const std::vector<int>& failed_cols) {
-  const size_t ncells = static_cast<size_t>(layout.rows()) * layout.cols();
-  auto cell = [&](Element e) {
-    return static_cast<size_t>(e.row) * layout.cols() + e.col;
-  };
-
-  std::vector<char> lost(ncells, 0);
-  size_t remaining = 0;
-  for (int c : failed_cols) {
-    for (int r = 0; r < layout.rows(); ++r) {
-      lost[cell(make_element(r, c))] = 1;
-      ++remaining;
-    }
-  }
-
-  PeelSchedule sched;
-  sched.equation.assign(ncells, -1);
-  const auto& eqs = layout.equations();
-  std::vector<int> missing(eqs.size(), 0);
-  for (size_t qi = 0; qi < eqs.size(); ++qi) {
-    if (lost[cell(eqs[qi].parity)]) ++missing[qi];
-    for (const Element& e : eqs[qi].sources) {
-      if (lost[cell(e)]) ++missing[qi];
-    }
-  }
-
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
-    for (size_t qi = 0; qi < eqs.size(); ++qi) {
-      if (missing[qi] != 1) continue;
-      const Equation& q = eqs[qi];
-      Element target = q.parity;
-      if (!lost[cell(target)]) {
-        for (const Element& e : q.sources) {
-          if (lost[cell(e)]) {
-            target = e;
-            break;
-          }
-        }
-      }
-      lost[cell(target)] = 0;
-      sched.equation[cell(target)] = static_cast<int>(qi);
-      sched.order.push_back(static_cast<int>(cell(target)));
-      for (int mq : layout.equations_containing(target.row, target.col)) {
-        --missing[static_cast<size_t>(mq)];
-      }
-      --remaining;
-      progress = true;
-    }
-  }
-  sched.complete = remaining == 0;
-  return sched;
 }
 
 }  // namespace
@@ -350,16 +283,22 @@ void IoPlanner::plan_degraded_read(int64_t start, int len,
       }
     }
 
-    // Lazily-built peel schedule for this stripe's failed columns (used
-    // when single-equation reconstruction is impossible).
-    std::optional<PeelSchedule> sched;
-    auto schedule = [&]() -> const PeelSchedule& {
-      if (!sched) {
-        std::vector<int> failed_cols;
+    // This stripe's peel schedule, built on first use (only a lost
+    // element whose every equation crosses another failed disk needs it)
+    // from the failed columns' cells. Both are per-thread storage, so a
+    // warm plan allocates nothing.
+    const codes::PeelSchedule* sched = nullptr;
+    auto schedule = [&]() -> const codes::PeelSchedule& {
+      if (sched == nullptr) {
+        thread_local std::vector<Element> dead;
+        dead.clear();
         for (int c = 0; c < layout.cols(); ++c) {
-          if (is_failed(map_->physical_disk(s, c))) failed_cols.push_back(c);
+          if (!is_failed(map_->physical_disk(s, c))) continue;
+          for (int r = 0; r < layout.rows(); ++r) {
+            dead.push_back(make_element(r, c));
+          }
         }
-        sched = build_peel_schedule(layout, failed_cols);
+        sched = &codes::peel_schedule(layout, dead);
       }
       return *sched;
     };

@@ -88,20 +88,20 @@ class IoPlanner {
   // Read under failed disks. Single-disk failures use per-element greedy
   // equation selection. With two failed disks, elements whose every
   // equation also crosses the other failed disk are rebuilt through
-  // *recovery chains* (the §III-C structure): the planner computes the
-  // stripe's peeling schedule and pulls in exactly the chain prefix the
-  // requested elements depend on — far less I/O than decoding the whole
-  // stripe. Codes whose double failures do not peel (EVENODD,
+  // *recovery chains* (the §III-C structure): the planner takes the
+  // stripe's codes::peel_schedule and pulls in exactly the chain prefix
+  // the requested elements depend on — far less I/O than decoding the
+  // whole stripe. Codes whose double failures do not peel (EVENODD,
   // liberation) fall back to a full-stripe decode.
   IoPlan plan_degraded_read(int64_t start, int len,
                             std::span<const int> failed_disks) const;
   // The same plan into `plan`, with `has` and `lost` as its per-cell
   // flags and its list of lost requested elements. All three are
-  // overwritten and keep their capacity, so a caller that reuses them
-  // (the array's degraded reads and writes) allocates nothing once warm,
-  // short of a stripe whose lost element needs a recovery chain (two
-  // lost columns). On return, `has` flags the cells of the range's last
-  // stripe that the plan reads or rebuilds.
+  // overwritten and keep their capacity, and a recovery chain's peel
+  // schedule is per-thread storage, so a caller that reuses them (the
+  // array's degraded reads and writes) allocates nothing once warm, with
+  // one lost column or two. On return, `has` flags the cells of the
+  // range's last stripe that the plan reads or rebuilds.
   void plan_degraded_read(int64_t start, int len,
                           std::span<const int> failed_disks, IoPlan& plan,
                           std::vector<char>& has,

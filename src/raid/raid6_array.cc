@@ -248,10 +248,9 @@ void Raid6Array::fail_disk(int disk) {
   // per failure episode.
   health_.report_fail_stop(disk, generation);
   if (!options_.background_rebuild && needs_rebuild(disk)) {
-    // Legacy synchronous behaviour: a promoted spare is rebuilt before
-    // fail_disk returns, so the array never observes the intermediate
-    // state.
-    rebuild();
+    // Synchronous behaviour: a promoted spare is rebuilt (by the worker
+    // its promotion started) before fail_disk returns.
+    wait_for_rebuild();
   }
 }
 
@@ -280,8 +279,7 @@ void Raid6Array::handle_disk_failure(int disk) {
   // floods them with recovery traffic.
   obs::FlightRecorder::global().request_dump("disk_failure");
   if (!engine_.disk(disk).failed()) engine_.fail_disk(disk);
-  if (try_promote_spare(disk) && options_.background_rebuild &&
-      !crashed_.load(std::memory_order_relaxed)) {
+  if (try_promote_spare(disk) && !crashed_.load(std::memory_order_relaxed)) {
     start_background_rebuild();
   }
 }

@@ -45,11 +45,12 @@
 //    extra equation members) uses a per-thread slot buffer, and the
 //    unpeelable full-stripe decode reuses whole-stripe scratch from the
 //    array's free list. Their index and pointer tables, plans included,
-//    are per-thread as well, so once warm, on a one-worker pool, writes
-//    and reads allocate nothing at all, healthy or with one lost column
-//    (fanning a batch out across more workers allocates in the pool's
-//    task queue; a recovery chain's peel schedule and the full-stripe
-//    decode allocate in the planner and the codec).
+//    are per-thread as well, and so are a recovery chain's peel schedule
+//    and the pointers each equation solve gathers, so once warm, on a
+//    one-worker pool, writes and reads allocate nothing at all, healthy
+//    or with one or two lost columns (fanning a batch out across more
+//    workers allocates in the pool's task queue; the unpeelable
+//    full-stripe decode allocates in the codec's elimination).
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
 //    Rebuild is one watermark pass (background_rebuild.cc), run by the
 //    hot-spare worker or by rebuild(); a stripe whose only lost column is
@@ -208,10 +209,12 @@ class Raid6Array : private WriteGate {
 
   // Hot spares: blank standby disks. While spares remain, a declared
   // failure (manual fail_disk() or a health-monitor escalation)
-  // immediately promotes one; the rebuild onto it runs synchronously
-  // (legacy default) or on the background worker
-  // (ArrayOptions::background_rebuild) — either way the array never
-  // stays degraded while spares last (a real controller's behaviour).
+  // immediately promotes one and starts the rebuild worker on it. Under
+  // ArrayOptions::background_rebuild the worker is paced by the rebuild
+  // throttle and fail_disk() returns at once; otherwise it runs unpaced
+  // and fail_disk() waits for it (wait_for_rebuild()). Either way the
+  // array never stays degraded while spares last (a real controller's
+  // behaviour).
   void add_hot_spares(int count);
   int hot_spares() const {
     return hot_spares_.load(std::memory_order_relaxed);
@@ -430,9 +433,6 @@ class Raid6Array : private WriteGate {
   static constexpr char kParityPlanned = 2;
   static constexpr char kParityEncoded = 3;
   static OpTables& op_tables();
-  // Recomputes `target` in `s` as the XOR of equation `q`'s other members.
-  static void rederive(const codes::Equation& q, codes::Element target,
-                       codes::Stripe& s);
   // Marks the columns degraded for `stripe` dead and reads every row of
   // the live ones (engine-verified or raw); clears w.distrust. Returns
   // the element reads issued.
@@ -455,19 +455,19 @@ class Raid6Array : private WriteGate {
                             bool verify = true);
 
   // --- rebuild (background_rebuild.cc) ------------------------------------
-  // Spawns the background worker unless a pass holds the rebuild slot
-  // (that pass rescans for new targets).
+  // Spawns the worker unless a pass holds the rebuild slot (that pass
+  // rescans for new targets). The worker's passes are paced only under
+  // ArrayOptions::background_rebuild.
   void start_background_rebuild();
   void background_rebuild_worker();
   // Runs passes until no target is left, then frees the rebuild slot in
   // the same critical section as that empty rescan; frees it and
   // rethrows when a pass stands down.
-  void run_rebuild_passes(bool background);
+  void run_rebuild_passes(bool paced);
   // One watermark pass over `targets`; returns early only on shutdown. A
-  // background pass is paced by the rebuild throttle one stripe at a
-  // time; rebuild()'s is unpaced and rebuilds windows of stripes on the
-  // pool.
-  void rebuild_pass(const std::vector<int>& targets, bool background);
+  // paced pass takes one rebuild-throttle token per stripe, one stripe
+  // at a time; an unpaced one rebuilds windows of stripes on the pool.
+  void rebuild_pass(const std::vector<int>& targets, bool paced);
   // Rebuilds one stripe; `plans` holds a minimal-read plan per logical
   // column (empty = none). Returns the element reads it cost.
   int64_t rebuild_stripe(int64_t stripe, const std::vector<RecoveryPlan>& plans,

@@ -42,6 +42,7 @@
 #include <mutex>
 
 #include "codes/encoder.h"
+#include "codes/solve.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
 #include "raid/raid6_array.h"
@@ -65,11 +66,17 @@ int64_t now_ns() {
       .count();
 }
 
-bool all_zero(const uint8_t* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (p[i] != 0) return false;
-  }
-  return true;
+// Whether equation `q` holds in `s`. `syndrome` receives the XOR of all
+// its members (the parity solved from its sources, folded with the
+// stored one): zero when it holds, else the patch that repairs a single
+// corrupt member.
+bool equation_holds(const Equation& q, Stripe& s, uint8_t* syndrome) {
+  const size_t len = s.element_size();
+  codes::solve(
+      q, q.parity,
+      [&](Element e) { return e == q.parity ? syndrome : s.at(e); }, len);
+  xorops::xor_into(syndrome, s.at(q.parity), len);
+  return xorops::is_zero(syndrome, len);
 }
 
 }  // namespace
@@ -167,13 +174,7 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
                     continue;
                   }
                   if (count) ++tally.equations_checked;
-                  std::memcpy(syndrome.data(), s.at(eq.parity),
-                              element_size_);
-                  for (const Element& src : eq.sources) {
-                    xorops::xor_into(syndrome.data(), s.at(src),
-                                     element_size_);
-                  }
-                  if (all_zero(syndrome.data(), element_size_)) continue;
+                  if (equation_holds(eq, s, syndrome.data())) continue;
                   if (bad.empty()) {
                     std::memcpy(delta.data(), syndrome.data(),
                                 element_size_);
@@ -356,12 +357,8 @@ void Raid6Array::clean_stripe_integrity(int64_t stripe) {
         !std::all_of(q.sources.begin(), q.sources.end(), trusted)) {
       continue;
     }
-    std::memcpy(syndrome.data(), w.s.at(q.parity), element_size_);
-    for (const Element& src : q.sources) {
-      xorops::xor_into(syndrome.data(), w.s.at(src), element_size_);
-    }
-    if (all_zero(syndrome.data(), element_size_)) continue;
-    xorops::xor_into(w.s.at(q.parity), syndrome.data(), element_size_);
+    if (equation_holds(q, w.s, syndrome.data())) continue;
+    codes::solve(q, q.parity, w.s);
     repaired.push_back(q.parity);
   }
   for (const Element& e : repaired) {
@@ -446,11 +443,7 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
           !std::all_of(q.sources.begin(), q.sources.end(), trusted)) {
         continue;
       }
-      std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
-      for (const Element& src : q.sources) {
-        xorops::xor_into(syndrome.data(), s.at(src), element_size_);
-      }
-      if (!all_zero(syndrome.data(), element_size_)) {
+      if (!equation_holds(q, s, syndrome.data())) {
         throw ElementIntegrityError(map_.physical_disk(stripe, q.parity.col),
                                     stripe, q.parity.row,
                                     IntegrityVerdict::kCorrupt);

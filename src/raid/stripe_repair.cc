@@ -12,9 +12,9 @@
 //
 // (reconstruct_distrusted is the equation-at-a-time variant of the last
 // step, for stripes whose condemned elements each still have an equation
-// of trusted members; it and the rebuild's minimal-read plan both fold
-// one element back through one equation with rederive.) The policies on
-// top:
+// of trusted members; it, the rebuild's minimal-read plan and the
+// degraded plans all re-derive one element through one equation with
+// codes::solve.) The policies on top:
 //
 //   scrub    — syndrome localisation and the stale-stripe rules (scrub.cc)
 //   clean    — parity re-encode of the mid-update window (scrub.cc)
@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "codes/decoder.h"
+#include "codes/solve.h"
 #include "codes/stripe.h"
 #include "raid/raid6_array.h"
-#include "xorops/xor_region.h"
 
 namespace dcode::raid {
 
@@ -50,17 +50,6 @@ bool reverifies(const StripeIoEngine& engine, const AddressMap& map,
 }
 
 }  // namespace
-
-void Raid6Array::rederive(const Equation& q, Element target,
-                          codes::Stripe& s) {
-  uint8_t* dst = s.at(target);
-  std::memset(dst, 0, s.element_size());
-  auto fold = [&](const Element& m) {
-    if (m != target) xorops::xor_into(dst, s.at(m), s.element_size());
-  };
-  fold(q.parity);
-  for (const Element& m : q.sources) fold(m);
-}
 
 Raid6Array::StripeScratch::StripeScratch(const CodeLayout& layout,
                                          size_t element_size)
@@ -146,7 +135,7 @@ std::vector<Element> Raid6Array::reconstruct_distrusted(
       if (!usable || distrusted_members != 1) continue;
       uint8_t* dst = w.s.at(target);
       std::memcpy(saved.data(), dst, element_size_);
-      rederive(q, target, w.s);
+      codes::solve(q, target, w.s);
       if (!reverifies(engine_, map_, stripe, target, dst)) {
         std::memcpy(dst, saved.data(), element_size_);
         continue;

@@ -1,7 +1,8 @@
 // Crash and corruption interactions with repair: power loss during
 // rebuild and during journal recovery must leave the array repairable
 // after restart, and a silently corrupted survivor must not stop a
-// rebuild. Also pins which rebuilds the rebuild throttle paces.
+// rebuild. Also pins which rebuilds the rebuild throttle paces, and that
+// a spare promoted by an escalation is rebuilt under the default options.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -184,6 +185,35 @@ INSTANTIATE_TEST_SUITE_P(Modes, RebuildThrottle, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "background" : "synchronous";
                          });
+
+// A spare the health monitor promotes (a transient burst past the retry
+// budget, seen by a foreground read) is rebuilt with the default
+// options too, where no background worker was asked for: every
+// promotion starts the rebuild, not only fail_disk()'s.
+TEST(EscalatedSpare, IsRebuiltWithoutBackgroundRebuild) {
+  obs::Registry reg;
+  Raid6Array array(codes::make_layout("dcode", 7), 256, /*stripes=*/8,
+                   /*threads=*/2, &reg);
+  array.add_hot_spares(1);
+  Pcg32 rng(18);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.disk(2).faults().inject_transient_errors(1000);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+  EXPECT_EQ(reg.counter("raid.spare_promotions").value(), 1);
+
+  EXPECT_TRUE(array.wait_for_rebuild());
+  EXPECT_GE(array.disk(2).readable_stripes(), array.stripes());
+  EXPECT_EQ(array.health().state(2), DiskHealth::kHealthy);
+  EXPECT_EQ(array.failed_disk_count(), 0);
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+  EXPECT_EQ(array.scrub(), 0);
+}
 
 TEST(CrashBudget, ZeroBudgetCrashesImmediately) {
   Raid6Array array(codes::make_layout("dcode", 5), 128, 2, 1);

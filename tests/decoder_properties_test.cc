@@ -1,6 +1,7 @@
 // Property tests for the decoders across every code: cost accounting
 // against theory, peel/GE agreement on random erasure patterns, parity
-// column losses, and idempotence.
+// column losses, idempotence, and the peel schedule the decoders and the
+// degraded-read planner share.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,6 +11,8 @@
 #include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "codes/registry.h"
+#include "codes/solve.h"
+#include "raid/planner.h"
 #include "util/rng.h"
 
 namespace dcode::codes {
@@ -37,7 +40,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("dcode", "xcode", "rdp", "evenodd",
                                          "hcode", "hdp", "pcode",
                                          "liberation"),
-                       ::testing::Values(7, 13)),
+                       ::testing::Values(5, 7, 13)),
     [](const auto& info) {
       return std::get<0>(info.param) + "_p" +
              std::to_string(std::get<1>(info.param));
@@ -136,6 +139,60 @@ TEST_P(DecoderProperties, EncoderIsDeterministicAndIdempotent) {
   Stripe again = stripe_->clone();
   encode_stripe(again);
   EXPECT_TRUE(again.equals(*stripe_));
+}
+
+TEST_P(DecoderProperties, PeelScheduleIsWhatTheDecodersAndPlannerRun) {
+  // Every one- and two-column erasure set: applying the schedule's steps
+  // restores the erased bytes it reaches, it reaches everything exactly
+  // when peel_decode succeeds, and a whole-stripe two-column degraded
+  // read rebuilds each target through the schedule's equation for it.
+  const int cols = layout_->cols();
+  const raid::AddressMap map(*layout_);
+  const raid::IoPlanner planner(map);
+  size_t chained = 0;  // reconstructions checked against the schedule
+  for (int c1 = 0; c1 < cols; ++c1) {
+    for (int c2 = c1; c2 < cols; ++c2) {
+      SCOPED_TRACE("columns " + std::to_string(c1) + "," +
+                   std::to_string(c2));
+      std::vector<int> failed = {c1};
+      if (c2 != c1) failed.push_back(c2);
+      const std::vector<Element> lost = elements_of_disks(*layout_, failed);
+      const PeelSchedule sched = peel_schedule(*layout_, lost);
+
+      Stripe broken = stripe_->clone();
+      for (const Element& e : lost) std::memset(broken.at(e), 0xA5, kEsize);
+      for (const PeelStep& step : sched.steps) {
+        solve(layout_->equations()[static_cast<size_t>(step.equation)],
+              step.target, broken);
+      }
+      std::set<Element> reached;
+      for (const PeelStep& step : sched.steps) {
+        EXPECT_TRUE(reached.insert(step.target).second);
+        EXPECT_EQ(0, std::memcmp(broken.at(step.target),
+                                 stripe_->at(step.target), kEsize));
+      }
+      for (const Element& e : sched.unreached) {
+        EXPECT_TRUE(reached.insert(e).second);
+      }
+      EXPECT_EQ(reached, std::set<Element>(lost.begin(), lost.end()));
+
+      Stripe peeled = stripe_->clone();
+      for (const Element& e : lost) std::memset(peeled.at(e), 0x5A, kEsize);
+      EXPECT_EQ(peel_decode(peeled, lost).success, sched.unreached.empty());
+
+      if (failed.size() != 2) continue;
+      const raid::IoPlan plan =
+          planner.plan_degraded_read(0, layout_->data_count(), failed);
+      for (const raid::Reconstruction& rec : plan.reconstructions) {
+        EXPECT_EQ(rec.equation,
+                  sched.equation[static_cast<size_t>(rec.target.row * cols +
+                                                     rec.target.col)])
+            << "target (" << rec.target.row << "," << rec.target.col << ")";
+        chained += rec.equation >= 0;
+      }
+    }
+  }
+  EXPECT_GT(chained, 0u);
 }
 
 TEST_P(DecoderProperties, WholeStripeLossIsUnrecoverable) {

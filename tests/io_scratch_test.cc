@@ -8,8 +8,8 @@
 // warmed up, none of those paths may allocate a buffer of element size
 // or more. A second counter sees allocations of any size: once warm, on
 // a one-worker pool, the healthy paths (RMW writes, reads) and the
-// degraded ones with one failed disk allocate nothing at all, so a
-// change that adds one shows here.
+// degraded ones with one or two failed disks (recovery chains included)
+// allocate nothing at all, so a change that adds one shows here.
 //
 // The second suite pins the ownership rule that makes the reuse safe: a
 // whole-stripe scratch points at its array's layout, so it must belong
@@ -277,6 +277,28 @@ TEST_F(ForegroundAllocations, DegradedTwentyElementWrite) {
 
 TEST_F(ForegroundAllocations, DegradedTwentyElementReadWithPartialEdges) {
   array_->fail_disk(1);
+  const Allocations a = read_allocations(elem(30) + 777, 20 * kElem - 1500);
+  EXPECT_EQ(a.large, 0);
+  EXPECT_EQ(a.any, 0);
+  expect_intact();
+}
+
+// With two failed disks the plans rebuild some lost elements through
+// recovery chains: the planner takes them from the per-thread peel
+// schedule, and each step solves into the slot buffer, so these
+// allocate nothing either.
+TEST_F(ForegroundAllocations, TwoFailedDisksTwentyElementWrite) {
+  array_->fail_disk(1);
+  array_->fail_disk(4);
+  const Allocations a = write_allocations(elem(25), 20 * kElem);
+  EXPECT_EQ(a.large, 0);
+  EXPECT_EQ(a.any, 0);
+  expect_intact();
+}
+
+TEST_F(ForegroundAllocations, TwoFailedDisksTwentyElementReadWithPartialEdges) {
+  array_->fail_disk(1);
+  array_->fail_disk(4);
   const Allocations a = read_allocations(elem(30) + 777, 20 * kElem - 1500);
   EXPECT_EQ(a.large, 0);
   EXPECT_EQ(a.any, 0);

@@ -6,9 +6,12 @@
 
 #include <cmath>
 
+#include "codes/decoder.h"
+#include "codes/encoder.h"
 #include "codes/registry.h"
 #include "raid/recovery.h"
 #include "sim/experiments.h"
+#include "util/rng.h"
 
 namespace dcode {
 namespace {
@@ -87,6 +90,40 @@ TEST(ReproductionLock, Figure7DegradedReadOrdering) {
   EXPECT_GT(dc / speed("xcode"), 1.10);
   EXPECT_GT(speed("rdp"), dc * 0.98);
   EXPECT_GT(speed("hcode"), dc * 0.98);
+}
+
+TEST(ReproductionLock, TwoDiskDecodeXorCounts) {
+  // §III-D decoding complexity, as bench_complexity measures it: one
+  // hybrid_decode of disks {0, cols/2}, one step per lost element. D-Code
+  // costs n-3 XORs per lost element (56 / 14 at p=7, 260 / 26 at p=13).
+  const struct {
+    int p;
+    std::vector<size_t> xor_ops;  // in all_code_names() order
+  } kExpected[] = {
+      {7, {56, 56, 60, 129, 60, 42, 18, 125, 222}},
+      {13, {260, 260, 264, 510, 264, 228, 108, 400, 847}},
+  };
+  for (const auto& row : kExpected) {
+    const auto& names = codes::all_code_names();
+    ASSERT_EQ(names.size(), row.xor_ops.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      SCOPED_TRACE(names[i] + " p=" + std::to_string(row.p));
+      auto layout = codes::make_layout(names[i], row.p);
+      Pcg32 rng(1);
+      codes::Stripe s(*layout, 16);
+      s.randomize_data(rng);
+      codes::encode_stripe(s);
+      codes::Stripe broken = s.clone();
+      const int fd[2] = {0, layout->cols() / 2};
+      const auto lost = codes::elements_of_disks(*layout, fd);
+      for (int d : fd) broken.erase_disk(d);
+      const codes::DecodeResult res = codes::hybrid_decode(broken, lost);
+      ASSERT_TRUE(res.success);
+      EXPECT_TRUE(broken.equals(s));
+      EXPECT_EQ(res.steps, lost.size());
+      EXPECT_EQ(res.xor_ops, row.xor_ops[i]);
+    }
+  }
 }
 
 TEST(ReproductionLock, RecoveryReadSavingAtP13) {
