@@ -53,15 +53,9 @@ struct ArrayMetrics {
     failovers = &registry.counter(
         "raid.failovers", {},
         "user ops re-planned after a disk failed mid-operation");
-    spare_promotions = &registry.counter(
-        "raid.spare_promotions", {},
-        "hot spares automatically promoted into failed slots");
     rebuild_stripes = &registry.counter(
         "raid.rebuild.stripes_rebuilt", {},
         "stripes reconstructed by the background rebuild worker");
-    rebuild_in_progress = &registry.gauge(
-        "raid.rebuild.in_progress", {},
-        "1 while a background rebuild worker is active");
     scrub_equations_skipped = &registry.counter(
         "raid.scrub.equations_skipped", {},
         "parity equations skipped by scrub (a member on a degraded disk)");
@@ -191,9 +185,7 @@ struct ArrayMetrics {
   obs::Counter* engine_transient_retries;
   obs::Counter* engine_retry_exhausted;
   obs::Counter* failovers;
-  obs::Counter* spare_promotions;
   obs::Counter* rebuild_stripes;
-  obs::Gauge* rebuild_in_progress;
   obs::Counter* scrub_equations_skipped;
   obs::Counter* scrub_elements_located;
   obs::Counter* scrub_elements_repaired;

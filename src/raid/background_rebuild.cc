@@ -1,18 +1,18 @@
 // Raid6Array's rebuild pass: the one way replaced disks are rebuilt,
 // whether the background worker runs it behind foreground I/O after a
 // hot spare is promoted or rebuild() runs it to completion on the
-// calling thread. One pass runs at a time (the rebuild slot); promotions
-// during a pass are picked up by its rescan under rebuild_mu_.
+// calling thread. One pass runs at a time, as the slot record's pass
+// flag says; a promotion during a pass is picked up by its rescan.
 //
-// The rebuild watermark: a replaced disk starts with readable_stripes ==
-// 0, so every stripe is degraded on it — reads avoid it, writes skip it.
-// The pass walks the stripes in ascending windows: it locks the window's
-// stripes in order, rebuilds them, and CASes every target's watermark
-// across the window *before* unlocking — the next writer of those
-// stripes already sees them healthy and RMWs through the spare. Stripes
-// below the watermark serve fast-path reads. A CAS fails only if the
-// device was re-promoted mid-pass (watermark reset to 0); the
-// between-pass rescan then starts it over.
+// A replaced disk's slot starts at watermark 0, so every stripe is
+// degraded on it — reads avoid it, writes skip it. The pass takes its
+// targets from the record, each with its generation, and walks the
+// stripes in ascending windows: it locks a window's stripes in order,
+// rebuilds them and reports a pass-advance across the window *before*
+// unlocking, so the next writer of those stripes already RMWs through
+// the spare. next() advances only a target still on the pass's
+// generation: a spare re-promoted mid-pass keeps its zero watermark, and
+// the next pass starts it over.
 //
 // Every spare promotion starts the worker. Passes differ only in pacing:
 //  * a paced pass (the worker under ArrayOptions::background_rebuild)
@@ -91,36 +91,8 @@ constexpr int64_t kWindowStripes = 48;
 
 void Raid6Array::rebuild() {
   ensure_online();
-  {
-    // Claim the rebuild slot: wait out any background worker and any
-    // in-flight escalation, so the pass below is the only one.
-    std::unique_lock<std::mutex> lock(rebuild_mu_);
-    rebuild_cv_.wait(lock, [&] {
-      return !rebuild_running_ && escalations_in_flight_ == 0;
-    });
-    if (rebuild_thread_.joinable()) rebuild_thread_.join();
-    int targets = 0;
-    for (int d = 0; d < layout_->cols(); ++d) {
-      if (!needs_rebuild(d)) continue;
-      DCODE_CHECK(!engine_.disk(d).failed(), "replace_disk before rebuild");
-      ++targets;
-    }
-    if (targets == 0) return;
-    DCODE_CHECK(targets <= layout_->fault_tolerance(),
-                "more failed disks than the code tolerates");
-    rebuild_running_ = true;
-    metrics_.rebuild_in_progress->set(1);
-  }
+  health_.claim_pass();  // waits out any worker
   run_rebuild_passes(/*paced=*/false);
-}
-
-void Raid6Array::start_background_rebuild() {
-  std::lock_guard<std::mutex> lock(rebuild_mu_);
-  if (rebuild_running_) return;  // the running pass rescans for targets
-  if (rebuild_thread_.joinable()) rebuild_thread_.join();
-  rebuild_running_ = true;
-  metrics_.rebuild_in_progress->set(1);
-  rebuild_thread_ = std::thread([this] { background_rebuild_worker(); });
 }
 
 void Raid6Array::background_rebuild_worker() {
@@ -129,63 +101,38 @@ void Raid6Array::background_rebuild_worker() {
   try {
     run_rebuild_passes(options_.background_rebuild);
   } catch (const std::exception& e) {
-    // Crash or unrecoverable loss: needs_rebuild stays set for a later
-    // synchronous rebuild().
+    // Crash or unrecoverable loss: the targets stay below whole for a
+    // later synchronous rebuild().
     span.note("rebuild.stood_down", {{"reason", e.what()}});
   }
 }
 
 void Raid6Array::run_rebuild_passes(bool paced) {
-  auto release_slot = [this] {  // caller holds rebuild_mu_
-    rebuild_running_ = false;
-    metrics_.rebuild_in_progress->set(0);
-    rebuild_cv_.notify_all();
-  };
-  for (;;) {
-    std::vector<int> targets;
-    {
-      std::lock_guard<std::mutex> lock(rebuild_mu_);
-      if (!stop_rebuild_.load(std::memory_order_relaxed)) {
-        for (int d = 0; d < layout_->cols(); ++d) {
-          if (needs_rebuild(d) && !engine_.disk(d).failed()) {
-            targets.push_back(d);
-          }
-        }
-      }
-      if (targets.empty()) {
-        // Exit decision under the same lock start_background_rebuild
-        // takes: a promotion either lands in this rescan or sees the slot
-        // free and spawns a worker — a new target is never stranded.
-        release_slot();
-        return;
-      }
-    }
-    try {
-      rebuild_pass(targets, paced);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(rebuild_mu_);
-      release_slot();
-      throw;
-    }
-    finish_rebuilt_targets(targets);
+  std::vector<HealthMonitor::PassTarget> targets;
+  try {
+    do {
+      if (!targets.empty()) rebuild_pass(targets, paced);
+      targets = health_.next_pass(
+          targets, stop_rebuild_.load(std::memory_order_relaxed) || crashed());
+    } while (!targets.empty());
+  } catch (...) {
+    health_.stand_down();
+    throw;
   }
 }
 
-void Raid6Array::rebuild_pass(const std::vector<int>& targets,
-                              bool paced) {
+void Raid6Array::rebuild_pass(
+    const std::vector<HealthMonitor::PassTarget>& targets, bool paced) {
   const CodeLayout& layout = *layout_;
+  DCODE_CHECK(static_cast<int>(targets.size()) <= layout.fault_tolerance(),
+              "more failed disks than the code tolerates");
   metrics_.rebuilds->inc();
   LatencyTimer timer(metrics_.rebuild_latency_ns);
 
-  // Each target's device generation, read before its watermark: what
-  // the pass rebuilds counts only for that device (see the advance below).
-  std::vector<uint64_t> generations;
   int64_t start = stripes_;
-  for (int d : targets) {
-    generations.push_back(engine_.disk(d).faults().generation());
-    start = std::min(start, engine_.disk(d).readable_stripes());
+  for (const HealthMonitor::PassTarget& t : targets) {
+    start = std::min(start, health_.watermark(t.disk));
   }
-  start = std::max<int64_t>(0, start);
   const int64_t window =
       paced ? 1
             : std::min<int64_t>(
@@ -203,9 +150,9 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
   // Minimal-read plans by logical column. The array never rotates
   // columns across disks, so each target's disk id is the column it holds.
   std::vector<RecoveryPlan> plans(static_cast<size_t>(layout.cols()));
-  for (int d : targets) {
-    plans[static_cast<size_t>(d)] = plan_single_disk_recovery(
-        layout, d, RecoveryStrategy::kMinimalReads);
+  for (const HealthMonitor::PassTarget& t : targets) {
+    plans[static_cast<size_t>(t.disk)] = plan_single_disk_recovery(
+        layout, t.disk, RecoveryStrategy::kMinimalReads);
   }
 
   // One scratch per chunk, reused across windows; each is built by the
@@ -242,25 +189,15 @@ void Raid6Array::rebuild_pass(const std::vector<int>& targets,
     });
     // Advance the watermark across the window before releasing its locks:
     // the next writer of these stripes must already see them healthy, or
-    // its RMW would skip the device the pass just filled. Only a target
-    // still on the pass's generation advances: a re-promotion resets the
-    // watermark to 0, which the CAS cannot tell from a pass at stripe 0
-    // that wrote the replaced device. promote_mu_ orders the check
-    // against the reset and the swap.
-    std::lock_guard<std::mutex> promote_lock(promote_mu_);
-    for (int64_t i = 0; i < n; ++i) {
-      for (size_t t = 0; t < targets.size(); ++t) {
-        DiskHandle& h = engine_.disk(targets[t]);
-        if (h.faults().generation() == generations[t]) {
-          h.advance_readable_stripes(first + i);
-        }
-      }
-      metrics_.rebuild_stripes->inc();
-      obs::FlightRecorder::global().record(
-          obs::FlightEventKind::kRebuildStripe, 0, targets.front(), first + i,
-          reads[static_cast<size_t>(i)]);
-    }
+    // its RMW would skip the device the pass just filled.
+    health_.advance_pass(targets, first, n);
     locks.clear();
+    metrics_.rebuild_stripes->inc(n);
+    for (int64_t i = 0; i < n; ++i) {
+      obs::FlightRecorder::global().record(
+          obs::FlightEventKind::kRebuildStripe, 0, targets.front().disk,
+          first + i, reads[static_cast<size_t>(i)]);
+    }
   }
 }
 
@@ -342,41 +279,6 @@ int64_t Raid6Array::rebuild_stripe(int64_t stripe,
               "stripe unrecoverable: condemned survivors did not re-verify");
   write_back();
   return reads;
-}
-
-void Raid6Array::finish_rebuilt_targets(const std::vector<int>& targets) {
-  std::lock_guard<std::mutex> lock(promote_mu_);
-  for (int d : targets) {
-    DiskHandle& h = engine_.disk(d);
-    if (h.failed() || !needs_rebuild(d)) continue;
-    // CAS from the exact stripe count: a re-promotion that reset the
-    // watermark mid-pass loses nothing — the flag stays set and the next
-    // pass starts over from stripe 0.
-    if (h.mark_fully_readable(stripes_)) {
-      needs_rebuild_[static_cast<size_t>(d)].store(
-          false, std::memory_order_release);
-      health_.mark_healthy(d);
-    }
-  }
-}
-
-bool Raid6Array::wait_for_rebuild() {
-  {
-    std::unique_lock<std::mutex> lock(rebuild_mu_);
-    rebuild_cv_.wait(lock, [&] {
-      return !rebuild_running_ && escalations_in_flight_ == 0;
-    });
-    if (rebuild_thread_.joinable()) rebuild_thread_.join();
-  }
-  for (int d = 0; d < layout_->cols(); ++d) {
-    if (needs_rebuild(d)) return false;
-  }
-  return true;
-}
-
-bool Raid6Array::rebuild_in_progress() const {
-  std::lock_guard<std::mutex> lock(rebuild_mu_);
-  return rebuild_running_;
 }
 
 void Raid6Array::set_rebuild_rate(double stripes_per_sec, double burst) {

@@ -206,20 +206,38 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                            : 0;
               }),
       health_(engine_.devices(),
-              registry != nullptr ? *registry : obs::Registry::global()),
-      needs_rebuild_(static_cast<size_t>(layout_->cols())),
+              registry != nullptr ? *registry : obs::Registry::global(),
+              stripes),
       stripe_locks_(static_cast<int>(std::min(stripes, kMaxStripeLockSlots)),
                     metrics_.stripe_lock_wait_ns),
       rebuild_throttle_(options_.rebuild_rate_stripes_per_sec,
                         options_.rebuild_burst_stripes) {
   engine_.set_health_monitor(&health_);
-  health_.set_escalation_callback([this](int d) { handle_disk_failure(d); });
+  // next()'s actions, run under the monitor's lock. The moments before
+  // an escalation are what a post-mortem wants, so the flight rings are
+  // dumped before the promotion and rebuild flood them. A worker starts
+  // only after the last one stood the pass down, so its join waits for
+  // nothing but that thread's exit.
+  health_.set_actions(
+      {[this](int d) {
+         engine_.disk(d).faults().fail();
+         metrics_.disk_failures[static_cast<size_t>(d)]->inc();
+         metrics_.disks_failed->add(1);
+         obs::FlightRecorder::global().request_dump("disk_failure");
+       },
+       [this](int d) {
+         engine_.replace_disk(d);
+         metrics_.disks_failed->sub(1);
+       },
+       [this] {
+         if (rebuild_thread_.joinable()) rebuild_thread_.join();
+         rebuild_thread_ = std::thread([this] { background_rebuild_worker(); });
+       }});
 }
 
 Raid6Array::~Raid6Array() {
   stop_rebuild_.store(true, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(rebuild_mu_);
-  rebuild_cv_.wait(lock, [&] { return !rebuild_running_; });
+  health_.wait_for_pass();
   if (rebuild_thread_.joinable()) rebuild_thread_.join();
 }
 
@@ -233,93 +251,24 @@ void Raid6Array::reset_stats() { engine_.reset_stats(); }
 
 void Raid6Array::add_hot_spares(int count) {
   DCODE_CHECK(count >= 0, "spare count must be non-negative");
-  hot_spares_.fetch_add(count, std::memory_order_relaxed);
+  health_.add_spares(count);
 }
 
 void Raid6Array::fail_disk(int disk) {
   DCODE_CHECK(disk >= 0 && disk < layout_->cols(), "disk out of range");
-  // The generation is read first: a promotion racing this call then
-  // leaves a report for the device it replaced, which the monitor drops
-  // unless the spare failed as well.
-  const uint64_t generation = engine_.disk(disk).faults().generation();
-  engine_.fail_disk(disk);
-  // Route the declaration through the monitor: it fires the escalation
-  // handler (metrics, spare promotion, background rebuild) exactly once
-  // per failure episode.
-  health_.report_fail_stop(disk, generation);
-  if (!options_.background_rebuild && needs_rebuild(disk)) {
+  health_.fail(disk);
+  if (!options_.background_rebuild && health_.watermark(disk) != kWhole) {
     // Synchronous behaviour: a promoted spare is rebuilt (by the worker
     // its promotion started) before fail_disk returns.
     wait_for_rebuild();
   }
 }
 
-void Raid6Array::handle_disk_failure(int disk) {
-  // Visible to wait_for_rebuild() from here until the background worker
-  // (if any) is running, on every exit path.
-  {
-    std::lock_guard<std::mutex> lock(rebuild_mu_);
-    ++escalations_in_flight_;
-  }
-  struct EscalationDone {
-    Raid6Array* self;
-    ~EscalationDone() {
-      {
-        std::lock_guard<std::mutex> lock(self->rebuild_mu_);
-        --self->escalations_in_flight_;
-      }
-      self->rebuild_cv_.notify_all();
-    }
-  } done{this};
-
-  metrics_.disk_failures[static_cast<size_t>(disk)]->inc();
-  metrics_.disks_failed->add(1);
-  // The moments before an escalation are exactly what a post-mortem
-  // wants: dump the flight rings before the promotion/rebuild machinery
-  // floods them with recovery traffic.
-  obs::FlightRecorder::global().request_dump("disk_failure");
-  if (!engine_.disk(disk).failed()) engine_.fail_disk(disk);
-  if (try_promote_spare(disk) && !crashed_.load(std::memory_order_relaxed)) {
-    start_background_rebuild();
-  }
-}
-
-bool Raid6Array::try_promote_spare(int disk) {
-  int cur = hot_spares_.load(std::memory_order_relaxed);
-  while (cur > 0 &&
-         !hot_spares_.compare_exchange_weak(cur, cur - 1,
-                                            std::memory_order_relaxed)) {
-  }
-  if (cur <= 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(promote_mu_);
-    // Watermark protocol: readers must see the slot as fully degraded
-    // before the blank goes live, so needs_rebuild and the zero watermark
-    // are published first.
-    needs_rebuild_[static_cast<size_t>(disk)].store(
-        true, std::memory_order_release);
-    engine_.disk(disk).set_readable_stripes(0);
-    engine_.replace_disk(disk);
-  }
-  metrics_.disks_failed->sub(1);
-  metrics_.spare_promotions->inc();
-  health_.mark_rebuilding(disk);
-  obs::Span span(obs::TraceLog::global(), "spare.promoted",
-                 {{"disk", disk}});
-  return true;
-}
-
 void Raid6Array::replace_disk(int disk) {
   DCODE_CHECK(disk >= 0 && disk < layout_->cols(), "disk out of range");
   DCODE_CHECK(engine_.disk(disk).failed(),
               "only failed disks can be replaced");
-  std::lock_guard<std::mutex> lock(promote_mu_);
-  needs_rebuild_[static_cast<size_t>(disk)].store(true,
-                                                  std::memory_order_release);
-  engine_.disk(disk).set_readable_stripes(0);
-  engine_.replace_disk(disk);
-  metrics_.disks_failed->sub(1);
-  health_.mark_rebuilding(disk);
+  health_.replace(disk);
 }
 
 void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
@@ -542,14 +491,6 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
     const int64_t stripe_end =
         std::min(last, (stripe + 1) * layout.data_count() - 1);
 
-    // Write-ahead intent record: must be durable before the first element
-    // write of this stripe (itself consumes write budget, so an injected
-    // crash can land on either side of it — both sides are safe).
-    if (journal_) {
-      admit();
-      if (journal_->begin(stripe)) metrics_.journal_intents_opened->inc();
-    }
-
     // The stripe lock serializes this update against the background
     // rebuild worker (and other writers); degradedness is decided
     // per stripe under the lock, so a stripe behind the rebuild
@@ -557,9 +498,18 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
     // plan them around the rebuilding disk. A disk failing before the
     // first device write surfaces as DiskFailedError — re-plan and retry
     // (failover).
+    std::unique_lock<std::mutex> lock = stripe_lock(stripe);
+    // Write-ahead intent record: must be durable before the first element
+    // write of this stripe (itself consumes write budget, so an injected
+    // crash can land on either side of it — both sides are safe). Opened
+    // and committed under the stripe lock, so an open intent belongs to
+    // the one writer holding it.
+    if (journal_) {
+      admit();
+      if (journal_->begin(stripe)) metrics_.journal_intents_opened->inc();
+    }
     bool salvage = false;
     for (int attempt = 0;; ++attempt) {
-      std::unique_lock<std::mutex> lock = stripe_lock(stripe);
       try {
         if (salvage) {
           salvage_stripe_rewrite(stripe, g, stripe_end, offset, data);
@@ -653,8 +603,10 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
   std::vector<int>& failed = op_tables().failed;
   auto collect_failed = [&] {
     failed.clear();
+    // Degraded for any stripe of the range: the watermark only rises, so
+    // the last stripe decides.
     for (int d = 0; d < layout_->cols(); ++d) {
-      if (disk_degraded_for_range(d, last_stripe)) failed.push_back(d);
+      if (disk_degraded_for_stripe(d, last_stripe)) failed.push_back(d);
     }
     for (int d : suspects) {
       if (std::find(failed.begin(), failed.end(), d) == failed.end()) {
@@ -728,8 +680,6 @@ void Raid6Array::publish_disk_metrics(obs::Registry& registry) const {
     registry.gauge("raid.disk.bytes_read", l).set(h.bytes_read());
     registry.gauge("raid.disk.bytes_written", l).set(h.bytes_written());
     registry.gauge("raid.disk.failed", l).set(h.failed() ? 1 : 0);
-    registry.gauge("raid.disk.health_state", l)
-        .set(static_cast<int64_t>(health_.state(d)));
     // Rebuild progress: stripes of this device currently readable
     // (clamped — a healthy device reports the stripe count).
     registry.gauge("raid.disk.readable_stripes", l)

@@ -52,6 +52,8 @@
 //    workers allocates in the pool's task queue; the unpeelable
 //    full-stripe decode allocates in the codec's elimination).
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
+//    Each slot's failover state and the spare count live in one record
+//    the health monitor changes only through next() (raid/slot_state.h).
 //    Rebuild is one watermark pass (background_rebuild.cc), run by the
 //    hot-spare worker or by rebuild(); a stripe whose only lost column is
 //    a target reads just the minimal-read recovery plan (paper §III-D),
@@ -72,12 +74,14 @@
 // is served under its lock, one stripe at a time, so a degraded read
 // never decodes through a neighbouring element's half-applied write.
 // Healthy reads take no lock and read only the elements they return.
-// Concurrent I/O to the same bytes may tear, as on any block device.
+// Concurrent I/O to the same bytes may tear, as on any block device. The
+// lock order is stripe lock → the health monitor's slot lock → a device
+// decorator's inner lock (a leaf); the I/O paths read a slot's watermark
+// without a lock.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -208,31 +212,28 @@ class Raid6Array : private WriteGate {
   void replace_disk(int disk);  // swap in a blank disk (still failed data!)
 
   // Hot spares: blank standby disks. While spares remain, a declared
-  // failure (manual fail_disk() or a health-monitor escalation)
-  // immediately promotes one and starts the rebuild worker on it. Under
-  // ArrayOptions::background_rebuild the worker is paced by the rebuild
-  // throttle and fail_disk() returns at once; otherwise it runs unpaced
-  // and fail_disk() waits for it (wait_for_rebuild()). Either way the
-  // array never stays degraded while spares last (a real controller's
-  // behaviour).
+  // failure (manual fail_disk() or a health-monitor escalation) promotes
+  // one in the same step and starts the rebuild worker on it: paced by
+  // the rebuild throttle under ArrayOptions::background_rebuild, else
+  // unpaced, with fail_disk() waiting for it. The spare stays degraded
+  // until its pass completes; one that stands down (a crash, an
+  // undecodable stripe) leaves it so until rebuild(). Spares added later
+  // do not replace a disk that is already failed.
   void add_hot_spares(int count);
-  int hot_spares() const {
-    return hot_spares_.load(std::memory_order_relaxed);
-  }
+  int hot_spares() const { return static_cast<int>(health_.spares()); }
   // Reconstructs the contents of every replaced disk by running the
   // background worker's watermark pass to completion on the calling
-  // thread (after joining any worker). Unlike the worker it ignores the
+  // thread (after any worker's pass). Unlike the worker it ignores the
   // rebuild throttle and rebuilds a window of up to 48 locked stripes at
   // a time on the array pool. Call after replace_disk; throws if more disks
   // are unrecovered than the code tolerates, PowerLossError when a crash
   // stops the pass, and std::logic_error when a stripe cannot be decoded.
   void rebuild();
-  // Blocks until no background rebuild worker is active and no failure
-  // escalation (spare promotion + rebuild start, run by whichever thread
-  // detected the failure — often a foreground op) is in flight. Returns
-  // true when every replaced disk has been fully reconstructed.
-  bool wait_for_rebuild();
-  bool rebuild_in_progress() const;
+  // Blocks until no rebuild pass is wanted or running (a promotion wants
+  // one as it swaps the spare in). Returns true when no replaced disk is
+  // left partly rebuilt; one that failed again counts as failed instead.
+  bool wait_for_rebuild() { return health_.wait_for_pass(); }
+  bool rebuild_in_progress() const { return health_.pass_pending(); }
   // Retunes the background rebuild throttle (stripes/second; <= 0 =
   // unthrottled). Applies to the current pass too.
   void set_rebuild_rate(double stripes_per_sec, double burst = 8.0);
@@ -255,6 +256,12 @@ class Raid6Array : private WriteGate {
   ScrubReport scrub_report(ScrubOptions options = {});
 
   int failed_disk_count() const;
+  // Disks failed or not yet rebuilt: the array is degraded while any is.
+  int degraded_disk_count() const {
+    int n = 0;
+    for (int d = 0; d < layout_->cols(); ++d) n += disk_degraded(d);
+    return n;
+  }
   const DiskHandle& disk(int d) const { return engine_.disk(d); }
   DiskHandle& disk(int d) { return engine_.disk(d); }
   // The batched I/O layer under this array (device op counts).
@@ -318,24 +325,14 @@ class Raid6Array : private WriteGate {
                             size_t* src_begin, size_t* out_len);
 
   void ensure_online() const;
-  bool needs_rebuild(int d) const {
-    return needs_rebuild_[static_cast<size_t>(d)].load(
-        std::memory_order_acquire);
-  }
   bool disk_degraded(int d) const {
-    return engine_.disk(d).failed() || needs_rebuild(d);
+    return engine_.disk(d).failed() || health_.watermark(d) != kWhole;
   }
   // Per-stripe degradedness: a rebuilding disk serves stripes below its
   // watermark normally and only counts as degraded above it — what lets
   // foreground reads go back to the fast path behind the rebuild front.
   bool disk_degraded_for_stripe(int d, int64_t stripe) const {
-    if (engine_.disk(d).failed()) return true;
-    return needs_rebuild(d) && stripe >= engine_.disk(d).readable_stripes();
-  }
-  // Degraded for ANY stripe in [first_stripe, last_stripe] — the
-  // watermark is monotonic, so checking the last stripe suffices.
-  bool disk_degraded_for_range(int d, int64_t last_stripe) const {
-    return disk_degraded_for_stripe(d, last_stripe);
+    return engine_.disk(d).failed() || stripe >= health_.watermark(d);
   }
   // Locks the (sharded) mutex serializing mutators of `stripe`; blocked
   // time lands in raid.stripe_lock_wait_ns.
@@ -343,16 +340,6 @@ class Raid6Array : private WriteGate {
     return stripe_locks_.lock(stripe);
   }
 
-  // Escalation handler (health-monitor callback): promotes a hot spare
-  // into the failed slot when one is available and starts/extends the
-  // background rebuild. Never rebuilds inline — it can run on a pool
-  // worker mid-batch. The monitor drops a late fail-stop from a device a
-  // spare replaced, so every call is a failure of the slot's device.
-  void handle_disk_failure(int disk);
-  // Claims a spare (if any) and swaps a blank into `disk`'s slot with the
-  // watermark protocol (needs_rebuild -> watermark 0 -> replace). Returns
-  // true when a spare was promoted.
-  bool try_promote_spare(int disk);
   // --- shared stripe-repair steps (stripe_repair.cc) ---------------------
   // One stripe's buffers and erasure bookkeeping, reused across stripes.
   struct StripeScratch {
@@ -455,25 +442,21 @@ class Raid6Array : private WriteGate {
                             bool verify = true);
 
   // --- rebuild (background_rebuild.cc) ------------------------------------
-  // Spawns the worker unless a pass holds the rebuild slot (that pass
-  // rescans for new targets). The worker's passes are paced only under
+  // The worker a promotion starts: its passes are paced only under
   // ArrayOptions::background_rebuild.
-  void start_background_rebuild();
   void background_rebuild_worker();
-  // Runs passes until no target is left, then frees the rebuild slot in
-  // the same critical section as that empty rescan; frees it and
-  // rethrows when a pass stands down.
+  // Runs passes over what each rescan finds until none are left; stands
+  // the pass down and rethrows when one fails.
   void run_rebuild_passes(bool paced);
   // One watermark pass over `targets`; returns early only on shutdown. A
   // paced pass takes one rebuild-throttle token per stripe, one stripe
   // at a time; an unpaced one rebuilds windows of stripes on the pool.
-  void rebuild_pass(const std::vector<int>& targets, bool paced);
+  void rebuild_pass(const std::vector<HealthMonitor::PassTarget>& targets,
+                    bool paced);
   // Rebuilds one stripe; `plans` holds a minimal-read plan per logical
   // column (empty = none). Returns the element reads it cost.
   int64_t rebuild_stripe(int64_t stripe, const std::vector<RecoveryPlan>& plans,
                          StripeScratch& w);
-  // Marks targets whose watermark reached stripes_ fully rebuilt.
-  void finish_rebuilt_targets(const std::vector<int>& targets);
 
   // --- write-path integrity repair (scrub.cc) -----------------------------
   // Re-reads `stripe` raw, classifies every live element against the
@@ -534,11 +517,8 @@ class Raid6Array : private WriteGate {
   ThreadPool pool_;
   ArrayMetrics metrics_;
   StripeIoEngine engine_;
+  // Every slot's failover record and the spare count, under one lock.
   HealthMonitor health_;
-  // Disks replaced but not yet rebuilt (their contents are blank above
-  // the watermark). Atomic: read on pool workers, flipped by promotion
-  // and the rebuild pass.
-  std::vector<std::atomic<bool>> needs_rebuild_;
 
   // Stripe-level serialization: foreground writes, degraded reads, the
   // rebuild pass, and journal recovery each lock the stripe they touch.
@@ -555,25 +535,10 @@ class Raid6Array : private WriteGate {
   std::mutex scratch_mu_;
   std::vector<std::unique_ptr<StripeScratch>> scratch_free_;
 
-  std::atomic<int> hot_spares_{0};
-  // Serializes spare promotion against rebuild completion, so a disk
-  // re-failing exactly as its rebuild finishes cannot interleave the
-  // needs_rebuild/watermark updates. Only leaf locks (a device's, the
-  // health monitor's per-disk ones) are acquired under it.
-  std::mutex promote_mu_;
-
-  // The rebuild slot: at most one thread runs passes at a time — the
-  // background worker (restarted on demand) or a rebuild() caller.
-  // Promotions while a pass runs are picked up by the between-pass
-  // rescan under rebuild_mu_. One pass at a time also makes the pass the
-  // only holder of more than one stripe lock.
-  mutable std::mutex rebuild_mu_;
-  std::condition_variable rebuild_cv_;
-  bool rebuild_running_ = false;
-  // handle_disk_failure() calls in progress (guarded by rebuild_mu_):
-  // between a promotion and its worker start, rebuild_running_ alone
-  // would let wait_for_rebuild() return early.
-  int escalations_in_flight_ = 0;
+  // The last worker a promotion started, under the monitor's lock (the
+  // start runs there); joined by the next start and by the destructor.
+  // One pass at a time makes the pass the only holder of more than one
+  // stripe lock.
   std::thread rebuild_thread_;
   std::atomic<bool> stop_rebuild_{false};
   TokenBucket rebuild_throttle_;

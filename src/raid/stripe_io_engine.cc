@@ -166,8 +166,8 @@ bool StripeIoEngine::retry_transient(FaultInjectingDevice& dev,
     // Retry budget exhausted: escalate to fail-stop, the way a
     // controller offlines a drive that keeps erroring — but leave a
     // telemetry trail, a silent fail-stop is indistinguishable from a
-    // pulled drive. Only the device the attempt ran on is failed.
-    dev.fail_if_generation(gen);
+    // pulled drive. The monitor fails the device the attempt ran on; a
+    // spare that has replaced it since keeps serving.
     if (metrics_ != nullptr) metrics_->engine_retry_exhausted->inc();
     obs::FlightRecorder::global().record(obs::FlightEventKind::kFailStop,
                                          op_id, d, attempt, 0);
@@ -265,7 +265,7 @@ void StripeIoEngine::run_read(int d, std::span<const ReadOp> ops,
   // readable-stripe floor; a plan that reaches above it raced a failure
   // and must re-plan degraded (same contract as a failed device).
   const int64_t readable = h.readable_stripes();
-  if (readable != std::numeric_limits<int64_t>::max()) {
+  if (readable != kWhole) {
     for (size_t k : idx) {
       if (ops[k].stripe >= readable) throw DiskFailedError(d);
     }

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -97,32 +96,13 @@ class DiskHandle {
   int64_t device_read_ops() const { return device_->read_ops(); }
   int64_t device_write_ops() const { return device_->write_ops(); }
 
-  // Rebuild watermark: stripes [0, readable_stripes) hold valid data on
-  // this device. A freshly promoted (blank) spare starts at 0 and the
-  // background rebuild worker advances the watermark stripe by stripe;
-  // engine reads at/above it throw DiskFailedError so a stale healthy
-  // plan can never silently return blank bytes. Writes are always
-  // allowed: below the watermark they update rebuilt data, above it they
-  // pre-populate elements the worker will overwrite consistently.
+  // Rebuild watermark, from the health monitor's record: stripes [0,
+  // readable_stripes) hold valid data (kWhole: all do). Engine reads at
+  // or above it throw DiskFailedError, so a stale healthy plan never
+  // returns blank bytes; writes above it pre-populate elements the pass
+  // will overwrite consistently.
   int64_t readable_stripes() const {
-    return readable_stripes_.load(std::memory_order_acquire);
-  }
-  void set_readable_stripes(int64_t stripes) {
-    readable_stripes_.store(stripes, std::memory_order_release);
-  }
-  // Advance `expected` -> `expected + 1`; fails (returns false) when the
-  // watermark moved underneath us — i.e. the device was re-promoted mid
-  // rebuild pass and the pass's progress no longer applies.
-  bool advance_readable_stripes(int64_t expected) {
-    return readable_stripes_.compare_exchange_strong(
-        expected, expected + 1, std::memory_order_acq_rel);
-  }
-  // `expected` -> fully readable; same CAS protection against a racing
-  // re-promotion that reset the watermark to 0.
-  bool mark_fully_readable(int64_t expected) {
-    return readable_stripes_.compare_exchange_strong(
-        expected, std::numeric_limits<int64_t>::max(),
-        std::memory_order_acq_rel);
+    return monitor_ != nullptr ? monitor_->watermark(id()) : kWhole;
   }
 
   // This disk's integrity records.
@@ -159,8 +139,7 @@ class DiskHandle {
 
   std::unique_ptr<FaultInjectingDevice> device_;
   std::unique_ptr<ChecksumStore> integrity_;
-  std::atomic<int64_t> readable_stripes_{
-      std::numeric_limits<int64_t>::max()};
+  const HealthMonitor* monitor_ = nullptr;  // the watermark's owner
   int64_t element_size_;
   obs::Counter* obs_reads_;
   obs::Counter* obs_writes_;
@@ -245,15 +224,18 @@ class StripeIoEngine {
     return stripe * static_cast<int64_t>(rows_) + row;
   }
 
-  // Fail-stop injection and blank-replacement (new backend from the
-  // factory), mirroring a controller pulling and reseating a drive.
-  void fail_disk(int d) { disk(d).faults().fail(); }
+  // Blank replacement (a new backend from the factory), as a controller
+  // reseats a drive.
   void replace_disk(int d);
 
   // Routes per-op outcomes (transients, checksum mismatches, fail-stops)
-  // into the health monitor. Optional; set once right after
-  // construction, before any I/O.
-  void set_health_monitor(HealthMonitor* monitor) { monitor_ = monitor; }
+  // into the health monitor, which fails devices and whose watermarks the
+  // disks read. Set once right after construction, before any I/O;
+  // without one, retry exhaustion fails no device.
+  void set_health_monitor(HealthMonitor* monitor) {
+    monitor_ = monitor;
+    for (auto& h : disks_) h->monitor_ = monitor;
+  }
 
   // Flushes every non-failed device (fsync for FileDisk). Returns the
   // number of devices flushed.
@@ -305,8 +287,8 @@ class StripeIoEngine {
                         Io&& io) const;
   // One transient outcome of attempt `attempt`, which ran on the device
   // of generation `gen`: counts it, then either sleeps the backoff and
-  // returns true (retry) or, past the budget, fail-stops that device and
-  // returns false.
+  // returns true (retry) or, past the budget, reports a fail-stop of that
+  // device and returns false.
   bool retry_transient(FaultInjectingDevice& dev, uint64_t op_id,
                        int attempt, uint64_t gen) const;
   void backoff_sleep(int disk, int attempt) const;

@@ -430,7 +430,9 @@ PoolHealth StoragePool::health() const {
     sh.hot_spares = a.hot_spares();
     sh.rebuilding = a.rebuild_in_progress();
     sh.crashed = a.crashed();
-    if (sh.failed_disks > 0) ++h.degraded_shards;
+    // A promoted spare whose pass stood down is as degraded as a failed
+    // disk until its rebuild completes.
+    if (a.degraded_disk_count() > 0) ++h.degraded_shards;
     if (sh.rebuilding) ++h.rebuilding_shards;
     if (sh.crashed) ++h.crashed_shards;
     h.shards.push_back(sh);

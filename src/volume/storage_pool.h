@@ -113,8 +113,8 @@ struct PoolHealth {
     bool crashed = false;
   };
   std::vector<ShardHealth> shards;
-  int degraded_shards = 0;    // >= 1 failed disk
-  int rebuilding_shards = 0;  // background rebuild active
+  int degraded_shards = 0;    // >= 1 disk failed or not yet rebuilt
+  int rebuilding_shards = 0;  // a rebuild pass wanted or running
   int crashed_shards = 0;     // power-loss gate tripped
   bool restriping = false;
 };

@@ -141,7 +141,7 @@ TEST(HealthMonitor, FailStopFiresOncePerEpisodeAndRecoveryOpensANewOne) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
 
-  mon.mark_rebuilding(0);
+  mon.replace(0);  // a blank, generation 1
   EXPECT_EQ(mon.state(0), DiskHealth::kRebuilding);
   // A rebuilding disk does not re-escalate on stale transient noise.
   mon.record_transient(0);
@@ -152,46 +152,36 @@ TEST(HealthMonitor, FailStopFiresOncePerEpisodeAndRecoveryOpensANewOne) {
   EXPECT_EQ(reg.counter("raid.health.recoveries").value(), 1);
   EXPECT_EQ(mon.transients_in_window(0), 0);
 
-  mon.report_fail_stop(0, 0);  // new episode after recovery
+  mon.report_fail_stop(0, 1);  // new episode after recovery
   EXPECT_EQ(fired, 2);
 }
 
-TEST(HealthMonitor, EscalationCallbackMayReenterTheMonitor) {
-  // The array's callback promotes a spare and calls mark_rebuilding from
-  // inside the escalation — must not deadlock on the per-disk lock.
-  obs::Registry reg;
-  Slots slots(1);
-  HealthMonitor mon(slots.views(), reg);
-  mon.set_escalation_callback([&](int d) { mon.mark_rebuilding(d); });
-  mon.report_fail_stop(0, 0);
-  EXPECT_EQ(mon.state(0), DiskHealth::kRebuilding);
-}
-
 // A fail-stop report names the device generation its transfer ran on. One
-// naming a device the slot has since replaced is dropped while the
-// replacement works, and escalates once the replacement has failed too:
-// a failed spare never goes without an episode.
-TEST(HealthMonitor, StaleFailStopEscalatesOnlyWhenTheCurrentDeviceFailed) {
+// naming a device the slot has since replaced is dropped. The
+// replacement's own report is a new episode, and its second report is
+// not.
+TEST(HealthMonitor, StaleFailStopIsDroppedAndTheCurrentDeviceEscalates) {
   obs::Registry reg;
   Slots slots(2);
   HealthMonitor mon(slots.views(), reg);
   int fired = 0;
   mon.set_escalation_callback([&](int) { ++fired; });
 
-  slots[0].replace(Slots::blank(0));
-  ASSERT_EQ(slots[0].generation(), 1u);
+  mon.report_fail_stop(0, 0);
+  mon.replace(0);  // generation 1
+  mon.mark_healthy(0);
+  ASSERT_EQ(fired, 1);
   mon.report_fail_stop(0, 0);
   EXPECT_EQ(mon.state(0), DiskHealth::kHealthy);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 0);
-
-  slots[0].fail();
-  mon.report_fail_stop(0, 0);
-  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
-  EXPECT_EQ(fired, 1);
-  mon.report_fail_stop(0, 1);  // the spare's own report: same episode
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(reg.counter("raid.health.escalations").value(), 1);
+
+  mon.report_fail_stop(0, 1);
+  EXPECT_EQ(mon.state(0), DiskHealth::kFailed);
+  EXPECT_EQ(fired, 2);
+  mon.report_fail_stop(0, 1);  // the same episode
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(reg.counter("raid.health.escalations").value(), 2);
   EXPECT_EQ(mon.state(1), DiskHealth::kHealthy);
 }
 

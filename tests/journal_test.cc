@@ -1,13 +1,18 @@
 // Write-hole tests: demonstrate the hole (crash mid-write leaves stale
-// parity without journaling), prove the intent journal closes it, and
-// fuzz crash points across the whole write path.
+// parity without journaling), prove the intent journal closes it, fuzz
+// crash points across the whole write path, and hold two writers of one
+// stripe to one intent each.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codes/registry.h"
+#include "parking_disk.h"
 #include "raid/journal.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
@@ -291,6 +296,114 @@ TEST(WriteHole, JournaledDegradedWritesAlsoCovered) {
   array.rebuild();
   array.journal_recover();
   EXPECT_EQ(array.scrub(), 0);
+}
+
+// Two writers of one journaled stripe, each writing its own element of
+// stripe 0 over and over: every write must find its own intent open from
+// before its first element write to its commit. (With the intent opened
+// before the stripe lock and committed after it, one writer's commit
+// closed the other's intent: the second commit then threw "commit without
+// matching begin" after its bytes had landed.)
+TEST(WriteHole, TwoWritersOfOneStripeEachKeepAnIntent) {
+  constexpr int kWrites = 20'000;
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, 4, 1);
+  array.enable_journal();
+  Pcg32 rng(41);
+  array.write(0, random_blob(rng, static_cast<size_t>(array.capacity())));
+  std::atomic<int64_t> errors{0};
+  std::vector<std::vector<uint8_t>> last(2, std::vector<uint8_t>(kElem));
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      Pcg32 mine(100 + static_cast<uint64_t>(t));
+      std::vector<uint8_t>& buf = last[static_cast<size_t>(t)];
+      for (int i = 0; i < kWrites; ++i) {
+        mine.fill_bytes(buf.data(), buf.size());
+        try {
+          array.write(t * static_cast<int64_t>(kElem), buf);
+        } catch (const std::exception&) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_TRUE(array.journal_open_stripes().empty());
+  EXPECT_EQ(array.scrub(), 0);
+  std::vector<uint8_t> got(2 * kElem);
+  array.read(0, got);
+  EXPECT_TRUE(std::equal(last[0].begin(), last[0].end(), got.begin()));
+  EXPECT_TRUE(std::equal(last[1].begin(), last[1].end(), got.begin() + kElem));
+}
+
+// The same two writers, interleaved on purpose: A parks in its first
+// device write with its intent open; B starts a write to another element
+// of the stripe; A finishes and commits; then B crashes after its data
+// write, before its parities. Replay must find B's intent and leave every
+// element old or new in a consistent stripe.
+TEST(WriteHole, WriterCrashingAfterAnotherCommittedIsReplayed) {
+  WriteParking parking;
+  const DeviceFactory backend = default_device_factory();
+  ArrayOptions opts;
+  opts.device_factory = [&](int id, size_t size) {
+    return std::unique_ptr<BlockDevice>(
+        std::make_unique<ParkingDisk>(backend(id, size), &parking));
+  };
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, 4, 1, nullptr,
+                   std::move(opts));
+  array.enable_journal();
+  Pcg32 rng(43);
+  const auto old = random_blob(rng, static_cast<size_t>(array.capacity()));
+  array.write(0, old);
+  const auto a = random_blob(rng, kElem);
+  const auto b = random_blob(rng, kElem);
+
+  std::thread writer_a([&] {
+    park_my_writes = true;
+    array.write(0, a);
+  });
+  bool parked = false;
+  {
+    std::unique_lock<std::mutex> lock(parking.mu);
+    parked = parking.cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return parking.parked; });
+  }
+  EXPECT_TRUE(parked) << "writer A never reached a device";
+  bool b_crashed = false;
+  std::thread writer_b([&] {
+    try {
+      array.write(static_cast<int64_t>(kElem), b);
+    } catch (const PowerLossError&) {
+      b_crashed = true;
+    }
+  });
+  // Let B reach the stripe A holds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // A's two parity writes and its commit record, B's intent record and
+  // its data write: the crash lands before B's first parity write.
+  array.inject_power_loss_after(5);
+  {
+    std::lock_guard<std::mutex> lock(parking.mu);
+    parking.released = true;
+  }
+  parking.cv.notify_all();
+  writer_a.join();
+  writer_b.join();
+  ASSERT_TRUE(b_crashed);
+
+  array.restart();
+  array.journal_recover();
+  EXPECT_TRUE(array.journal_open_stripes().empty());
+  EXPECT_EQ(array.scrub(), 0);
+  std::vector<uint8_t> got(old.size());
+  array.read(0, got);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), got.begin()));
+  const auto elem1 = got.begin() + kElem;
+  EXPECT_TRUE(std::equal(b.begin(), b.end(), elem1) ||
+              std::equal(old.begin() + kElem, old.begin() + 2 * kElem, elem1));
+  EXPECT_TRUE(std::equal(old.begin() + 2 * kElem, old.end(),
+                         got.begin() + 2 * kElem));
 }
 
 }  // namespace

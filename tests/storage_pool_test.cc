@@ -368,6 +368,77 @@ TEST(StoragePool, AggregatedHealthCountsShardStates) {
   EXPECT_GT(reg.counter("shard1.raid.spare_promotions").value(), 0);
 }
 
+// Data written through the pool reads back from a shard that lost two
+// disks, every shard serving its share of the span, and again once both
+// disks are replaced and rebuilt.
+TEST(StoragePool, DataSurvivesADoubleFailureAndRebuild) {
+  ShardSpec spec = small_spec();
+  obs::Registry reg;
+  StoragePool pool(spec, 3, chunked(spec, 8), &reg);
+  const std::vector<uint8_t> data =
+      random_bytes(static_cast<size_t>(pool.capacity()), 39);
+  pool.write(0, data);
+
+  raid::Raid6Array& shard = pool.shard_array(1);
+  shard.fail_disk(1);
+  shard.fail_disk(3);
+  std::vector<uint8_t> got(data.size());
+  pool.read(0, got);
+  EXPECT_EQ(got, data);
+  for (int s = 0; s < pool.shard_count(); ++s) {
+    const std::string p = "shard" + std::to_string(s) + ".raid.";
+    EXPECT_GT(reg.counter(p + (s == 1 ? "degraded_reads" : "reads")).value(),
+              0)
+        << p;
+  }
+
+  shard.replace_disk(1);
+  shard.replace_disk(3);
+  shard.rebuild();
+  EXPECT_EQ(pool.health().degraded_shards, 0);
+  pool.read(0, got);
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(pool.scrub_all(), 0);
+}
+
+// A promoted spare whose rebuild pass stood down on a crash is still
+// blank above its watermark: the shard stays degraded through the
+// reboot, with no failed disk and no pass running, until a rebuild
+// completes.
+TEST(StoragePool, StoodDownRebuildKeepsTheShardDegraded) {
+  ShardSpec spec = small_spec();
+  spec.hot_spares = 1;
+  spec.array.background_rebuild = true;
+  obs::Registry reg;
+  StoragePool pool(spec, 2, chunked(spec, 8), &reg);
+  const std::vector<uint8_t> data =
+      random_bytes(static_cast<size_t>(pool.capacity()), 37);
+  pool.write(0, data);
+
+  raid::Raid6Array& shard = pool.shard_array(1);
+  shard.inject_power_loss_after(0);  // the pass's first write crashes
+  shard.fail_disk(2);
+  EXPECT_FALSE(shard.wait_for_rebuild());
+  EXPECT_EQ(pool.restart_all(), 1);
+  const auto degraded_gauge = [&] {
+    (void)reg.snapshot();
+    return reg.gauge("pool.degraded_shards").value();
+  };
+  PoolHealth h = pool.health();
+  EXPECT_EQ(h.shards[1].failed_disks, 0);
+  EXPECT_FALSE(h.shards[1].rebuilding);
+  EXPECT_FALSE(h.shards[1].crashed);
+  EXPECT_EQ(h.degraded_shards, 1);
+  EXPECT_EQ(degraded_gauge(), 1);
+
+  shard.rebuild();
+  EXPECT_EQ(pool.health().degraded_shards, 0);
+  EXPECT_EQ(degraded_gauge(), 0);
+  std::vector<uint8_t> got(data.size());
+  pool.read(0, got);
+  EXPECT_EQ(got, data);
+}
+
 // The acceptance invariant: data written before a capacity add reads
 // back bit-identical during and after the background restripe, with one
 // shard concurrently failing and rebuilding while the pool serves
